@@ -1,7 +1,7 @@
 """The `pa` command line tool: compute, verify, dims, tangle.
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation,
-3 internal assertion failure.
+3 internal assertion failure, 4 verification failed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .tower import (GradedElement, bullet, cond_expect, dagger, dot_action,
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
+EXIT_VERIFY_FAILED = 4
 
 
 def _ring_from_flag(delta: str) -> Ring:
@@ -37,21 +38,29 @@ def _ring_from_flag(delta: str) -> Ring:
     return Ring.rational(Fraction(delta))
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            data = json.load(fh)
+    except (json.JSONDecodeError, OSError) as exc:
         raise ParseError(f"{path}: {exc}")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}")
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
+def _from_json(loader, data, path: str):
+    try:
+        return loader(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: malformed input ({type(exc).__name__}: {exc})")
 
 
 def _load_graded(path: str) -> GradedElement:
     data = _load_json(path)
     if "level" in data:
-        return GradedElement.from_json(data)
-    element = Element.from_json(data)
+        return _from_json(GradedElement.from_json, data, path)
+    element = _from_json(Element.from_json, data, path)
     return GradedElement.of_element(element.colour.n, element)
 
 
@@ -59,7 +68,7 @@ def _load_element(path: str) -> Element:
     data = _load_json(path)
     if "level" in data:
         raise PreconditionError(f"{path}: expected an element, got a graded element")
-    return Element.from_json(data)
+    return _from_json(Element.from_json, data, path)
 
 
 def _emit(data, out: str | None):
@@ -115,8 +124,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_tangle(args) -> int:
-    with open(args.tangle, "r", encoding="utf-8") as fh:
-        tangle = parse(fh.read())
+    try:
+        with open(args.tangle, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{args.tangle}: {exc}")
+    tangle = parse(text)
     validate(tangle)
     if args.action == "validate":
         print("ok")
@@ -145,8 +158,7 @@ def cmd_dims(args) -> int:
 def cmd_verify(args) -> int:
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
     cfg = Config(delta=args.delta, level=args.level, max_colour=args.max_colour,
-                 seed=args.seed, suites=tuple(names), out=args.out,
-                 json_output=args.json, jobs=args.jobs, trials=args.trials)
+                 seed=args.seed, suites=tuple(names), trials=args.trials)
     cfg.validate()
     report = suites.run_suites(names, cfg, jobs=args.jobs)
     if args.json or args.out:
@@ -159,7 +171,7 @@ def cmd_verify(args) -> int:
             print(f"{mark} {row['check']} {params}{detail}")
         print(f"{'all passed' if report['status'] == 'pass' else 'FAILURES'} "
               f"({len(report['checks'])} checks, seed {cfg.seed})")
-    return 0 if report["status"] == "pass" else 1
+    return 0 if report["status"] == "pass" else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

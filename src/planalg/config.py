@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 
 # Colour cap bounds enumeration memory: Catalan(10) = 16796 diagrams.
 COLOUR_CAP = 10
@@ -34,9 +34,6 @@ class Config:
     max_colour: int | None = None   # defaults to level + 3
     seed: int = DEFAULT_SEED
     suites: tuple[str, ...] = ()
-    out: str | None = None
-    json_output: bool = False
-    jobs: int = 1
     trials: int = 20
 
     def resolved_max_colour(self) -> int:
@@ -46,18 +43,22 @@ class Config:
         """Parsed delta: None for symbolic, Fraction or float otherwise."""
         if self.delta in ("sym", "symbolic"):
             return None
-        if "/" in self.delta or "." not in self.delta:
-            return Fraction(self.delta)
-        return float(self.delta)
+        try:
+            if "/" in self.delta or "." not in self.delta:
+                return Fraction(self.delta)
+            return float(self.delta)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad delta {self.delta!r}: expected sym, p/q or "
+                             "a decimal") from None
 
     def validate(self) -> None:
+        value = self.delta_value()
         if self.level < 0:
             raise PreconditionError("level must be non-negative")
         if self.resolved_max_colour() > COLOUR_CAP:
             raise PreconditionError(
                 f"max colour {self.resolved_max_colour()} exceeds cap {COLOUR_CAP}")
         if any(s in POSITIVITY_SUITES for s in self.suites):
-            value = self.delta_value()
             if value is not None and value < 2:
                 raise PreconditionError(
                     "positivity suites require delta >= 2 in rational/float mode")

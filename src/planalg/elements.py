@@ -45,6 +45,14 @@ class Element:
     def unit(cls, colour, ring):
         return cls.basis(identity_diagram(colour), ring)
 
+    @classmethod
+    def from_terms(cls, colour, ring: Ring, terms):
+        """Sum (diagram, coefficient) pairs in one pass over a single dict."""
+        combo = {}
+        for d, c in terms:
+            combo[d] = combo[d] + c if d in combo else c
+        return cls(colour, ring, combo)
+
     # -- linear structure -----------------------------------------------------
 
     def _check_colour(self, other):
@@ -102,14 +110,12 @@ class Element:
         """
         self._check_colour(other)
         n = self.colour.n
-        out = Element.zero(self.colour, self.ring)
+        terms = []
         for d1, c1 in self.combo.items():
             for d2, c2 in other.combo.items():
                 diagram, loops = _stack(d2, d1, n)
-                term = Element.basis(diagram, self.ring,
-                                     (c1 * c2).delta_pow(loops))
-                out = out + term
-        return out
+                terms.append((diagram, (c1 * c2).delta_pow(loops)))
+        return Element.from_terms(self.colour, self.ring, terms)
 
     def __mul__(self, other):
         if isinstance(other, Element):

@@ -19,6 +19,14 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 
+def _exact(c):
+    """An exact rational coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Scalar:
     """Immutable ring element; build via :class:`Ring` or the classmethods."""
 
@@ -46,7 +54,7 @@ class Scalar:
     @classmethod
     def symbolic(cls, terms):
         """Laurent polynomial from an {exponent: coefficient} map."""
-        return cls(SYMBOLIC, terms={int(e): Fraction(c) for e, c in terms.items()})
+        return cls(SYMBOLIC, terms={int(e): _exact(c) for e, c in terms.items()})
 
     @classmethod
     def rational(cls, value, delta):
@@ -107,7 +115,7 @@ class Scalar:
 
     def _scalar_from_const(self, c):
         if self.mode == SYMBOLIC:
-            return Scalar.symbolic({0: Fraction(c)})
+            return Scalar.symbolic({0: c})
         if self.mode == RATIONAL:
             return Scalar.rational(Fraction(c), self.delta)
         return Scalar.float_(float(c), self.delta)
@@ -173,7 +181,7 @@ class Scalar:
     def from_json(cls, data):
         mode = data["mode"]
         if mode == SYMBOLIC:
-            return cls.symbolic({int(e): Fraction(c) for e, c in data["terms"]})
+            return cls.symbolic({int(e): c for e, c in data["terms"]})
         if mode == RATIONAL:
             return cls.rational(Fraction(data["value"]), Fraction(data["delta"]))
         if mode == FLOAT:
@@ -234,7 +242,7 @@ class Ring:
 
     def fraction(self, c) -> Scalar:
         if self.mode == SYMBOLIC:
-            return Scalar.symbolic({0: Fraction(c)})
+            return Scalar.symbolic({0: c})
         if self.mode == RATIONAL:
             return Scalar.rational(Fraction(c), self.delta)
         return Scalar.float_(float(c), self.delta)

@@ -272,7 +272,8 @@ def _evaluate(t: Tangle, inputs, ring: Ring) -> Element:
         combos = expanded
 
     n_ext = t.ext.points
-    out = Element.zero(t.ext, ring)
+    diagrams = {}       # output pairing -> Diagram, validated once per call
+    terms = []
     for dpartner, coeff in combos:
         pairs = []
         seen = set()
@@ -301,13 +302,16 @@ def _evaluate(t: Tangle, inputs, ring: Ring) -> Element:
                 cur = dpartner[mid]
                 if cur == start:
                     break
-        try:
-            diagram = Diagram(t.ext, pairs)
-        except ValidationError as exc:
-            raise InternalError(
-                f"evaluation produced a crossing output pairing: {exc}") from exc
-        out = out + Element.basis(diagram, ring, coeff.delta_pow(loops))
-    return out
+        pairs = tuple(pairs)
+        diagram = diagrams.get(pairs)
+        if diagram is None:
+            try:
+                diagram = diagrams[pairs] = Diagram(t.ext, pairs)
+            except ValidationError as exc:
+                raise InternalError(
+                    f"evaluation produced a crossing output pairing: {exc}") from exc
+        terms.append((diagram, coeff.delta_pow(loops)))
+    return Element.from_terms(t.ext, ring, terms)
 
 
 # -- operadic substitution --------------------------------------------------------

@@ -75,6 +75,15 @@ class GradedElement:
     def unit(cls, level, ring):
         return cls.of_element(level, Element.unit(level, ring))
 
+    @classmethod
+    def from_parts(cls, level, ring: Ring, parts):
+        """Sum Elements into their colour components, one pass per colour."""
+        terms = {}      # colour n -> (Colour of the first part, its terms)
+        for el in parts:
+            terms.setdefault(el.colour.n, (el.colour, []))[1].extend(el.combo.items())
+        return cls(level, ring, {n: Element.from_terms(colour, ring, ts)
+                                 for n, (colour, ts) in terms.items()})
+
     def component(self, n: int) -> Element:
         if n in self.components:
             return self.components[n]
@@ -174,13 +183,11 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
     a._check_level(b)
     _check_conventions(a.ring)
     k = a.level
-    out = GradedElement.zero(k, a.ring)
-    for m, am in a.components.items():
-        for n, bn in b.components.items():
-            for t in sharp_range(m, n, k):
-                out = out + GradedElement.of_element(
-                    k, sharp_component(am, bn, k, t))
-    return out
+    return GradedElement.from_parts(k, a.ring, (
+        sharp_component(am, bn, k, t)
+        for m, am in a.components.items()
+        for n, bn in b.components.items()
+        for t in sharp_range(m, n, k)))
 
 
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -188,12 +195,10 @@ def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     a._check_level(b)
     _check_conventions(a.ring)
     k = a.level
-    out = GradedElement.zero(k, a.ring)
-    for m, am in a.components.items():
-        for n, bn in b.components.items():
-            out = out + GradedElement.of_element(
-                k, sharp_component(am, bn, k, m + n - k))
-    return out
+    return GradedElement.from_parts(k, a.ring, (
+        sharp_component(am, bn, k, m + n - k)
+        for m, am in a.components.items()
+        for n, bn in b.components.items()))
 
 
 # -- dagger, traces, inner product ------------------------------------------------
@@ -274,7 +279,7 @@ def _expect_element(x: Element, k: int) -> Element:
     n = x.colour.n
     c1, c2 = 2 * n - k, 2 * n - k + 1
     relabel = lambda p: p if p < c1 else p - 2
-    out = Element.zero(n - 1, x.ring)
+    terms = []
     for d, c in x.combo.items():
         if d.partner(c1) == c2:
             pairs = [pr for pr in d.pairs if c1 not in pr]
@@ -285,9 +290,8 @@ def _expect_element(x: Element, k: int) -> Element:
             pairs.append((p1, p2))
             factor = -1
         pairs = [(relabel(a), relabel(b)) for a, b in pairs]
-        out = out + Element.basis(Diagram(n - 1, pairs), x.ring,
-                                  c.delta_pow(factor))
-    return out
+        terms.append((Diagram(n - 1, pairs), c.delta_pow(factor)))
+    return Element.from_terms(n - 1, x.ring, terms)
 
 
 def cond_expect(a: GradedElement) -> GradedElement:
@@ -354,17 +358,23 @@ def _good_tangles(k: int, j: int, i: int, excellent: bool):
     return tuple(enumerate_good(k, j, i, excellent))
 
 
+@lru_cache(maxsize=None)
+def _column(k, j, i, excellent, diagram, ring) -> Element:
+    """The colour-i image of one P_j basis diagram under phi (psi if
+    excellent), sign included; the maps are linear in these columns."""
+    x = Element.basis(diagram, ring)
+    col = Element.from_terms(i, ring, (
+        term for tangle in _good_tangles(k, j, i, excellent)
+        for term in evaluate(tangle, [x]).combo.items()))
+    return -col if excellent and (i + j) % 2 == 1 else col
+
+
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
-    out = GradedElement.zero(k, a.ring)
-    for j, el in a.components.items():
-        for i in range(k, j + 1):
-            acc = Element.zero(i, a.ring)
-            for tangle in _good_tangles(k, j, i, excellent):
-                acc = acc + evaluate(tangle, [el])
-            if excellent and (i + j) % 2 == 1:
-                acc = -acc
-            out = out + GradedElement.of_element(k, acc)
-    return out
+    return GradedElement.from_parts(k, a.ring, (
+        _column(k, j, i, excellent, d, a.ring).scale(c)
+        for j, el in a.components.items()
+        for d, c in el.combo.items()
+        for i in range(k, j + 1)))
 
 
 def phi(k: int, a: GradedElement) -> GradedElement:
@@ -417,13 +427,11 @@ def dot_action(a: GradedElement, b: GradedElement) -> GradedElement:
     if a.level != b.level + 1:
         raise LevelMismatchError("dot action needs levels (k+1, k)")
     k = b.level
-    out = GradedElement.zero(k, b.ring)
-    for m, am in a.components.items():
-        for n, bn in b.components.items():
-            for t in dot_range(m, n, k):
-                out = out + GradedElement.of_element(
-                    k, evaluate(dot_tangle(m, n, k, t), [am, bn]))
-    return out
+    return GradedElement.from_parts(k, b.ring, (
+        evaluate(dot_tangle(m, n, k, t), [am, bn])
+        for m, am in a.components.items()
+        for n, bn in b.components.items()
+        for t in dot_range(m, n, k)))
 
 
 def dot_action_via_expectation(a: GradedElement, b: GradedElement) -> GradedElement:

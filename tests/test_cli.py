@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from planalg import suites
 from planalg.cli import main
 from planalg.diagrams import Diagram
 from planalg.elements import Element
@@ -76,6 +77,51 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["compute", "tau", str(bad_json)]) == 1
     assert main(["dims", "--max-colour", "99"]) == 2
     capsys.readouterr()
+
+
+def assert_one_line_parse_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_missing_tangle_file(tmp_path, capsys):
+    assert main(["tangle", "validate", str(tmp_path / "missing.dsl")]) == 1
+    assert_one_line_parse_error(capsys)
+
+
+BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
+                                     "coeff": {"mode": "symbolic",
+                                               "terms": [[0, "x/y"]]}}]}
+
+
+@pytest.mark.parametrize("op, data", [
+    ("tau", {"colour": 2}),                             # no "terms"
+    ("tau", [{"colour": 2, "terms": []}]),              # a list, not an object
+    ("tau", "P_2"),
+    ("tau", BAD_COEFF),                                 # bad coefficient literal
+    ("tau", {"colour": 1, "terms": [{"pairs": [[1, 2]], "coeff": {
+        "mode": "rational", "value": "1/0", "delta": "2"}}]}),
+    ("dagger", {"level": 1}),                           # graded, no "components"
+    ("dagger", {"level": 1, "components": {"1": BAD_COEFF}}),
+])
+def test_malformed_json_is_a_parse_error(tmp_path, capsys, op, data):
+    path = tmp_path / "x.json"
+    write_json(path, data)
+    assert main(["compute", op, str(path)]) == 1
+    assert_one_line_parse_error(capsys)
+
+
+@pytest.mark.parametrize("suite", ["positivity", "filtalg"])
+def test_verify_bad_delta_is_a_parse_error(capsys, suite):
+    assert main(["verify", suite, "--delta", "abc"]) == 1
+    assert_one_line_parse_error(capsys)
+
+
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setitem(suites.SUITES, "annular",
+                        lambda cfg: [suites._row("annular.fake", {}, False)])
+    assert main(["verify", "annular"]) == 4
+    assert "FAILURES" in capsys.readouterr().out
 
 
 def test_dims_output(capsys):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from planalg.diagrams import Diagram, enumerate_diagrams
+from planalg.diagrams import Diagram, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, jones_projection, tl_sum
-from planalg.errors import ColourMismatchError
+from planalg.errors import ColourMismatchError, ModeMismatchError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate, multiplication_tangle, trace_tangle
 from conftest import random_element
@@ -115,3 +115,21 @@ def test_json_roundtrip(sym, rng):
         assert back == x
     zero_plus = Element.unit(0, sym)
     assert Element.from_json(zero_plus.to_json(), sym) == zero_plus
+
+
+def test_from_terms_merges_duplicates_and_drops_zeros(sym):
+    one, d = identity_diagram(2), sym.delta_power(1)
+    x = Element.from_terms(2, sym, [(CUP2, d), (one, sym.one()), (CUP2, d),
+                                    (one, -sym.one())])
+    assert x.combo == {CUP2: d + d}
+    assert Element.from_terms(2, sym, []) == Element.zero(2, sym)
+
+
+def test_from_terms_checks_colour_and_mode(sym):
+    with pytest.raises(ColourMismatchError):
+        Element.from_terms(2, sym, [(Diagram(1, [(1, 2)]), sym.one())])
+    with pytest.raises(ModeMismatchError):
+        Element.from_terms(2, sym, [(CUP2, Ring.rational(2).one())])
+    with pytest.raises(ModeMismatchError):
+        Element.from_terms(2, sym, [(CUP2, sym.one()),
+                                    (CUP2, Ring.rational(2).one())])

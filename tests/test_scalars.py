@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planalg.errors import ModeMismatchError, PreconditionError
-from planalg.scalars import Ring, Scalar
+from planalg.scalars import SYMBOLIC, Ring, Scalar
 
 
 def test_exponent_cancellation(sym):
@@ -96,3 +96,34 @@ def test_json_roundtrip():
 def test_no_zero_coefficients_stored():
     s = Scalar.symbolic({1: 1}) - Scalar.symbolic({1: 1})
     assert s.terms == {}
+
+
+def test_integral_coefficients_are_stored_as_int(sym):
+    s = Scalar.symbolic({0: Fraction(6, 2), -1: "-4/2", 2: Fraction(1, 3)})
+    assert s.terms == {0: 3, -1: -2, 2: Fraction(1, 3)}
+    assert type(s.terms[0]) is int and type(s.terms[-1]) is int
+    assert type(sym.fraction(Fraction(8, 4)).terms[0]) is int
+    assert type((sym.delta_power(1) * 3).terms[1]) is int
+    # the same scalar built with Fraction coefficients prints identically
+    built = Scalar(SYMBOLIC, terms={0: Fraction(3), -1: Fraction(-2),
+                                    2: Fraction(1, 3)})
+    assert s == built
+    assert s.to_json() == built.to_json()
+    assert repr(s) == repr(built)
+
+
+def test_mixed_int_fraction_arithmetic_is_exact(sym):
+    half = Scalar.symbolic({0: Fraction(1, 2)})
+    assert half + half == sym.one()
+    assert half * 2 == sym.one()
+    third = sym.fraction(Fraction(1, 3))
+    assert third + third + third == sym.one()
+    assert (Scalar.symbolic({1: 2}) + half).terms == {1: 2, 0: Fraction(1, 2)}
+    assert Scalar.symbolic({0: 1}) - half == half
+
+
+def test_specialize_returns_fraction():
+    s = Scalar.symbolic({1: 2, 0: 1})        # 2 delta + 1, int coefficients
+    value = s.specialize(3).value
+    assert type(value) is Fraction and value == 7
+    assert s.specialize(Fraction(1, 2)).value == Fraction(2)

@@ -2,8 +2,8 @@ import pytest
 
 from planalg.diagrams import Diagram, enumerate_diagrams
 from planalg.elements import Element, jones_projection
-from planalg.errors import (ColourMismatchError, ParseError, PreconditionError,
-                            ValidationError)
+from planalg.errors import (ColourMismatchError, InternalError, ParseError,
+                            PreconditionError, ValidationError)
 from planalg.scalars import Ring
 from planalg.tangles import (EXT, Tangle, evaluate, evaluate_in,
                              identity_tangle, inclusion_tangle, jones_tangle,
@@ -243,3 +243,12 @@ def test_evaluate_wrong_arity(sym):
 def test_tangle_json_roundtrip():
     t = multiplication_tangle(2)
     assert Tangle.from_json(t.to_json()) == t
+
+
+def test_evaluate_rejects_a_crossing_output(sym):
+    # a non-planar tangle (never validated) whose output strands cross
+    crossing = Tangle(2, [1], [((1, 1), (EXT, 1)), ((1, 2), (EXT, 3)),
+                               ((EXT, 2), (EXT, 4))])
+    x = Element.basis(Diagram(1, [(1, 2)]), sym)
+    with pytest.raises(InternalError):
+        evaluate(crossing, [x])

@@ -14,7 +14,8 @@ from planalg.tower import (GradedElement, LevelConvention, bullet, cond_expect,
                            dot_range, dot_tangle, element_c, element_d,
                            include, include_to, inner_product, jones_e, phi,
                            psi, sharp, sharp_component, sharp_range,
-                           sharp_tangle, trace_Tr, trace_tk, hk_norm_squared)
+                           sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
+                           _good_tangles)
 from conftest import random_element, random_graded
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
@@ -310,3 +311,44 @@ def test_phi_trace_correspondence(sym, rng):
 def test_graded_json_roundtrip(sym, rng):
     a = random_graded(1, 3, sym, rng)
     assert GradedElement.from_json(a.to_json()) == a
+
+
+def tangle_sum_oracle(k, a, excellent):
+    """phi/psi by their definition: every good tangle applied to the input."""
+    out = GradedElement.zero(k, a.ring)
+    for j, el in a.components.items():
+        for i in range(k, j + 1):
+            sign = a.ring.integer(-1 if excellent and (i + j) % 2 else 1)
+            for tangle in _good_tangles(k, j, i, excellent):
+                out = out + graded(k, evaluate(tangle, [el]).scale(sign))
+    return out
+
+
+def test_phi_psi_columns_match_tangle_oracle(sym, rng):
+    for k in (0, 1, 2):
+        for _ in range(4):
+            a = random_graded(k, k + 3, sym, rng)
+            assert phi(k, a) == tangle_sum_oracle(k, a, False)
+            assert psi(k, a) == tangle_sum_oracle(k, a, True)
+
+
+def test_phi_psi_columns_are_kept_per_ring(sym):
+    # every basis diagram first through the symbolic ring, then through two
+    # rational rings: a column served from another ring would fail here
+    for ring in (sym, Ring.rational(Fraction(5, 2)), Ring.rational(3)):
+        for k in (0, 1):
+            for j in range(k, k + 3):
+                for d in enumerate_diagrams(j):
+                    a = graded(k, Element.basis(d, ring))
+                    for excellent, fn in ((False, phi), (True, psi)):
+                        image = fn(k, a)
+                        assert image.ring == ring
+                        assert image == tangle_sum_oracle(k, a, excellent)
+
+
+def test_graded_from_parts(sym):
+    x, y = Element.basis(CUP2, sym), Element.unit(2, sym)
+    z = Element.unit(3, sym)
+    total = GradedElement.from_parts(1, sym, [x, z, y, -x])
+    assert total == graded(1, y) + graded(1, z)
+    assert GradedElement.from_parts(1, sym, [x, -x]).is_zero()
