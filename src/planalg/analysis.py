@@ -13,20 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .annular import TSpec, annular_T, annular_X, annular_Y, annular_Z, \
-    annular_double_cup, transpose_annular
+from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
+    compose_T, transpose_annular
 from .config import FLOAT_TOL
-from .diagrams import Diagram, catalan, enumerate_diagrams, identity_diagram
-from .elements import Element
+from .diagrams import enumerate_diagrams, identity_diagram
+from .elements import Element, random_element
 from .errors import ModeMismatchError, PreconditionError
 from .scalars import FLOAT, RATIONAL, Ring, Scalar
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
     substitute
-from .tower import GradedElement, element_c, sharp, sharp_range
-
-
-def _interval(lo, hi):
-    return frozenset(range(lo, hi + 1))
+from .tower import GradedElement, element_c, element_d, sharp
 
 
 def _require_numeric(ring: Ring):
@@ -63,6 +59,7 @@ def gram_positive_definite_exact(n: int, delta) -> bool:
     ring = Ring.rational(Fraction(delta))
     g = [[s.value for s in row] for row in gram(n, ring)]
     size = len(g)
+    # no row swaps: every leading minor must be positive (Sylvester)
     for p in range(size):
         if g[p][p] <= 0:
             return False
@@ -286,16 +283,6 @@ def sum_norm_inequality(vectors) -> bool:
         float(np.dot(v, v)) for v in vectors) + FLOAT_TOL
 
 
-def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
-    basis = enumerate_diagrams(n)
-    combo = {}
-    for _ in range(terms):
-        d = basis[rng.randrange(len(basis))]
-        c = ring.fraction(rng.randint(-3, 3))
-        combo[d] = combo[d] + c if d in combo else c
-    return Element(n, ring, combo)
-
-
 def unit_hk_norm(x: Element, k: int) -> Element:
     """Scale x to unit H_k norm (float mode); keeps residual checks O(1)."""
     _require_float(x.ring)
@@ -370,26 +357,38 @@ def _solve_in_image(x: Element, k: int):
     return Element(k, x.ring, combo)
 
 
-def _gauss_solve(cols, target, exact: bool):
-    rows, ncols = len(target), len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    tol = 0 if exact else 1e-10
+def row_reduce(mat, ncols: int, tol=0) -> list:
+    """Gauss-Jordan elimination of `mat` in place on its first `ncols` columns.
+
+    An entry is a pivot only if its absolute value exceeds `tol` (0 for
+    exact entries).  Returns the pivot columns: row r has a 1 in the r-th
+    of them, and rows past the last pivot row are zero (up to `tol`) on the
+    first `ncols` columns.
+    """
+    rows = len(mat)
     piv_cols = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, rows) if abs(aug[i][c]) > tol), None)
+        piv = next((i for i in range(r, rows) if abs(mat[i][c]) > tol), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
         for i in range(rows):
-            if i != r and abs(aug[i][c]) > tol:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+            if i != r and abs(mat[i][c]) > tol:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
         piv_cols.append(c)
         r += 1
-    for i in range(r, rows):
+    return piv_cols
+
+
+def _gauss_solve(cols, target, exact: bool):
+    rows, ncols = len(target), len(cols)
+    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    piv_cols = row_reduce(aug, ncols, 0 if exact else 1e-10)
+    for i in range(len(piv_cols), rows):
         if abs(aug[i][ncols]) > (0 if exact else 1e-8):
             return None
     sol = [Fraction(0) if exact else 0.0] * ncols
@@ -464,11 +463,9 @@ def dcomm_replay(k: int, ring: Ring | None = None, rng=None) -> dict:
                 != ident.with_loops(3):
             return False, "(ii) Z"
         # (iii) commutator components against the two-sided products with d
-        from .tower import element_d
         d_el = element_d(k, ring)
         for t in (k + 3, k + 4):
-            y1 = random_element(k, ring, rng) if ring.mode != "symbolic" \
-                else _random_symbolic(k, ring, rng)
+            y1 = random_element(k, ring, rng)
             both = GradedElement.zero(k, ring)
             for src in (t - 1, t - 2):
                 xi = GradedElement.of_element(
@@ -489,17 +486,6 @@ def dcomm_replay(k: int, ring: Ring | None = None, rng=None) -> dict:
     return {"check": "dcomm_replay", "params": {"k": k}, "status": status,
             "default_ok": default_ok, "failed_subcheck": fail_at,
             "passing_placements": passing, "max_residual": 0.0 if default_ok else 1.0}
-
-
-def _random_symbolic(n: int, ring: Ring, rng) -> Element:
-    from .scalars import Scalar
-    basis = enumerate_diagrams(n)
-    combo = {}
-    for _ in range(2):
-        d = basis[rng.randrange(len(basis))]
-        c = Scalar.symbolic({rng.randint(-1, 1): rng.randint(1, 3)})
-        combo[d] = combo[d] + c if d in combo else c
-    return Element(n, ring, combo)
 
 
 def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
@@ -587,17 +573,13 @@ def xn_from_xm(x_m: Element, n: int, k: int, d: int) -> Element:
 def xnxm_telescope(k: int, n: int, rng, ring: Ring | None = None) -> dict:
     """The induction step at d = 2: the four-term double sum telescopes to
     the direct formula, checked exactly on random complement elements."""
-    from .annular import compose_T
-    from .scalars import Ring as _Ring
-    ring = ring or _Ring.symbolic()
+    ring = ring or Ring.symbolic()
     d = 2
     m = n + 2 * d
     failures = 0
     trials = 3
     for _ in range(trials):
-        raw = _random_symbolic(m, ring, rng) if ring.mode == "symbolic" \
-            else random_element(m, ring, rng)
-        _, x_m = perp_projection(raw, k)
+        _, x_m = perp_projection(random_element(m, ring, rng), k)
         four = Element.zero(n, ring)
         for t in range(1, n - k + 1):
             t_a = TSpec(k, _interval(1, n + 1 - t - k), _interval(t + 1, n - k + 1),

@@ -8,11 +8,10 @@ cup whose slot position is exposed so the replay suite can pin it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .diagrams import Diagram, enumerate_diagrams
+from .diagrams import _matchings
 from .errors import ColourMismatchError, PreconditionError
-from .scalars import Ring, Scalar
 from .tangles import EXT, Tangle
 
 
@@ -94,11 +93,6 @@ def compose_T(first: TSpec, second: TSpec):
     return exponent, result
 
 
-def compose_T_scalar(first: TSpec, second: TSpec, ring: Ring):
-    exponent, result = compose_T(first, second)
-    return ring.delta_power(exponent), result
-
-
 def _cup_layout(t: int, k: int, double_slot: int):
     """Caps for t-k-2 single cups plus one double cup in the given slot."""
     if t < k + 2:
@@ -138,30 +132,6 @@ def annular_Z(t: int, k: int, double_slot: int | None = None) -> Tangle:
     return annular_double_cup(t, k, slot)
 
 
-@dataclass(frozen=True)
-class AnnularSpec:
-    """Tagged union over the paper's annular families."""
-
-    family: str                       # "T" | "X" | "Y" | "Z"
-    k: int
-    m: int | None = None              # target colour (T) or t (Y/Z) or n (X)
-    n: int | None = None              # source colour (T)
-    A: frozenset = field(default_factory=frozenset)
-    B: frozenset = field(default_factory=frozenset)
-    double_slot: int | None = None
-
-    def tangle(self) -> Tangle:
-        if self.family == "T":
-            return annular_T(TSpec(self.k, self.A, self.B, self.m, self.n))
-        if self.family == "X":
-            return annular_X(self.m, self.k)
-        if self.family == "Y":
-            return annular_Y(self.m, self.k, self.double_slot)
-        if self.family == "Z":
-            return annular_Z(self.m, self.k, self.double_slot)
-        raise PreconditionError(f"unknown annular family {self.family!r}")
-
-
 def transpose_annular(t: Tangle) -> Tangle:
     """Exchange the two boundaries of an annular tangle (turn it inside out).
 
@@ -180,24 +150,7 @@ def transpose_annular(t: Tangle) -> Tangle:
                   [(swap(p), swap(q)) for p, q in t.pairs], t.loops)
 
 
-def adjoint_exponent(t: Tangle) -> int:
-    """The delta exponent relating the transpose to the true tau-adjoint."""
-    return t.boxes[0].n - t.ext.n
-
-
 # -- good and excellent annular tangles -------------------------------------------
-
-
-def _nc_matchings(points):
-    if not points:
-        return [[]]
-    out = []
-    first = points[0]
-    for j in range(1, len(points), 2):
-        for ins in _nc_matchings(points[1:j]):
-            for outs in _nc_matchings(points[j + 1:]):
-                out.append([(first, points[j])] + ins + outs)
-    return out
 
 
 def _adjacent_matching(points):
@@ -241,7 +194,7 @@ def enumerate_good(k: int, j: int, i: int, excellent: bool = False):
     """
     if not k <= i <= j:
         raise PreconditionError("need k <= i <= j")
-    match = _adjacent_matching if excellent else _nc_matchings
+    match = _adjacent_matching if excellent else _matchings
     out = []
     for values, gaps in _through_maps(k, j, i):
         gap_choices = [[]]

@@ -10,16 +10,15 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import suites
 from .config import Config, set_colour_cap
 from .diagrams import catalan, enumerate_diagrams
 from .elements import Element
 from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
-                     ModeMismatchError, ParseError, PlanarAlgebraError,
-                     PreconditionError, ValidationError)
-from .scalars import Ring, Scalar
+                     ModeMismatchError, ParseError, PreconditionError,
+                     ValidationError)
+from .scalars import Scalar
 from .tangles import evaluate, parse, validate
 from .tower import (GradedElement, bullet, cond_expect, dagger, dot_action,
                     include, inner_product, phi, psi, sharp, trace_Tr, trace_tk)
@@ -28,14 +27,6 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 EXIT_VERIFY_FAILED = 4
-
-
-def _ring_from_flag(delta: str) -> Ring:
-    if delta in ("sym", "symbolic"):
-        return Ring.symbolic()
-    if "." in delta:
-        return Ring.float_(float(delta))
-    return Ring.rational(Fraction(delta))
 
 
 def _load_json(path: str) -> dict:

@@ -1,15 +1,19 @@
 """Vectors in the Temperley-Lieb spaces P_n, with the C*-algebra operations.
 
-multiply/tau/star here are direct combinatorial implementations (stacking,
-closure loop count, reflection); the generic tangle evaluator provides the
-independent second route, cross-checked in the test suite.
+Every strand contraction in the package goes through `trace_strands`: the
+product and the trace here are the multiplication tangle (box 2 above box 1)
+and the full closure, each wired once per colour; the generic tangle
+evaluator feeds it its own wiring.  The direct stacking and closure-loop
+routes live in the tests as the independent oracle.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram
 from .errors import ColourMismatchError, ModeMismatchError, PreconditionError
-from .scalars import Ring, Scalar
+from .scalars import SYMBOLIC, Ring, Scalar
 
 
 class Element:
@@ -110,11 +114,16 @@ class Element:
         """
         self._check_colour(other)
         n = self.colour.n
+        wiring = _product_wiring(n)
+        pad = (None,) * (2 * n)
         terms = []
         for d1, c1 in self.combo.items():
+            below = pad + placed_pairing(d1, 2 * n)
             for d2, c2 in other.combo.items():
-                diagram, loops = _stack(d2, d1, n)
-                terms.append((diagram, (c1 * c2).delta_pow(loops)))
+                pairs, loops = trace_strands(
+                    wiring, below + placed_pairing(d2, 4 * n), 2 * n)
+                terms.append((Diagram(self.colour, pairs, _validated=True),
+                              (c1 * c2).delta_pow(loops)))
         return Element.from_terms(self.colour, self.ring, terms)
 
     def __mul__(self, other):
@@ -125,9 +134,11 @@ class Element:
     def tau(self) -> Scalar:
         """Normalised trace: delta^{-n} times the closure loop count value."""
         n = self.colour.n
+        wiring = _closure_wiring(n)
         total = self.ring.zero()
         for d, c in self.combo.items():
-            total = total + c.delta_pow(_closure_loops(d) - n)
+            _, loops = trace_strands(wiring, placed_pairing(d, 0), 0)
+            total = total + c.delta_pow(loops - n)
         return total
 
     def inner(self, other: "Element") -> Scalar:
@@ -169,77 +180,82 @@ def _ring_of(scalar: Scalar) -> Ring:
     return Ring(scalar.mode, scalar.delta)
 
 
-def _stack(top: Diagram, bottom: Diagram, n: int):
-    """Glue top's lower boundary to bottom's upper boundary; trace paths.
+def trace_strands(wiring, inner, n_ext: int, loops: int = 0):
+    """Follow the strands of a tangle whose boxes hold diagrams.
 
-    Returns the product diagram and the number of closed loops formed.
+    Points carry global ids: the n_ext external points first (0-based),
+    then each box's points.  `wiring[p]` is the partner of p under the
+    tangle's own strands; `inner[p]` is its partner inside the diagram that
+    fills p's box.  Returns the output pairing as 1-based pairs and `loops`
+    plus the number of closed loops formed.
     """
-    # global point ids: top box 0..2n-1 (point p -> p-1), bottom box 2n..4n-1
-    glue = {}
-    for i in range(1, n + 1):
-        a = (2 * n + 1 - i) - 1       # top's bottom row
-        b = 2 * n + (i - 1)           # bottom's top row
-        glue[a] = b
-        glue[b] = a
-    partner = {}
-    for a, b in top.pairs:
-        partner[a - 1] = b - 1
-        partner[b - 1] = a - 1
-    for a, b in bottom.pairs:
-        partner[2 * n + a - 1] = 2 * n + b - 1
-        partner[2 * n + b - 1] = 2 * n + a - 1
-
-    out_points = {i - 1: i for i in range(1, n + 1)}                  # top row kept
-    out_points.update({2 * n + (p - 1): p for p in range(n + 1, 2 * n + 1)})
-
     pairs = []
     seen = set()
-    for start in out_points:
+    for start in range(n_ext):
         if start in seen:
             continue
         seen.add(start)
-        cur = partner[start]
-        while cur not in out_points:
+        cur = wiring[start]
+        while cur >= n_ext:
             seen.add(cur)
-            cur = glue[cur]
+            cur = inner[cur]
             seen.add(cur)
-            cur = partner[cur]
+            cur = wiring[cur]
         seen.add(cur)
-        pairs.append((out_points[start], out_points[cur]))
-    loops = 0
-    for start in range(4 * n):
+        pairs.append((start + 1, cur + 1))
+    for start in range(n_ext, len(wiring)):
         if start in seen:
             continue
         loops += 1
         cur = start
         while True:
             seen.add(cur)
-            mid = partner[cur]
+            mid = wiring[cur]
             seen.add(mid)
-            cur = glue[mid]
+            cur = inner[mid]
             if cur == start:
                 break
-    return Diagram(Colour(n), pairs, _validated=True), loops
+    return tuple(pairs), loops
 
 
-def _closure_loops(d: Diagram) -> int:
-    """Loops of the trace closure (point i joined to 2n+1-i around the box)."""
-    n = d.colour.n
-    loops = 0
-    seen = set()
-    for start in range(1, 2 * n + 1):
-        if start in seen:
-            continue
-        loops += 1
-        cur = start
-        while True:
-            seen.add(cur)
-            cur = d.partner(cur)
-            seen.add(cur)
-            cur = 2 * n + 1 - cur
-            if cur == start:
-                break
-    return loops
+@lru_cache(maxsize=None)
+def placed_pairing(diagram: Diagram, offset: int) -> tuple:
+    """The diagram's pairing on the global ids offset..offset+2n-1, by point."""
+    return tuple(offset + diagram.partner(p) - 1
+                 for p in range(1, diagram.colour.points + 1))
+
+
+@lru_cache(maxsize=None)
+def _product_wiring(n: int) -> tuple:
+    """The multiplication tangle on P_n: box 1 (ids 2n..4n-1) below box 2
+    (ids 4n..6n-1); external points 1..n on box 2, n+1..2n on box 1."""
+    wiring = [0] * (6 * n)
+    for i in range(n):
+        for p, q in ((i, 4 * n + i),                        # top row
+                     (6 * n - 1 - i, 2 * n + i),            # box 2 onto box 1
+                     (n + i, 3 * n + i)):                   # bottom row
+            wiring[p], wiring[q] = q, p
+    return tuple(wiring)
+
+
+@lru_cache(maxsize=None)
+def _closure_wiring(n: int) -> tuple:
+    """The trace closure of an n-box: point i joined to 2n+1-i around it."""
+    return tuple(2 * n - 1 - p for p in range(2 * n))
+
+
+def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
+    """A sum of `terms` random basis diagrams of P_n with small coefficients:
+    short Laurent polynomials in symbolic mode, integers in -3..3 otherwise."""
+    basis = enumerate_diagrams(n)
+
+    def draw():
+        d = basis[rng.randrange(len(basis))]
+        if ring.mode == SYMBOLIC:
+            return d, Scalar.symbolic({rng.randint(-1, 1): rng.randint(1, 3)})
+        return d, ring.fraction(rng.randint(-3, 3))
+
+    return Element.from_terms(n, ring, (draw() for _ in range(terms)))
 
 
 def jones_projection(colour, ring: Ring) -> Element:

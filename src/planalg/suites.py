@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,15 +17,15 @@ from . import analysis
 from .annular import TSpec, annular_T, annular_X, compose_T, enumerate_good, \
     transpose_annular
 from .config import Config
-from .diagrams import catalan, enumerate_diagrams
-from .elements import Element, tl_sum
+from .diagrams import enumerate_diagrams
+from .elements import Element, random_element
 from .errors import PreconditionError
-from .scalars import Ring, Scalar
+from .scalars import Ring
 from .tangles import Tangle, evaluate, identity_tangle, left_expectation_tangle, \
-    multiplication_tangle, rotation_tangle, substitute, validate
+    rotation_tangle, substitute, validate
 from .tower import GradedElement, bullet, cond_expect, dagger, dot_action, \
     dot_action_via_expectation, dot_index_I, dot_index_J, element_c, element_d, \
-    include, index_bijection, inner_product, jones_e, phi, psi, sharp, \
+    include, index_bijection, jones_e, phi, psi, random_graded, sharp, \
     sharp_index_I, sharp_index_J, trace_Tr, trace_tk
 
 SUITE_NAMES = ("filtalg", "annular", "gjs-iso", "jones", "estimates",
@@ -35,25 +36,6 @@ def _row(check, params, ok, details="", residual=0.0):
     return {"check": check, "params": params,
             "status": "pass" if ok else "fail",
             "details": details, "max_residual": residual}
-
-
-def random_symbolic_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
-    basis = enumerate_diagrams(n)
-    combo = {}
-    for _ in range(terms):
-        d = basis[rng.randrange(len(basis))]
-        c = Scalar.symbolic({rng.randint(-1, 1): Fraction(rng.randint(1, 3))})
-        combo[d] = combo[d] + c if d in combo else c
-    return Element(n, ring, combo)
-
-
-def random_graded(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
-    out = GradedElement.zero(k, ring)
-    for n in range(k, max_colour + 1):
-        if rng.random() < 0.7:
-            out = out + GradedElement.of_element(
-                k, random_symbolic_element(n, ring, rng))
-    return out
 
 
 # -- the filtered-algebra suite ----------------------------------------------------
@@ -107,6 +89,7 @@ def suite_filtalg(cfg: Config):
     return rows
 
 
+@lru_cache(maxsize=None)
 def _index_bijection_ok(top: int) -> bool:
     for k in (0, 1, 2):
         for m in range(k, top + 1):
@@ -160,7 +143,7 @@ def suite_annular(cfg: Config):
         m, n, p = (rng.randint(k, top) for _ in range(3))
         first, second = _random_tspec(k, m, n, rng), _random_tspec(k, n, p, rng)
         expo, spec3 = compose_T(first, second)
-        x = random_symbolic_element(p, ring, rng, terms=1)
+        x = random_element(p, ring, rng, terms=1)
         lhs = evaluate(annular_T(first), [evaluate(annular_T(second), [x])])
         rhs = evaluate(annular_T(spec3), [x]).scale(ring.delta_power(expo))
         tangle_ok = substitute(annular_T(first), {1: annular_T(second)}) \
@@ -183,8 +166,8 @@ def suite_annular(cfg: Config):
         spec = _random_tspec(k, m, n, rng)
         tangle = annular_T(spec)
         validate(tangle)
-        x = random_symbolic_element(n, ring, rng, terms=1)
-        y = random_symbolic_element(m, ring, rng, terms=1)
+        x = random_element(n, ring, rng, terms=1)
+        y = random_element(m, ring, rng, terms=1)
         lhs = evaluate(tangle, [x]).inner(y)
         rhs = x.inner(evaluate(transpose_annular(tangle), [y])).delta_pow(n - m)
         adj_ok = adj_ok and lhs == rhs
@@ -194,8 +177,8 @@ def suite_annular(cfg: Config):
     for n in range(1, min(5, cfg.resolved_max_colour()) + 1):
         rot = rotation_tangle(n)
         for _ in range(5):
-            x = random_symbolic_element(n, ring, rng)
-            y = random_symbolic_element(n, ring, rng)
+            x = random_element(n, ring, rng)
+            y = random_element(n, ring, rng)
             rot_ok = rot_ok and evaluate(rot, [x]).inner(evaluate(rot, [y])) \
                 == x.inner(y)
     rows.append(_row("annular.rotation_unitary", {}, rot_ok))
@@ -305,7 +288,7 @@ def suite_estimates(cfg: Config):
         worst = 0.0
         ok = True
         for (p, k, q, i) in grid:
-            a = analysis.unit_hk_norm(analysis.random_element(p, ring, rng), k)
+            a = analysis.unit_hk_norm(random_element(p, ring, rng), k)
             rep = analysis.estimate_lemma_verify(a, k, q, i)
             ok = ok and rep["status"] == "pass"
             worst = max(worst, rep["max_residual"])
@@ -314,7 +297,7 @@ def suite_estimates(cfg: Config):
                          ok, f"max residual {worst:.2e}", worst))
         bok = True
         for (m, k) in ((2, 0), (2, 1), (3, 1)):
-            a = analysis.random_element(m, ring, rng)
+            a = random_element(m, ring, rng)
             if a.is_zero():
                 a = Element.unit(m, ring)
             rep = analysis.boundedness_verify(a, k, cfg.trials, rng)
@@ -343,7 +326,7 @@ def suite_commutant_replay(cfg: Config):
     for (n, k) in ((2, 1), (3, 1), (3, 2), (4, 2)):
         for _ in range(max(1, cfg.trials // 4)):
             cases += 1
-            x = analysis.random_element(n, rr, rng)
+            x = random_element(n, rr, rng)
             rep = analysis.cnk_membership(x, k)
             if rep["status"] == "pass":
                 member_ok += 1
@@ -352,7 +335,7 @@ def suite_commutant_replay(cfg: Config):
     inv_ok = True
     for (n, k) in ((2, 1), (3, 1), (3, 2)):
         for _ in range(3):
-            raw = random_symbolic_element(n, ring, rng)
+            raw = random_element(n, ring, rng)
             _, x = analysis.perp_projection(raw, k)
             z = analysis.commutator_with_c(x, k, n + 1)
             inv_ok = inv_ok and analysis.ccommlem_invert(z, n, k) == x
@@ -418,21 +401,8 @@ def _el_fixed_point_ok(k: int, i: int) -> bool:
 
 
 def _rank(mat) -> int:
-    mat = [row[:] for row in mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((ri for ri in range(r, rows) if mat[ri][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for ri in range(rows):
-            if ri != r and mat[ri][c] != 0:
-                f = mat[ri][c] / mat[r][c]
-                mat[ri] = [a - f * b for a, b in zip(mat[ri], mat[r])]
-        r += 1
-    return r
+    ncols = len(mat[0]) if mat else 0
+    return len(analysis.row_reduce([row[:] for row in mat], ncols))
 
 
 # -- the positivity suite --------------------------------------------------------------------
@@ -456,7 +426,7 @@ def suite_positivity(cfg: Config):
         psd_ok = True
         for n in (2, 3):
             for i in range(1, n + 1):
-                x = analysis.random_element(n, ring, rng)
+                x = random_element(n, ring, rng)
                 image = evaluate(left_expectation_tangle(n, i),
                                  [x.star().multiply(x)])
                 flag, _ = analysis.is_psd(image)

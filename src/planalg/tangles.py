@@ -13,7 +13,7 @@ the external boundary.
 from __future__ import annotations
 
 from .diagrams import Colour, Diagram
-from .elements import Element
+from .elements import Element, placed_pairing, trace_strands
 from .errors import (ColourMismatchError, InternalError, ParseError,
                      PreconditionError, ValidationError)
 from .scalars import Ring
@@ -245,8 +245,9 @@ def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
 
 def _evaluate(t: Tangle, inputs, ring: Ring) -> Element:
     # global integer ids: external points then each box's points in order
+    n_ext = t.ext.points
     offsets = [0]
-    npts = t.ext.points
+    npts = n_ext
     for b in t.boxes:
         offsets.append(npts)
         npts += b.points
@@ -254,55 +255,20 @@ def _evaluate(t: Tangle, inputs, ring: Ring) -> Element:
         b, i = point
         return (i - 1) if b == EXT else offsets[b] + i - 1
 
-    tpartner = [None] * npts
+    wiring = [None] * npts
     for p, q in t.pairs:
-        tpartner[gid(p)] = gid(q)
-        tpartner[gid(q)] = gid(p)
-    next_combo = [({}, ring.one())]
-    combos = next_combo
-    for b, x in enumerate(inputs, start=1):
-        expanded = []
-        for partner, coeff in combos:
-            for diagram, c in x.combo.items():
-                ext_partner = dict(partner)
-                for a, bb in diagram.pairs:
-                    ext_partner[offsets[b] + a - 1] = offsets[b] + bb - 1
-                    ext_partner[offsets[b] + bb - 1] = offsets[b] + a - 1
-                expanded.append((ext_partner, coeff * c))
-        combos = expanded
+        wiring[gid(p)] = gid(q)
+        wiring[gid(q)] = gid(p)
+    # one inner pairing per choice of a diagram in every box, boxes in order
+    combos = [((None,) * n_ext, ring.one())]
+    for offset, x in zip(offsets[1:], inputs):
+        combos = [(inner + placed_pairing(diagram, offset), coeff * c)
+                  for inner, coeff in combos for diagram, c in x.combo.items()]
 
-    n_ext = t.ext.points
     diagrams = {}       # output pairing -> Diagram, validated once per call
     terms = []
-    for dpartner, coeff in combos:
-        pairs = []
-        seen = set()
-        for start in range(n_ext):
-            if start in seen:
-                continue
-            seen.add(start)
-            cur = tpartner[start]
-            while cur >= n_ext:
-                seen.add(cur)
-                cur = dpartner[cur]
-                seen.add(cur)
-                cur = tpartner[cur]
-            seen.add(cur)
-            pairs.append((start + 1, cur + 1))
-        loops = t.loops
-        for start in range(n_ext, npts):
-            if start in seen:
-                continue
-            loops += 1
-            cur = start
-            while True:
-                seen.add(cur)
-                mid = tpartner[cur]
-                seen.add(mid)
-                cur = dpartner[mid]
-                if cur == start:
-                    break
-        pairs = tuple(pairs)
+    for inner, coeff in combos:
+        pairs, loops = trace_strands(wiring, inner, n_ext, t.loops)
         diagram = diagrams.get(pairs)
         if diagram is None:
             try:

@@ -13,33 +13,10 @@ from functools import lru_cache
 
 from .annular import enumerate_good
 from .diagrams import Colour, Diagram
-from .elements import Element, jones_projection, tl_sum
+from .elements import Element, jones_projection, random_element, tl_sum
 from .errors import (InternalError, LevelMismatchError, PreconditionError)
 from .scalars import Ring, Scalar
 from .tangles import EXT, Tangle, evaluate, evaluate_in
-
-
-class LevelConvention:
-    """Boundary point ranges for a colour-m box viewed at level k."""
-
-    def __init__(self, m: int, k: int):
-        if m < k:
-            raise PreconditionError("colour must be at least the level")
-        self.m = m
-        self.k = k
-
-    @property
-    def top(self):
-        return range(1, 2 * (self.m - self.k) + 1)
-
-    @property
-    def right(self):
-        base = 2 * (self.m - self.k)
-        return range(base + 1, base + self.k + 1)
-
-    @property
-    def left(self):
-        return range(2 * self.m - self.k + 1, 2 * self.m + 1)
 
 
 class GradedElement:
@@ -144,6 +121,14 @@ class GradedElement:
     def __repr__(self):
         comps = ", ".join(f"{n}: {el!r}" for n, el in sorted(self.components.items()))
         return f"GradedElement(level={self.level}, {{{comps}}})"
+
+
+def random_graded(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
+    """A random level-k element: each colour k..max_colour present with
+    probability 0.7, holding a `random_element`."""
+    return GradedElement.from_parts(k, ring, (
+        random_element(n, ring, rng) for n in range(k, max_colour + 1)
+        if rng.random() < 0.7))
 
 
 # -- the two-box product tangle -------------------------------------------------
@@ -264,15 +249,6 @@ def include(a: GradedElement) -> GradedElement:
     return GradedElement(k, a.ring,
                          {n + 1: _include_element(el, k)
                           for n, el in a.components.items()})
-
-
-def include_to(a: GradedElement, level: int) -> GradedElement:
-    out = a
-    while out.level < level:
-        out = include(out)
-    if out.level != level:
-        raise PreconditionError(f"cannot include from level {a.level} to {level}")
-    return out
 
 
 def _expect_element(x: Element, k: int) -> Element:

@@ -1,12 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from planalg.diagrams import enumerate_diagrams
-from planalg.elements import Element
-from planalg.scalars import Ring, Scalar
-from planalg.tower import GradedElement
+from planalg.diagrams import Colour, Diagram
+from planalg.scalars import Ring
 
 
 @pytest.fixture
@@ -19,23 +16,77 @@ def rng():
     return random.Random(42)
 
 
-def random_element(n, ring, rng, terms=2):
-    """Small random combination; symbolic coefficients are short Laurent polys."""
-    basis = enumerate_diagrams(n)
-    combo = {}
-    for _ in range(terms):
-        d = basis[rng.randrange(len(basis))]
-        if ring.mode == "symbolic":
-            c = Scalar.symbolic({rng.randint(-1, 1): Fraction(rng.randint(1, 3))})
-        else:
-            c = ring.fraction(rng.randint(-3, 3))
-        combo[d] = combo[d] + c if d in combo else c
-    return Element(n, ring, combo)
+# -- direct stacking and closure: the independent oracle of trace_strands --------
 
 
-def random_graded(k, max_colour, ring, rng):
-    out = GradedElement.zero(k, ring)
-    for n in range(k, max_colour + 1):
-        if rng.random() < 0.7:
-            out = out + GradedElement.of_element(k, random_element(n, ring, rng))
-    return out
+def _stack(top: Diagram, bottom: Diagram, n: int):
+    """Glue top's lower boundary to bottom's upper boundary; trace paths.
+
+    Returns the product diagram and the number of closed loops formed.
+    """
+    # global point ids: top box 0..2n-1 (point p -> p-1), bottom box 2n..4n-1
+    glue = {}
+    for i in range(1, n + 1):
+        a = (2 * n + 1 - i) - 1       # top's bottom row
+        b = 2 * n + (i - 1)           # bottom's top row
+        glue[a] = b
+        glue[b] = a
+    partner = {}
+    for a, b in top.pairs:
+        partner[a - 1] = b - 1
+        partner[b - 1] = a - 1
+    for a, b in bottom.pairs:
+        partner[2 * n + a - 1] = 2 * n + b - 1
+        partner[2 * n + b - 1] = 2 * n + a - 1
+
+    out_points = {i - 1: i for i in range(1, n + 1)}                  # top row kept
+    out_points.update({2 * n + (p - 1): p for p in range(n + 1, 2 * n + 1)})
+
+    pairs = []
+    seen = set()
+    for start in out_points:
+        if start in seen:
+            continue
+        seen.add(start)
+        cur = partner[start]
+        while cur not in out_points:
+            seen.add(cur)
+            cur = glue[cur]
+            seen.add(cur)
+            cur = partner[cur]
+        seen.add(cur)
+        pairs.append((out_points[start], out_points[cur]))
+    loops = 0
+    for start in range(4 * n):
+        if start in seen:
+            continue
+        loops += 1
+        cur = start
+        while True:
+            seen.add(cur)
+            mid = partner[cur]
+            seen.add(mid)
+            cur = glue[mid]
+            if cur == start:
+                break
+    return Diagram(Colour(n), pairs, _validated=True), loops
+
+
+def _closure_loops(d: Diagram) -> int:
+    """Loops of the trace closure (point i joined to 2n+1-i around the box)."""
+    n = d.colour.n
+    loops = 0
+    seen = set()
+    for start in range(1, 2 * n + 1):
+        if start in seen:
+            continue
+        loops += 1
+        cur = start
+        while True:
+            seen.add(cur)
+            cur = d.partner(cur)
+            seen.add(cur)
+            cur = 2 * n + 1 - cur
+            if cur == start:
+                break
+    return loops

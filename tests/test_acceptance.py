@@ -24,7 +24,7 @@ from planalg.suites import (suite_annular, suite_filtalg, suite_gjs_iso,
 from planalg.tangles import Tangle, evaluate, left_expectation_tangle, validate
 from planalg.tower import (GradedElement, dot_index_I, dot_index_J, element_c,
                            element_d, sharp)
-from conftest import random_element
+from planalg import random_element
 
 BUDGETS = {1: 300, 2: 60, 3: 120, 4: 600, 5: 300, 6: 300, 7: 300, 8: 120}
 
@@ -114,12 +114,12 @@ def test_criterion_6_numeric_estimates():
                 (2, 1, 4, 0), (2, 2, 0, 0), (3, 1, 3, 2), (3, 1, 6, 0),
                 (2, 0, 4, 0), (3, 2, 2, 1)]
         for (p, k, q, i) in grid:
-            a = an.unit_hk_norm(an.random_element(p, ring, rng), k)
+            a = an.unit_hk_norm(random_element(p, ring, rng), k)
             rep = an.estimate_lemma_verify(a, k, q, i)
             assert rep["status"] == "pass", rep
             assert rep["max_residual"] <= 1e-9, rep
         for (m, k) in ((2, 0), (2, 1)):
-            a = an.unit_hk_norm(an.random_element(m, ring, rng), k)
+            a = an.unit_hk_norm(random_element(m, ring, rng), k)
             rep = an.boundedness_verify(a, k, 100, rng)
             assert rep["status"] == "pass" and rep["violations"] == 0, rep
     report(6, "numeric estimate suite", time.perf_counter() - start, BUDGETS[6])
@@ -133,13 +133,12 @@ def test_criterion_7_section5_replay():
     cases = [(2, 1), (3, 1), (3, 2), (4, 2)]
     for idx in range(100):
         n, k = cases[idx % len(cases)]
-        x = an.random_element(n, rr, rng)
+        x = random_element(n, rr, rng)
         rep = an.cnk_membership(x, k)
         assert rep["status"] == "pass" and rep["routes_agree"], (n, k)
     for (n, k) in ((2, 1), (3, 1), (3, 2)):
         for _ in range(5):
-            from conftest import random_element as rnd
-            _, x = an.perp_projection(rnd(n, sym, rng), k)
+            _, x = an.perp_projection(random_element(n, sym, rng), k)
             z = an.commutator_with_c(x, k, n + 1)
             assert an.ccommlem_invert(z, n, k) == x, (n, k)
     for k in (0, 1):

@@ -13,7 +13,7 @@ from planalg.errors import ModeMismatchError, PreconditionError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
-from conftest import random_element
+from planalg import random_element
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -216,3 +216,43 @@ def test_xnxm_and_telescope(rng):
 
 def test_xn_from_xm_zero(sym):
     assert an.xn_from_xm(Element.zero(4, sym), 2, 1, 1).is_zero()
+
+
+# -- exact elimination -----------------------------------------------------------------
+
+
+def test_row_reduce_rank_of_singular_matrix():
+    mat = [[Fraction(v) for v in row] for row in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
+    assert an.row_reduce(mat, 3) == [0, 1]
+    assert mat[2] == [0, 0, 0]
+
+
+def test_gauss_solve_inconsistent_system():
+    cols = [[1, 1]]                             # x = 1 and x = 2
+    assert an._gauss_solve([[Fraction(v) for v in c] for c in cols],
+                           [Fraction(1), Fraction(2)], exact=True) is None
+    assert an._gauss_solve([[float(v) for v in c] for c in cols],
+                           [1.0, 2.0], exact=False) is None
+
+
+def test_gauss_solve_consistent_system():
+    cols = [[1, 0], [1, 1], [2, 1]]             # x + y + 2z = 3, y + z = 1
+    sol = an._gauss_solve([[Fraction(v) for v in c] for c in cols],
+                          [Fraction(3), Fraction(1)], exact=True)
+    assert sol == [2, 1, 0]                     # free column left at zero
+    sol = an._gauss_solve([[float(v) for v in c] for c in cols],
+                          [3.0, 1.0], exact=False)
+    assert sol == pytest.approx([2.0, 1.0, 0.0])
+
+
+def test_gauss_solve_float_thresholds():
+    # below 1e-10 an entry is no pivot; a residual below 1e-8 is consistent
+    assert an._gauss_solve([[1e-12]], [1e-9], exact=False) == [0.0]
+    assert an._gauss_solve([[1e-12]], [1e-7], exact=False) is None
+    assert an._gauss_solve([[Fraction(1, 10**12)]], [Fraction(1, 10**9)],
+                           exact=True) == [1000]
+
+
+def test_gram_positive_definite_exact_rejects():
+    assert not an.gram_positive_definite_exact(2, 1)                # singular
+    assert not an.gram_positive_definite_exact(2, Fraction(1, 2))   # indefinite

@@ -1,6 +1,6 @@
 import pytest
 
-from planalg.annular import (AnnularSpec, TSpec, annular_T, annular_X,
+from planalg.annular import (TSpec, annular_T, annular_X,
                              annular_Y, annular_Z, annular_double_cup,
                              compose_T, enumerate_good, transpose_annular)
 from planalg.diagrams import enumerate_diagrams
@@ -8,7 +8,7 @@ from planalg.errors import ColourMismatchError, PreconditionError
 from planalg.scalars import Ring
 from planalg.tangles import (EXT, Tangle, evaluate, identity_tangle,
                              partial_cap_tangle, substitute, validate)
-from conftest import random_element
+from planalg import random_element
 
 
 def interval(lo, hi):
@@ -129,14 +129,9 @@ def test_double_cup_layouts():
         annular_double_cup(5, 1, 9)
 
 
-def test_annular_spec_union():
-    spec = AnnularSpec("X", 1, m=3)
-    assert spec.tangle() == annular_X(3, 1)
-    spec = AnnularSpec("T", 1, m=3, n=3, A=interval(1, 2), B=interval(1, 2))
-    assert spec.tangle() == identity_tangle(3)
-    assert AnnularSpec("Y", 0, m=3).tangle() == annular_Y(3, 0)
-    with pytest.raises(PreconditionError):
-        AnnularSpec("Q", 0, m=1).tangle()
+def test_annular_T_all_through_is_identity():
+    spec = TSpec(1, interval(1, 2), interval(1, 2), 3, 3)
+    assert annular_T(spec) == identity_tangle(3)
 
 
 # -- good and excellent families -------------------------------------------------

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from planalg.diagrams import Diagram, enumerate_diagrams, identity_diagram
+from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, jones_projection, tl_sum
 from planalg.errors import ColourMismatchError, ModeMismatchError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate, multiplication_tangle, trace_tangle
-from conftest import random_element
+from planalg import random_element
+from conftest import _closure_loops, _stack
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -27,13 +28,34 @@ def test_unit_law(sym, rng):
 
 
 def test_multiply_associative_against_tangle_oracle(sym, rng):
-    # the generic two-box stacking tangle is the independent route
+    # the standard multiplication tangle checks the product's own wiring
     for n in (2, 3):
         m_tangle = multiplication_tangle(n)
         for _ in range(30):
             x, y, z = (random_element(n, sym, rng) for _ in range(3))
             assert x.multiply(y) == evaluate(m_tangle, [x, y])
             assert x.multiply(y).multiply(z) == x.multiply(y.multiply(z))
+
+
+def test_multiply_matches_stacking_oracle(sym):
+    for n in range(5):
+        for d1 in enumerate_diagrams(n):
+            for d2 in enumerate_diagrams(n):
+                diagram, loops = _stack(d2, d1, n)
+                product = Element.basis(d1, sym).multiply(Element.basis(d2, sym))
+                assert product.combo == {diagram: sym.delta_power(loops)}
+
+
+def test_tau_matches_closure_oracle(sym):
+    for n in range(6):
+        for d in enumerate_diagrams(n):
+            assert Element.basis(d, sym).tau() \
+                == sym.delta_power(_closure_loops(d) - n)
+
+
+def test_multiply_keeps_shading_of_colour_zero(sym):
+    x = Element.unit(ZERO_MINUS, sym)
+    assert x.multiply(x) == x
 
 
 def test_colour_mismatch(sym):
@@ -48,7 +70,7 @@ def test_tau_examples(sym):
 
 
 def test_tau_loop_count_oracle(sym, rng):
-    # independent oracle: tau via the full closure tangle
+    # the standard closure tangle checks the trace's own wiring
     for n in (1, 2, 3, 4):
         closure = trace_tangle(n)
         empty = Diagram(0, ())

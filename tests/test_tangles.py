@@ -11,7 +11,7 @@ from planalg.tangles import (EXT, Tangle, evaluate, evaluate_in,
                              parse, partial_cap_tangle, right_expectation_tangle,
                              rotation_tangle, standard_tangle, substitute,
                              trace_tangle, unit_tangle, validate)
-from conftest import random_element
+from planalg import random_element
 
 
 # -- parsing ---------------------------------------------------------------

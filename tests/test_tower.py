@@ -9,14 +9,14 @@ from planalg.scalars import Ring, Scalar
 from planalg.tangles import (evaluate, inclusion_tangle,
                              right_expectation_tangle, rotation_tangle,
                              substitute, identity_tangle)
-from planalg.tower import (GradedElement, LevelConvention, bullet, cond_expect,
+from planalg.tower import (GradedElement, bullet, cond_expect,
                            dagger, dot_action, dot_action_via_expectation,
                            dot_range, dot_tangle, element_c, element_d,
-                           include, include_to, inner_product, jones_e, phi,
+                           include, inner_product, jones_e, phi,
                            psi, sharp, sharp_component, sharp_range,
                            sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
                            _good_tangles)
-from conftest import random_element, random_graded
+from planalg import random_element, random_graded
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -26,14 +26,6 @@ def graded(k, element):
 
 
 # -- the level frame and restriction identities -----------------------------------
-
-
-def test_level_convention_ranges():
-    conv = LevelConvention(5, 2)
-    assert list(conv.top) == list(range(1, 7))
-    assert list(conv.right) == [7, 8]
-    assert list(conv.left) == [9, 10]
-    assert set(conv.right) | set(conv.left) == set(range(7, 11))  # last 2k
 
 
 def test_sharp_restricts_to_multiplication(sym):
@@ -203,8 +195,11 @@ def test_element_c_diagram(sym):
         assert element_c(k, sym).component(k + 1) \
             == Element.basis(Diagram(k + 1, pairs), sym)
         # image of the level-0 element under k inclusions
-        assert include_to(element_c(0, sym), k) == element_c(k, sym)
-        assert include_to(element_d(0, sym), k) == element_d(k, sym)
+        c, d = element_c(0, sym), element_d(0, sym)
+        for _ in range(k):
+            c, d = include(c), include(d)
+        assert c == element_c(k, sym)
+        assert d == element_d(k, sym)
 
 
 def test_c_d_selfadjoint(sym):
