@@ -10,6 +10,7 @@ theorem, so a violation beyond tolerance means a convention or library bug.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup,
     compose_T, transpose_annular
 from .config import FLOAT_TOL
 from .diagrams import enumerate_diagrams, identity_diagram
-from .elements import Element, random_element
+from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
+    random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
 from .scalars import FLOAT, RATIONAL, Ring, Scalar
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
@@ -38,12 +40,51 @@ def _require_float(ring: Ring):
 # -- Gram and GNS matrices ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _basis_tables(n: int):
+    """Ring-free tables of the P_n diagram basis d_0, d_1, ..., built once.
+
+    Returns (index, prod, closure, refl): index[d.pairs] is the position of
+    d; prod[a][b] = (c, loops) when d_a.multiply(d_b) is delta^loops d_c;
+    closure[a] counts the loops of the trace closure of d_a; refl[a] is the
+    position of d_a.reflect().
+    """
+    basis = enumerate_diagrams(n)
+    index = {d.pairs: i for i, d in enumerate(basis)}
+    wiring = _product_wiring(n)
+    pad = (None,) * (2 * n)
+    prod = []
+    for d1 in basis:
+        below = pad + placed_pairing(d1, 2 * n)
+        row = []
+        for d2 in basis:
+            pairs, loops = trace_strands(
+                wiring, below + placed_pairing(d2, 4 * n), 2 * n)
+            row.append((index[pairs], loops))
+        prod.append(tuple(row))
+    closure = tuple(trace_strands(_closure_wiring(n), placed_pairing(d, 0), 0)[1]
+                    for d in basis)
+    refl = tuple(index[d.reflect().pairs] for d in basis)
+    return index, tuple(prod), closure, refl
+
+
+def _gram_loops(n: int):
+    """(l1, l2) per Gram entry (i, j): the loops closed by d_j* d_i, then by
+    the trace closure of that product, so G[i][j] = delta^(l1 + l2 - n)."""
+    _, prod, closure, refl = _basis_tables(n)
+    return [[(l1, closure[c]) for c, l1 in (prod[r][i] for r in refl)]
+            for i in range(len(refl))]
+
+
 def gram(n: int, ring: Ring):
     """G[i][j] = tau(d_j* d_i) over the diagram basis, as a list of Scalars."""
     _require_numeric(ring)
-    basis = enumerate_diagrams(n)
-    els = [Element.basis(d, ring) for d in basis]
-    return [[ej.star().multiply(ei).tau() for ej in els] for ei in els]
+    loops = _gram_loops(n)
+    # one Scalar per distinct entry, in the operation order of
+    # d_j*.multiply(d_i).tau(), so float entries match it bit for bit
+    values = {key: ring.one().delta_pow(key[0]).delta_pow(key[1] - n)
+              for key in {key for row in loops for key in row}}
+    return [[values[key] for key in row] for row in loops]
 
 
 def gram_float(n: int, ring: Ring) -> np.ndarray:
@@ -55,18 +96,32 @@ def gram_min_eigenvalue(n: int, ring: Ring) -> float:
 
 
 def gram_positive_definite_exact(n: int, delta) -> bool:
-    """Exact LDL^T pivots of the Gram matrix at a rational delta."""
-    ring = Ring.rational(Fraction(delta))
-    g = [[s.value for s in row] for row in gram(n, ring)]
+    """Sylvester test of the Gram matrix at a rational delta = p/q.
+
+    Runs on the integer matrix |p|^n q^n G (every entry is delta^(L-n) with
+    0 <= L <= 2n loops); the scale is positive, so the signs of the leading
+    minors are those of G.  Fraction-free Bareiss elimination without row
+    swaps: each pivot is a leading principal minor, and with row swaps
+    [[0,1],[1,0]] would pass.
+    """
+    delta = Ring.rational(Fraction(delta)).delta     # rejects delta = 0
+    p, q = delta.numerator, delta.denominator
+    scale = abs(p) ** n * q ** n
+    loops = _gram_loops(n)
+    ints = {key: int(scale * delta ** (key[0] + key[1] - n))
+            for key in {key for row in loops for key in row}}
+    g = [[ints[key] for key in row] for row in loops]
     size = len(g)
-    # no row swaps: every leading minor must be positive (Sylvester)
-    for p in range(size):
-        if g[p][p] <= 0:
+    prev = 1
+    for k in range(size):
+        pivot = g[k][k]
+        if pivot <= 0:
             return False
-        for i in range(p + 1, size):
-            f = g[i][p] / g[p][p]
-            for j in range(p, size):
-                g[i][j] -= f * g[p][j]
+        for i in range(k + 1, size):
+            gi, gik = g[i], g[i][k]
+            for j in range(k + 1, size):
+                gi[j] = (gi[j] * pivot - gik * g[k][j]) // prev
+        prev = pivot
     return True
 
 
@@ -77,16 +132,23 @@ def gns_matrix(x: Element) -> np.ndarray:
 
 
 def gns_matrix_exact(x: Element):
-    basis = enumerate_diagrams(x.colour.n)
-    index = {d: i for i, d in enumerate(basis)}
-    cols = []
-    for d in basis:
-        prod = x.multiply(Element.basis(d, x.ring))
-        col = [x.ring.zero()] * len(basis)
-        for dd, c in prod.combo.items():
-            col[index[dd]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    """Columns x.multiply(d_j), read off the basis tables."""
+    n = x.colour.n
+    index, prod, _, _ = _basis_tables(n)
+    terms = [(prod[index[d.pairs]], c) for d, c in x.combo.items()]
+    zero = x.ring.zero()
+    size = len(prod)
+    mat = [[zero] * size for _ in range(size)]
+    for j in range(size):
+        col = {}
+        for row, c in terms:
+            r, loops = row[j]
+            v = c.delta_pow(loops)
+            col[r] = col[r] + v if r in col else v
+        for r, v in col.items():
+            if not v.is_zero():         # the zero-drop of the Element constructor
+                mat[r][j] = v
+    return mat
 
 
 class GnsGeometry:
@@ -100,6 +162,7 @@ class GnsGeometry:
         self.ring = ring
         g = gram_float(n, ring)
         self.chol = np.linalg.cholesky(g)      # g = L L^T
+        self.inv_lt = np.linalg.inv(self.chol.T)
         self.basis = enumerate_diagrams(n)
         self.unit_index = self.basis.index(identity_diagram(n))
 
@@ -112,13 +175,10 @@ class GnsGeometry:
 
     def operator(self, x: Element) -> np.ndarray:
         """Left multiplication by x in orthonormal coordinates."""
-        m = gns_matrix(x)
-        lt = self.chol.T
-        return lt @ m @ np.linalg.inv(lt)
+        return self.chol.T @ gns_matrix(x) @ self.inv_lt
 
     def element_from_operator(self, op: np.ndarray) -> Element:
-        lt = self.chol.T
-        m = np.linalg.inv(lt) @ op @ lt
+        m = self.inv_lt @ op @ self.chol.T
         col = m[:, self.unit_index]
         combo = {d: Scalar.float_(col[i], self.ring.delta)
                  for i, d in enumerate(self.basis)}

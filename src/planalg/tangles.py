@@ -217,6 +217,15 @@ def _check_planarity(t: Tangle):
 def evaluate(t: Tangle, inputs) -> Element:
     """Z_T applied to one Element per internal box."""
     inputs = list(inputs)
+    return _evaluate(t, inputs, inputs[0].ring if inputs else Ring.symbolic())
+
+
+def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
+    """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
+    return _evaluate(t, list(inputs), ring)
+
+
+def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
     if len(inputs) != len(t.boxes):
         raise PreconditionError(
             f"tangle has {len(t.boxes)} boxes but got {len(inputs)} inputs")
@@ -224,26 +233,9 @@ def evaluate(t: Tangle, inputs) -> Element:
         if x.colour != colour:
             raise ColourMismatchError(
                 f"input colour {x.colour} does not match box colour {colour}")
-    if inputs:
-        ring = inputs[0].ring
-        for x in inputs:
-            if x.ring != ring:
-                raise PreconditionError("all inputs must share one scalar ring")
-    else:
-        ring = Ring.symbolic()
-    return _evaluate(t, inputs, ring)
-
-
-def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
-    """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
-    inputs = list(inputs)
-    if len(inputs) != len(t.boxes):
-        raise PreconditionError(
-            f"tangle has {len(t.boxes)} boxes but got {len(inputs)} inputs")
-    return _evaluate(t, inputs, ring)
-
-
-def _evaluate(t: Tangle, inputs, ring: Ring) -> Element:
+    for x in inputs:
+        if x.ring != ring:
+            raise PreconditionError("all inputs must share one scalar ring")
     # global integer ids: external points then each box's points in order
     n_ext = t.ext.points
     offsets = [0]

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from planalg.diagrams import Colour, Diagram
+from planalg.diagrams import Colour, Diagram, enumerate_diagrams
+from planalg.elements import Element
 from planalg.scalars import Ring
 
 
@@ -90,3 +92,41 @@ def _closure_loops(d: Diagram) -> int:
             if cur == start:
                 break
     return loops
+
+
+# -- the Element route of the numeric layer: the oracle of its basis tables ---------
+
+
+def gram_oracle(n: int, ring: Ring):
+    """G[i][j] = tau(d_j* d_i), one Element product and trace per entry."""
+    els = [Element.basis(d, ring) for d in enumerate_diagrams(n)]
+    return [[ej.star().multiply(ei).tau() for ej in els] for ei in els]
+
+
+def gns_oracle(x: Element):
+    """Matrix of left multiplication by x, one Element product per column."""
+    basis = enumerate_diagrams(x.colour.n)
+    index = {d: i for i, d in enumerate(basis)}
+    cols = []
+    for d in basis:
+        prod = x.multiply(Element.basis(d, x.ring))
+        col = [x.ring.zero()] * len(basis)
+        for dd, c in prod.combo.items():
+            col[index[dd]] = c
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def ldl_positive_definite(n: int, delta) -> bool:
+    """Exact LDL^T pivots of the Gram matrix at a rational delta, no row swaps."""
+    ring = Ring.rational(Fraction(delta))
+    g = [[s.value for s in row] for row in gram_oracle(n, ring)]
+    size = len(g)
+    for p in range(size):
+        if g[p][p] <= 0:
+            return False
+        for i in range(p + 1, size):
+            f = g[i][p] / g[p][p]
+            for j in range(p, size):
+                g[i][j] -= f * g[p][j]
+    return True

@@ -7,13 +7,14 @@ import pytest
 
 import planalg.analysis as an
 from planalg.annular import TSpec, annular_T, annular_X, transpose_annular
-from planalg.diagrams import Diagram, catalan, enumerate_diagrams
+from planalg.diagrams import Diagram, catalan, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, jones_projection
 from planalg.errors import ModeMismatchError, PreconditionError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
 from planalg import random_element
+from conftest import gns_oracle, gram_oracle, ldl_positive_definite
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -43,6 +44,65 @@ def test_gram_requires_numeric_mode(sym):
         an.gram(2, sym)
 
 
+def test_gram_matches_element_route():
+    # the basis tables against one Element product and trace per entry; at
+    # delta 2.2 the float powers round, so the order of operations shows
+    for ring in (RR, FL2, FL, Ring.float_(2.2)):
+        for n in range(6):
+            assert [[s.value for s in row] for row in an.gram(n, ring)] \
+                == [[s.value for s in row] for row in gram_oracle(n, ring)], (ring, n)
+
+
+def test_gram_positive_definite_exact_matches_ldl():
+    # Bareiss on the scaled integer matrix against LDL^T over the fractions;
+    # negative deltas at odd n need the scale to stay positive
+    for delta in (Fraction(-5, 2), -2, Fraction(1, 2), 1, Fraction(5, 4),
+                  Fraction(3, 2), Fraction(7, 4), 2, Fraction(5, 2), 3,
+                  Fraction(7, 3)):
+        for n in range(6):
+            assert an.gram_positive_definite_exact(n, delta) \
+                == ldl_positive_definite(n, delta), (delta, n)
+
+
+def _det(mat):
+    """Exact determinant by elimination with row swaps."""
+    m = [row[:] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def test_gram_meander_determinant():
+    # Di Francesco, "Meander determinants" (CMP 1998):
+    # det G_n * d^(n Cat(n)) = prod_{j=1..n} U_j(d)^a(n,j), with U_j the
+    # Chebyshev polynomials of the second kind and
+    # a(n,j) = C(2n,n-j) - 2 C(2n,n-j-1) + C(2n,n-j-2)
+    def comb(m, k):
+        return math.comb(m, k) if k >= 0 else 0
+
+    for d in (Fraction(5, 2), Fraction(3), Fraction(7, 3)):
+        u = [Fraction(1), d]
+        while len(u) <= 5:
+            u.append(d * u[-1] - u[-2])
+        for n in range(6):
+            g = [[s.value for s in row] for row in an.gram(n, Ring.rational(d))]
+            rhs = Fraction(1)
+            for j in range(1, n + 1):
+                rhs *= u[j] ** (comb(2 * n, n - j) - 2 * comb(2 * n, n - j - 1)
+                                + comb(2 * n, n - j - 2))
+            assert _det(g) * d ** (n * catalan(n)) == rhs, (d, n)
+
+
 # -- GNS matrices ----------------------------------------------------------------
 
 
@@ -58,6 +118,24 @@ def test_gns_is_multiplicative_exact(rng):
         prod = [[sum((mx[i][l] * my[l][j] for l in range(dim)),
                      RR.zero()) for j in range(dim)] for i in range(dim)]
         assert all(prod[i][j] == mxy[i][j] for i in range(dim) for j in range(dim))
+
+
+def test_gns_matrix_matches_element_route(rng):
+    # the basis tables against one Element product per column, value for
+    # value; cup/3 - 5 id/6 at delta 5/2 sends the cup to (5/6 - 5/6) cup,
+    # which is 0 exactly, and -1.1e-16 in floats before the zero-drop
+    cup = Diagram(2, [(1, 2), (3, 4)])
+    for ring in (RR, FL):
+        cases = [Element(2, ring, {cup: ring.fraction(Fraction(1, 3)),
+                                   identity_diagram(2): ring.fraction(Fraction(-5, 6))}),
+                 Element.zero(3, ring)]
+        for n in range(1, 5):
+            x = random_element(n, ring, rng, terms=3)
+            cases += [x, x.star().multiply(x)]
+        for x in cases:
+            assert [[c.value for c in row] for row in an.gns_matrix_exact(x)] \
+                == [[c.value for c in row] for row in gns_oracle(x)], x
+        assert an.gns_matrix_exact(cases[0])[0][0].value == 0      # the cancelled entry
 
 
 def test_gns_gram_adjoint_exact(rng):
@@ -256,3 +334,5 @@ def test_gauss_solve_float_thresholds():
 def test_gram_positive_definite_exact_rejects():
     assert not an.gram_positive_definite_exact(2, 1)                # singular
     assert not an.gram_positive_definite_exact(2, Fraction(1, 2))   # indefinite
+    with pytest.raises(PreconditionError):
+        an.gram_positive_definite_exact(2, 0)

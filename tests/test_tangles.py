@@ -240,6 +240,13 @@ def test_evaluate_wrong_arity(sym):
         evaluate(identity_tangle(2), [Element.unit(3, sym)])
 
 
+def test_evaluate_in_checks_inputs(sym):
+    with pytest.raises(ColourMismatchError):
+        evaluate_in(identity_tangle(2), [Element.unit(1, sym)], sym)
+    with pytest.raises(PreconditionError):
+        evaluate_in(identity_tangle(2), [Element.unit(2, Ring.rational(2))], sym)
+
+
 def test_tangle_json_roundtrip():
     t = multiplication_tangle(2)
     assert Tangle.from_json(t.to_json()) == t
