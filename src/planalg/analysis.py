@@ -24,7 +24,7 @@ from .errors import ModeMismatchError, PreconditionError
 from .scalars import FLOAT, RATIONAL, Ring, Scalar
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
     substitute
-from .tower import GradedElement, element_c, element_d, sharp
+from .tower import GradedElement, element_c, element_d, hk_norm_squared, sharp
 
 
 def _require_numeric(ring: Ring):
@@ -191,11 +191,15 @@ def op_norm(x: Element) -> float:
     return float(np.linalg.norm(geo.operator(x), 2))
 
 
+def _asymmetric(op: np.ndarray) -> bool:
+    return np.abs(op - op.T).max() > 1e-7 * max(1.0, np.abs(op).max())
+
+
 def is_psd(x: Element, tol: float = FLOAT_TOL):
     """Whether x acts as a PSD operator; returns (flag, min eigenvalue)."""
     geo = GnsGeometry.get(x.colour.n, x.ring)
     op = geo.operator(x)
-    if np.abs(op - op.T).max() > 1e-7 * max(1.0, np.abs(op).max()):
+    if _asymmetric(op):
         return False, float("nan")
     lam = np.linalg.eigvalsh((op + op.T) / 2)
     return bool(lam.min() >= -tol), float(lam.min())
@@ -209,10 +213,9 @@ def psd_sqrt(x: Element) -> Element:
     """
     geo = GnsGeometry.get(x.colour.n, x.ring)
     op = geo.operator(x)
-    sym = (op + op.T) / 2
-    if np.abs(op - op.T).max() > 1e-7 * max(1.0, np.abs(op).max()):
+    if _asymmetric(op):
         raise PreconditionError("element is not self-adjoint")
-    lam, vec = np.linalg.eigh(sym)
+    lam, vec = np.linalg.eigh((op + op.T) / 2)
     if lam.min() < -FLOAT_TOL:
         raise PreconditionError(
             f"element is not PSD (min eigenvalue {lam.min():.3e})")
@@ -225,20 +228,13 @@ def psd_sqrt(x: Element) -> Element:
 # -- norms on H_k -----------------------------------------------------------------
 
 
-def pn_norm_squared(x: Element):
-    return x.star().multiply(x).tau()
-
-
 def hk_norm_squared_element(x: Element, k: int):
     """||x||^2 in H_k for x in P_u: delta^(u-k) tau(x* x)."""
-    return pn_norm_squared(x).delta_pow(x.colour.n - k)
+    return x.inner(x).delta_pow(x.colour.n - k)
 
 
 def hk_norm_float(a: GradedElement) -> float:
-    total = 0.0
-    for n, el in a.components.items():
-        total += hk_norm_squared_element(el, a.level).to_float()
-    return float(np.sqrt(max(total, 0.0)))
+    return float(np.sqrt(max(hk_norm_squared(a).to_float(), 0.0)))
 
 
 # -- the positivity lemma and boundedness estimate ----------------------------------
@@ -396,20 +392,11 @@ def _solve_in_image(x: Element, k: int):
     n = x.colour.n
     x_tangle = annular_X(n, k)
     basis_k = enumerate_diagrams(k)
-    basis_n = enumerate_diagrams(n)
-    index = {d: i for i, d in enumerate(basis_n)}
+    index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
     exact = x.ring.mode == RATIONAL
-    cols = []
-    for d in basis_k:
-        img = evaluate(x_tangle, [Element.basis(d, x.ring)])
-        col = [Fraction(0) if exact else 0.0] * len(basis_n)
-        for dd, c in img.combo.items():
-            col[index[dd]] = c.value
-        cols.append(col)
-    target = [Fraction(0) if exact else 0.0] * len(basis_n)
-    for dd, c in x.combo.items():
-        target[index[dd]] = c.value
-    sol = _gauss_solve(cols, target, exact)
+    cols = [coordinates(evaluate(x_tangle, [Element.basis(d, x.ring)]), index)
+            for d in basis_k]
+    sol = _gauss_solve(cols, coordinates(x, index), exact)
     if sol is None:
         return None
     combo = {d: x.ring.fraction(w) if exact else Scalar.float_(w, x.ring.delta)
@@ -442,6 +429,14 @@ def row_reduce(mat, ncols: int, tol=0) -> list:
         piv_cols.append(c)
         r += 1
     return piv_cols
+
+
+def coordinates(x: Element, index: dict) -> list:
+    """The coefficient column of a numeric x; `index` numbers the basis."""
+    col = [Fraction(0) if x.ring.mode == RATIONAL else 0.0] * len(index)
+    for d, c in x.combo.items():
+        col[index[d]] = c.value
+    return col
 
 
 def _gauss_solve(cols, target, exact: bool):
@@ -561,8 +556,7 @@ def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
     ring = Ring.rational(Fraction(delta))
     m = n + 2
     basis_m = enumerate_diagrams(m)
-    basis_n1 = enumerate_diagrams(n + 1)
-    index = {d: i for i, d in enumerate(basis_n1)}
+    index = {d: i for i, d in enumerate(enumerate_diagrams(n + 1))}
 
     t1 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(1, n - k + 1),
                          n + 1, m))
@@ -577,23 +571,14 @@ def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
         _, pb = perp_projection(Element.basis(d, ring), k)
         if not pb.is_zero():
             perp_basis.append(pb)
-    cols = []
-    for pb in perp_basis:
-        img = texpr(pb)
-        col = [Fraction(0)] * len(basis_n1)
-        for dd, c in img.combo.items():
-            col[index[dd]] = c.value
-        cols.append(col)
+    cols = [coordinates(texpr(pb), index) for pb in perp_basis]
 
     failures = 0
     trials = 5
     for _ in range(trials):
         _, x_n = perp_projection(random_element(n, ring, rng), k)
         z = commutator_with_c(x_n, k, n + 1)
-        target = [Fraction(0)] * len(basis_n1)
-        for dd, c in z.combo.items():
-            target[index[dd]] = c.value
-        sol = _gauss_solve(cols, target, exact=True)
+        sol = _gauss_solve(cols, coordinates(z, index), exact=True)
         if sol is None:
             failures += 1
             continue

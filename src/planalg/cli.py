@@ -43,7 +43,8 @@ def _load_json(path: str) -> dict:
 def _from_json(loader, data, path: str):
     try:
         return loader(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ArithmeticError) as exc:
         raise ParseError(f"{path}: malformed input ({type(exc).__name__}: {exc})")
 
 

@@ -187,7 +187,8 @@ def trace_strands(wiring, inner, n_ext: int, loops: int = 0):
     then each box's points.  `wiring[p]` is the partner of p under the
     tangle's own strands; `inner[p]` is its partner inside the diagram that
     fills p's box.  Returns the output pairing as 1-based pairs and `loops`
-    plus the number of closed loops formed.
+    plus the number of closed loops formed.  (`tangles.substitute` passes
+    all the points of its result as external and the glue as `inner`.)
     """
     pairs = []
     seen = set()

@@ -385,11 +385,9 @@ def _el_fixed_point_ok(k: int, i: int) -> bool:
     index = {d: j for j, d in enumerate(basis)}
     el = left_expectation_tangle(k, i)
     n_dim = len(basis)
-    mat = [[Fraction(0)] * n_dim for _ in range(n_dim)]
-    for j, d in enumerate(basis):
-        img = evaluate(el, [Element.basis(d, ring)])
-        for dd, c in img.combo.items():
-            mat[index[dd]][j] = c.value
+    # EL(i)'s matrix transposed, a row per basis image; no rank below changes
+    mat = [analysis.coordinates(evaluate(el, [Element.basis(d, ring)]), index)
+           for d in basis]
     lam = Fraction(7, 2) ** i
     shifted = [[mat[a][b] - (lam if a == b else 0) for b in range(n_dim)]
                for a in range(n_dim)]

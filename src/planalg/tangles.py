@@ -5,12 +5,18 @@ internal box colours, a perfect matching on all marked points, and a count
 of free closed loops.  Points are addressed as (box, index) with box 0 the
 external boundary and indices 1..2n clockwise from the box's *-region.
 
-Planarity is decided by Euler characteristic over the rotation system of
-the strand-and-boundary graph, with internal boxes oriented oppositely to
-the external boundary.
+Every strand walk runs on one integer numbering of the points (`_wiring`):
+the external points first, then each box's points in order.  Planarity is
+decided on the ribbon graph whose vertices are the boundary circles that
+carry points and whose edges are the strands.  A face is traced by crossing
+a strand and stepping to the next point of the circle reached: clockwise on
+the external boundary, counterclockwise on a box (seen from outside).  Every
+connected component must have Euler characteristic 2.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .diagrams import Colour, Diagram
 from .elements import Element, placed_pairing, trace_strands
@@ -28,7 +34,7 @@ def _norm_pair(p, q):
 class Tangle:
     """An immutable planar tangle value."""
 
-    __slots__ = ("ext", "boxes", "pairs", "loops", "_partner")
+    __slots__ = ("ext", "boxes", "pairs", "loops")
 
     def __init__(self, ext, boxes, pairs, loops=0):
         self.ext = Colour.of(ext)
@@ -43,27 +49,22 @@ class Tangle:
                 raise ValidationError(f"point matched twice: {p}", strand=(p, q))
             partner[p] = q
             partner[q] = p
-        self._partner = partner
-        self._check_structure()
+        self._check_structure(set(partner))
 
     def _colour_of_box(self, b: int) -> Colour:
         return self.ext if b == EXT else self.boxes[b - 1]
 
-    def _check_structure(self):
+    def _check_structure(self, actual: set):
         expected = set()
         for b in range(len(self.boxes) + 1):
             for i in range(1, self._colour_of_box(b).points + 1):
                 expected.add((b, i))
-        actual = set(self._partner)
         if actual - expected:
             p = sorted(actual - expected)[0]
             raise ValidationError(f"strand endpoint {p} is out of range", strand=p)
         if expected - actual:
             p = sorted(expected - actual)[0]
             raise ValidationError(f"marked point {p} is unmatched", strand=p)
-
-    def partner(self, point):
-        return self._partner[point]
 
     def with_loops(self, loops: int) -> "Tangle":
         return Tangle(self.ext, self.boxes, self.pairs, loops)
@@ -118,68 +119,33 @@ def validate(t: Tangle):
                 f"strand {p}-{q} violates the shading parity rule", strand=(p, q))
 
 
+def _wiring(t: Tangle):
+    """The point numbering: external points first, then each box's in order.
+
+    Returns the first id of every boundary (box 0 is the external one) and
+    the partner of every id under the tangle's strands.
+    """
+    offsets = [0]
+    npts = t.ext.points
+    for b in t.boxes:
+        offsets.append(npts)
+        npts += b.points
+    wiring = [0] * npts
+    for (b1, i1), (b2, i2) in t.pairs:
+        p, q = offsets[b1] + i1 - 1, offsets[b2] + i2 - 1
+        wiring[p], wiring[q] = q, p
+    return offsets, wiring
+
+
 def _check_planarity(t: Tangle):
-    vertices = []
-    for b in range(len(t.boxes) + 1):
-        n2 = t._colour_of_box(b).points
-        vertices.extend((b, i) for i in range(1, n2 + 1))
-    if not vertices:
-        return
-    vid = {v: i for i, v in enumerate(vertices)}
-
-    edges = []          # (u, v) by vertex id
-    strand_edge = {}    # vertex id -> edge id of its strand
-    arcs_next = {}      # vertex id -> edge id of arc toward next point
-    arcs_prev = {}
-    for p, q in t.pairs:
-        eid = len(edges)
-        edges.append((vid[p], vid[q]))
-        strand_edge[vid[p]] = eid
-        strand_edge[vid[q]] = eid
-    for b in range(len(t.boxes) + 1):
-        n2 = t._colour_of_box(b).points
-        for i in range(1, n2 + 1):
-            j = i % n2 + 1
-            u, v = vid[(b, i)], vid[(b, j)]
-            eid = len(edges)
-            edges.append((u, v))
-            arcs_next[u] = eid
-            arcs_prev[v] = eid
-
-    # clockwise rotation of darts leaving each vertex; a dart is (edge, end)
-    def leaving(v, eid):
-        u, w = edges[eid]
-        if u == v:
-            return (eid, 0)
-        if w == v:
-            return (eid, 1)
-        raise InternalError("edge not incident to vertex")
-
-    rotations = {}
-    for v, (b, _i) in enumerate(vertices):
-        if b == EXT:
-            order = [strand_edge[v], arcs_prev[v], arcs_next[v]]
-        else:
-            order = [strand_edge[v], arcs_next[v], arcs_prev[v]]
-        # a colour-1 box has coincident next/prev arcs on 2 points; both darts
-        # still appear since the arc edges are distinct parallel edges
-        rotations[v] = [leaving(v, e) for e in order]
-
-    def head(dart):
-        eid, end = dart
-        return edges[eid][1 - end]
-
-    def reverse(dart):
-        return (dart[0], 1 - dart[1])
-
-    # faces: orbits of dart -> clockwise-successor of its reverse at the head
-    nxt = {}
-    for v, rot in rotations.items():
-        for idx, d in enumerate(rot):
-            nxt[reverse(d)] = rot[(idx + 1) % len(rot)]
-
-    # per-component Euler characteristic must be 2
-    parent = list(range(len(vertices)))
+    offsets, wiring = _wiring(t)
+    circle, turn = [], []       # per id: its boundary, the next id a face takes
+    for b, first in enumerate(offsets):
+        size = t._colour_of_box(b).points
+        step = 1 if b == EXT else -1
+        circle += [b] * size
+        turn += [first + (i + step) % size for i in range(size)]
+    parent = list(range(len(offsets)))
 
     def find(x):
         while parent[x] != x:
@@ -187,28 +153,26 @@ def _check_planarity(t: Tangle):
             x = parent[x]
         return x
 
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    comp_v, comp_e, comp_f = {}, {}, {}
-    for v in range(len(vertices)):
-        comp_v[find(v)] = comp_v.get(find(v), 0) + 1
-    for u, _v in edges:
-        comp_e[find(u)] = comp_e.get(find(u), 0) + 1
-    seen = set()
-    for d in [(e, end) for e in range(len(edges)) for end in (0, 1)]:
-        if d in seen:
-            continue
-        root = find(edges[d[0]][0])
-        comp_f[root] = comp_f.get(root, 0) + 1
-        cur = d
-        while cur not in seen:
-            seen.add(cur)
-            cur = nxt[cur]
-    for root in comp_v:
-        chi = comp_v[root] - comp_e[root] + comp_f.get(root, 0)
-        if chi != 2:
+    for p, q in enumerate(wiring):
+        parent[find(circle[p])] = find(circle[q])
+    # V - E + F per component, in the order of their first points: a circle's
+    # first point counts its vertex, a strand's lower end its edge
+    chi = {}
+    for p, q in enumerate(wiring):
+        root = find(circle[p])
+        chi[root] = chi.get(root, 0) + (p == offsets[circle[p]]) - (p < q)
+    seen = [False] * len(wiring)
+    for start in range(len(wiring)):
+        if not seen[start]:
+            chi[find(circle[start])] += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = turn[wiring[p]]
+    for value in chi.values():
+        if value != 2:
             raise ValidationError(
-                f"tangle is not planar (Euler characteristic {chi})")
+                f"tangle is not planar (Euler characteristic {value})")
 
 
 # -- multilinear evaluation over the TL model -----------------------------------
@@ -236,21 +200,8 @@ def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
     for x in inputs:
         if x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    # global integer ids: external points then each box's points in order
+    offsets, wiring = _wiring(t)
     n_ext = t.ext.points
-    offsets = [0]
-    npts = n_ext
-    for b in t.boxes:
-        offsets.append(npts)
-        npts += b.points
-    def gid(point):
-        b, i = point
-        return (i - 1) if b == EXT else offsets[b] + i - 1
-
-    wiring = [None] * npts
-    for p, q in t.pairs:
-        wiring[gid(p)] = gid(q)
-        wiring[gid(q)] = gid(p)
     # one inner pairing per choice of a diagram in every box, boxes in order
     combos = [((None,) * n_ext, ring.one())]
     for offset, x in zip(offsets[1:], inputs):
@@ -285,75 +236,38 @@ def substitute(outer: Tangle, assignments: dict) -> Tangle:
                 f"box {b} has colour {outer.boxes[b - 1]} but tangle has "
                 f"external colour {sub.ext}")
 
-    new_boxes = []
-    box_map = {}        # (old box index) -> new index, for surviving boxes
-    sub_box_map = {}    # (old box index, sub box index) -> new index
+    # A boundary is (tangle, box) with tangle 0 the outer one and tangle b the
+    # one filling box b.  Ids go to the result's boundaries first (its external
+    # one, then each box it keeps or gains, in order), then to the glued pairs:
+    # each filled box and the external boundary of its tangle.
+    tangles = {0: outer, **assignments}
+    kept = [(0, EXT)]
     for b in range(1, len(outer.boxes) + 1):
         if b in assignments:
-            for j in range(1, len(assignments[b].boxes) + 1):
-                new_boxes.append(assignments[b].boxes[j - 1])
-                sub_box_map[(b, j)] = len(new_boxes)
+            kept.extend((b, j) for j in range(1, len(assignments[b].boxes) + 1))
         else:
-            new_boxes.append(outer.boxes[b - 1])
-            box_map[b] = len(new_boxes)
-
-    # nodes: ('o', point) outer-side, ('s', b, point) inside substituted box b
-    adj = {}
-
-    def add_edge(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for p, q in outer.pairs:
-        add_edge(('o', p), ('o', q))
+            kept.append((0, b))
+    ends = kept + [end for b in sorted(assignments) for end in ((0, b), (b, EXT))]
+    sizes = [tangles[s]._colour_of_box(box).points for s, box in ends]
+    first = dict(zip(ends, accumulate(sizes, initial=0)))
+    npts = sum(sizes)
+    wiring = [0] * npts
+    for s, t in tangles.items():
+        for (b1, i1), (b2, i2) in t.pairs:
+            p, q = first[s, b1] + i1 - 1, first[s, b2] + i2 - 1
+            wiring[p], wiring[q] = q, p
+    inner = [None] * npts
     for b, sub in assignments.items():
-        for p, q in sub.pairs:
-            add_edge(('s', b, p), ('s', b, q))
-        for i in range(1, sub.ext.points + 1):
-            add_edge(('o', (b, i)), ('s', b, (EXT, i)))
-
-    def terminal(node):
-        if node[0] == 'o':
-            b, i = node[1]
-            if b == EXT:
-                return (EXT, i)
-            if b not in assignments:
-                return (box_map[b], i)
-            return None
-        _tag, b, (bb, i) = node
-        if bb != EXT:
-            return (sub_box_map[(b, bb)], i)
-        return None
-
-    pairs = []
-    visited = set()
-    for node in list(adj):
-        t0 = terminal(node)
-        if t0 is None or node in visited:
-            continue
-        visited.add(node)
-        prev, cur = node, adj[node][0]
-        while terminal(cur) is None:
-            visited.add(cur)
-            nbrs = adj[cur]
-            step = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, step
-        visited.add(cur)
-        pairs.append((t0, terminal(cur)))
-
-    loops = outer.loops + sum(sub.loops for sub in assignments.values())
-    for node in adj:
-        if node in visited or terminal(node) is not None:
-            continue
-        loops += 1
-        prev, cur = node, adj[node][0]
-        visited.add(node)
-        while cur != node:
-            visited.add(cur)
-            nbrs = adj[cur]
-            step = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, step
-    return Tangle(outer.ext, new_boxes, pairs, loops)
+        for i in range(sub.ext.points):
+            p, q = first[0, b] + i, first[b, EXT] + i
+            inner[p], inner[q] = q, p
+    points = [(c, i) for c, size in enumerate(sizes[:len(kept)])
+              for i in range(1, size + 1)]
+    traced, loops = trace_strands(
+        wiring, inner, len(points),
+        outer.loops + sum(sub.loops for sub in assignments.values()))
+    return Tangle(outer.ext, [tangles[s]._colour_of_box(box) for s, box in kept[1:]],
+                  [(points[p - 1], points[q - 1]) for p, q in traced], loops)
 
 
 # -- the standard tangles of the basic repertoire -----------------------------------

@@ -5,7 +5,10 @@ import pytest
 
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
+from planalg.errors import (ColourMismatchError, InternalError,
+                            PreconditionError, ValidationError)
 from planalg.scalars import Ring
+from planalg.tangles import EXT, Tangle
 
 
 @pytest.fixture
@@ -130,3 +133,223 @@ def ldl_positive_definite(n: int, delta) -> bool:
             for j in range(p, size):
                 g[i][j] -= f * g[p][j]
     return True
+
+
+# -- random tangles for the property tests ------------------------------------------
+
+TANGLE_COLOURS = ("0+", "0-", 1, 2, 3)
+
+
+def _random_nc_matching(points: list, rng) -> list:
+    """A random non-crossing perfect matching of a cyclic sequence of points."""
+    if not points:
+        return []
+    k = 2 * rng.randrange(len(points) // 2) + 1
+    return ([(points[0], points[k])] + _random_nc_matching(points[1:k], rng)
+            + _random_nc_matching(points[k + 1:], rng))
+
+
+def random_tangle(rng, ext=None) -> Tangle:
+    """0-4 boxes of colours 0_+, 0_-, 1-3 and 0-2 loops.
+
+    With probability 3/4 the strands are a uniformly random matching of all
+    points, which is mostly not planar.  Otherwise each box's points, read
+    counterclockwise from a random start, are spliced into the external
+    points at a random place, and a non-crossing matching of that cyclic
+    sequence is taken, which is planar.
+    """
+    ext = Colour.of(rng.choice(TANGLE_COLOURS) if ext is None else ext)
+    boxes = [Colour.of(rng.choice(TANGLE_COLOURS)) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.75:
+        points = [(b, i) for b, colour in enumerate([ext] + boxes)
+                  for i in range(1, colour.points + 1)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+    else:
+        points = [(EXT, i) for i in range(1, ext.points + 1)]
+        for b, colour in enumerate(boxes, 1):
+            size = colour.points
+            start = rng.randrange(size) if size else 0
+            at = rng.randint(0, len(points))
+            points[at:at] = [(b, (start - j) % size + 1) for j in range(size)]
+        pairs = _random_nc_matching(points, rng)
+    return Tangle(ext, boxes, pairs, rng.randint(0, 2))
+
+
+# -- graph walks over tagged points: the oracles of the tangle point numbering -----
+
+
+def planarity_oracle(t: Tangle):
+    """The rotation-system check: three darts per marked point, its own
+    union-find; raises ValidationError on a non-planar tangle."""
+    vertices = []
+    for b in range(len(t.boxes) + 1):
+        n2 = t._colour_of_box(b).points
+        vertices.extend((b, i) for i in range(1, n2 + 1))
+    if not vertices:
+        return
+    vid = {v: i for i, v in enumerate(vertices)}
+
+    edges = []          # (u, v) by vertex id
+    strand_edge = {}    # vertex id -> edge id of its strand
+    arcs_next = {}      # vertex id -> edge id of arc toward next point
+    arcs_prev = {}
+    for p, q in t.pairs:
+        eid = len(edges)
+        edges.append((vid[p], vid[q]))
+        strand_edge[vid[p]] = eid
+        strand_edge[vid[q]] = eid
+    for b in range(len(t.boxes) + 1):
+        n2 = t._colour_of_box(b).points
+        for i in range(1, n2 + 1):
+            j = i % n2 + 1
+            u, v = vid[(b, i)], vid[(b, j)]
+            eid = len(edges)
+            edges.append((u, v))
+            arcs_next[u] = eid
+            arcs_prev[v] = eid
+
+    # clockwise rotation of darts leaving each vertex; a dart is (edge, end)
+    def leaving(v, eid):
+        u, w = edges[eid]
+        if u == v:
+            return (eid, 0)
+        if w == v:
+            return (eid, 1)
+        raise InternalError("edge not incident to vertex")
+
+    rotations = {}
+    for v, (b, _i) in enumerate(vertices):
+        if b == EXT:
+            order = [strand_edge[v], arcs_prev[v], arcs_next[v]]
+        else:
+            order = [strand_edge[v], arcs_next[v], arcs_prev[v]]
+        # a colour-1 box has coincident next/prev arcs on 2 points; both darts
+        # still appear since the arc edges are distinct parallel edges
+        rotations[v] = [leaving(v, e) for e in order]
+
+    def head(dart):
+        eid, end = dart
+        return edges[eid][1 - end]
+
+    def reverse(dart):
+        return (dart[0], 1 - dart[1])
+
+    # faces: orbits of dart -> clockwise-successor of its reverse at the head
+    nxt = {}
+    for v, rot in rotations.items():
+        for idx, d in enumerate(rot):
+            nxt[reverse(d)] = rot[(idx + 1) % len(rot)]
+
+    # per-component Euler characteristic must be 2
+    parent = list(range(len(vertices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    comp_v, comp_e, comp_f = {}, {}, {}
+    for v in range(len(vertices)):
+        comp_v[find(v)] = comp_v.get(find(v), 0) + 1
+    for u, _v in edges:
+        comp_e[find(u)] = comp_e.get(find(u), 0) + 1
+    seen = set()
+    for d in [(e, end) for e in range(len(edges)) for end in (0, 1)]:
+        if d in seen:
+            continue
+        root = find(edges[d[0]][0])
+        comp_f[root] = comp_f.get(root, 0) + 1
+        cur = d
+        while cur not in seen:
+            seen.add(cur)
+            cur = nxt[cur]
+    for root in comp_v:
+        chi = comp_v[root] - comp_e[root] + comp_f.get(root, 0)
+        if chi != 2:
+            raise ValidationError(
+                f"tangle is not planar (Euler characteristic {chi})")
+
+
+def substitute_oracle(outer: Tangle, assignments: dict) -> Tangle:
+    """Plug tangles into internal boxes of `outer`; unassigned boxes survive."""
+    for b, sub in assignments.items():
+        if not 1 <= b <= len(outer.boxes):
+            raise PreconditionError(f"no box {b} to substitute into")
+        if sub.ext != outer.boxes[b - 1]:
+            raise ColourMismatchError(
+                f"box {b} has colour {outer.boxes[b - 1]} but tangle has "
+                f"external colour {sub.ext}")
+
+    new_boxes = []
+    box_map = {}        # (old box index) -> new index, for surviving boxes
+    sub_box_map = {}    # (old box index, sub box index) -> new index
+    for b in range(1, len(outer.boxes) + 1):
+        if b in assignments:
+            for j in range(1, len(assignments[b].boxes) + 1):
+                new_boxes.append(assignments[b].boxes[j - 1])
+                sub_box_map[(b, j)] = len(new_boxes)
+        else:
+            new_boxes.append(outer.boxes[b - 1])
+            box_map[b] = len(new_boxes)
+
+    # nodes: ('o', point) outer-side, ('s', b, point) inside substituted box b
+    adj = {}
+
+    def add_edge(u, v):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    for p, q in outer.pairs:
+        add_edge(('o', p), ('o', q))
+    for b, sub in assignments.items():
+        for p, q in sub.pairs:
+            add_edge(('s', b, p), ('s', b, q))
+        for i in range(1, sub.ext.points + 1):
+            add_edge(('o', (b, i)), ('s', b, (EXT, i)))
+
+    def terminal(node):
+        if node[0] == 'o':
+            b, i = node[1]
+            if b == EXT:
+                return (EXT, i)
+            if b not in assignments:
+                return (box_map[b], i)
+            return None
+        _tag, b, (bb, i) = node
+        if bb != EXT:
+            return (sub_box_map[(b, bb)], i)
+        return None
+
+    pairs = []
+    visited = set()
+    for node in list(adj):
+        t0 = terminal(node)
+        if t0 is None or node in visited:
+            continue
+        visited.add(node)
+        prev, cur = node, adj[node][0]
+        while terminal(cur) is None:
+            visited.add(cur)
+            nbrs = adj[cur]
+            step = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            prev, cur = cur, step
+        visited.add(cur)
+        pairs.append((t0, terminal(cur)))
+
+    loops = outer.loops + sum(sub.loops for sub in assignments.values())
+    for node in adj:
+        if node in visited or terminal(node) is not None:
+            continue
+        loops += 1
+        prev, cur = node, adj[node][0]
+        visited.add(node)
+        while cur != node:
+            visited.add(cur)
+            nbrs = adj[cur]
+            step = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            prev, cur = cur, step
+    return Tangle(outer.ext, new_boxes, pairs, loops)

@@ -13,7 +13,7 @@ from planalg.errors import ModeMismatchError, PreconditionError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
-from planalg import random_element
+from planalg import random_element, random_graded
 from conftest import gns_oracle, gram_oracle, ldl_positive_definite
 
 FL = Ring.float_(2.5)
@@ -214,6 +214,19 @@ def test_boundedness_sweep(rng):
     # unit element: the bound is trivially respected
     rep = an.boundedness_verify(Element.unit(1, FL), 1, 10, rng)
     assert rep["status"] == "pass"
+
+
+def test_hk_norm_float_sums_component_norms_in_order():
+    # the float route adds the per-colour squared norms one by one, bit for bit
+    rng = random.Random(5)
+    for ring in (FL, FL2, Ring.float_(2.2)):
+        for _ in range(100):
+            k = rng.randint(0, 2)
+            a = random_graded(k, k + 3, ring, rng)
+            total = 0.0
+            for el in a.components.values():
+                total += an.hk_norm_squared_element(el, k).to_float()
+            assert an.hk_norm_float(a) == float(np.sqrt(max(total, 0.0)))
 
 
 def test_sum_norm_inequality(rng):

@@ -89,6 +89,13 @@ def test_missing_tangle_file(tmp_path, capsys):
     assert_one_line_parse_error(capsys)
 
 
+INF = float("inf")
+
+
+def one_term(coeff):
+    return {"colour": 1, "terms": [{"pairs": [[1, 2]], "coeff": coeff}]}
+
+
 BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
                                      "coeff": {"mode": "symbolic",
                                                "terms": [[0, "x/y"]]}}]}
@@ -103,6 +110,12 @@ BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
         "mode": "rational", "value": "1/0", "delta": "2"}}]}),
     ("dagger", {"level": 1}),                           # graded, no "components"
     ("dagger", {"level": 1, "components": {"1": BAD_COEFF}}),
+    ("dagger", {"level": 1, "components": []}),         # a list, not an object
+    # a literal such as 1e400 reads as inf, which Fraction and int overflow on
+    ("tau", one_term({"mode": "rational", "value": INF, "delta": "2"})),
+    ("tau", one_term({"mode": "rational", "value": "1", "delta": INF})),
+    ("tau", one_term({"mode": "symbolic", "terms": [[0, INF]]})),
+    ("tau", one_term({"mode": "symbolic", "terms": [[INF, 1]]})),
 ])
 def test_malformed_json_is_a_parse_error(tmp_path, capsys, op, data):
     path = tmp_path / "x.json"

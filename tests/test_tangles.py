@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from planalg.diagrams import Diagram, enumerate_diagrams
@@ -5,13 +7,15 @@ from planalg.elements import Element, jones_projection
 from planalg.errors import (ColourMismatchError, InternalError, ParseError,
                             PreconditionError, ValidationError)
 from planalg.scalars import Ring
-from planalg.tangles import (EXT, Tangle, evaluate, evaluate_in,
+from planalg.tangles import (EXT, Tangle, _check_planarity, evaluate, evaluate_in,
                              identity_tangle, inclusion_tangle, jones_tangle,
                              left_expectation_tangle, multiplication_tangle,
                              parse, partial_cap_tangle, right_expectation_tangle,
                              rotation_tangle, standard_tangle, substitute,
                              trace_tangle, unit_tangle, validate)
 from planalg import random_element
+
+from conftest import planarity_oracle, random_tangle, substitute_oracle
 
 
 # -- parsing ---------------------------------------------------------------
@@ -105,7 +109,45 @@ def test_standard_tangle_dispatch():
         standard_tangle("EL", 2, 5)
 
 
+def _planarity_verdict(check, t):
+    try:
+        check(t)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_planarity_matches_the_rotation_system_oracle():
+    rng = random.Random(2024)
+    failures = 0
+    for _ in range(5000):
+        t = random_tangle(rng)
+        verdict = _planarity_verdict(_check_planarity, t)
+        assert verdict == _planarity_verdict(planarity_oracle, t), t
+        failures += verdict is not None
+    assert 1000 < failures < 4000         # both verdicts are well sampled
+
+
+def test_box_chain_is_planar():
+    # one strand from the boundary through three boxes and back
+    t = parse("ext 1\nbox a 1\nbox b 1\nbox c 1\n"
+              "strand e1-a.1 a.2-b.1 b.2-c.1 c.2-e2\n")
+    validate(t)
+    planarity_oracle(t)
+
+
 # -- substitution ------------------------------------------------------------
+
+
+def test_substitute_matches_the_graph_walk_oracle():
+    rng = random.Random(2025)
+    for _ in range(5000):
+        outer = random_tangle(rng)
+        assignments = {b: random_tangle(rng, ext=colour)
+                       for b, colour in enumerate(outer.boxes, 1)
+                       if rng.random() < 0.5}
+        assert substitute(outer, assignments) \
+            == substitute_oracle(outer, assignments), (outer, assignments)
 
 
 def test_substitute_identity_laws(sym, rng):
