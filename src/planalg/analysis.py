@@ -128,7 +128,8 @@ def gram_positive_definite_exact(n: int, delta) -> bool:
 def gns_matrix(x: Element) -> np.ndarray:
     """Matrix of left multiplication by x on P_n in the diagram basis."""
     _require_float(x.ring)
-    return np.array([[c.to_float() for c in row] for row in gns_matrix_exact(x)])
+    # a float-mode value is a float already: read it, no to_float call per entry
+    return np.array([[c.value for c in row] for row in gns_matrix_exact(x)])
 
 
 def gns_matrix_exact(x: Element):
@@ -240,6 +241,7 @@ def hk_norm_float(a: GradedElement) -> float:
 # -- the positivity lemma and boundedness estimate ----------------------------------
 
 
+@lru_cache(maxsize=None)
 def glue_tangle(p: int, q: int, i: int) -> Tangle:
     """Two-box tangle pairing a against a* over q strands with i more capped
     around; the left-hand side of the positivity lemma in P_{2p-q}."""

@@ -9,6 +9,7 @@ cup whose slot position is exposed so the replay suite can pin it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagrams import _matchings
 from .errors import ColourMismatchError, PreconditionError
@@ -50,6 +51,7 @@ class TSpec:
         return cls(k, _interval(1, m - k), _interval(1, m - k), m, m)
 
 
+@lru_cache(maxsize=None)
 def annular_T(spec: TSpec) -> Tangle:
     k, m, n = spec.k, spec.m, spec.n
     f = spec.bijection()
@@ -113,6 +115,7 @@ def _cup_layout(t: int, k: int, double_slot: int):
     return caps
 
 
+@lru_cache(maxsize=None)
 def annular_double_cup(t: int, k: int, double_slot: int) -> Tangle:
     """The annular P_k -> P_t tangle with one nested double cup."""
     caps = _cup_layout(t, k, double_slot)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +47,10 @@ class Config:
         try:
             if "/" in self.delta or "." not in self.delta:
                 return Fraction(self.delta)
-            return float(self.delta)
+            value = float(self.delta)
+            if not math.isfinite(value):        # 1.0e400 reads as inf
+                raise ValueError(value)
+            return value
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad delta {self.delta!r}: expected sym, p/q or "
                              "a decimal") from None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import config
-from .errors import PreconditionError, ValidationError
+from .errors import ParseError, PreconditionError, ValidationError
 
 
 class Colour:
@@ -39,6 +39,16 @@ class Colour:
                 return cls(0, minus=True)
             return cls(int(s))
         raise PreconditionError(f"cannot interpret {value!r} as a colour")
+
+    @classmethod
+    def capped(cls, value) -> "Colour":
+        """`of` for user input, which may not exceed `config.COLOUR_CAP`: every
+        marked point of a box is allocated, so a huge colour is refused first."""
+        colour = cls.of(value)
+        if colour.n > config.COLOUR_CAP:
+            raise ParseError(
+                f"colour {colour.n} exceeds the configured cap {config.COLOUR_CAP}")
+        return colour
 
     @property
     def points(self) -> int:
@@ -83,7 +93,7 @@ class Diagram:
 
     __slots__ = ("colour", "pairs", "_partner", "_hash")
 
-    def __init__(self, colour, pairs, _validated=False):
+    def __init__(self, colour, pairs):
         self.colour = Colour.of(colour)
         pairs = tuple(sorted((min(p), max(p)) for p in pairs))
         self.pairs = pairs
@@ -93,8 +103,7 @@ class Diagram:
             partner[b] = a
         self._partner = partner
         self._hash = hash((self.colour, pairs))
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n2 = self.colour.points
@@ -124,8 +133,8 @@ class Diagram:
     def reflect(self) -> "Diagram":
         """Mirror image: point i goes to 2n+1-i."""
         m = self.colour.points + 1
-        return Diagram(self.colour, [(m - a, m - b) for a, b in self.pairs],
-                       _validated=True)
+        return interned(self.colour,
+                        tuple(sorted((m - b, m - a) for a, b in self.pairs)))
 
     def rotate(self, shift: int) -> "Diagram":
         """Relabel every point by p -> p + shift (mod 2n)."""
@@ -154,8 +163,25 @@ def identity_diagram(colour) -> Diagram:
     """The unit 1_n: point i joined to 2n+1-i."""
     colour = Colour.of(colour)
     n = colour.n
-    return Diagram(colour, [(i, 2 * n + 1 - i) for i in range(1, n + 1)],
-                   _validated=True)
+    return interned(colour, tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+
+
+_INTERNED = {}      # (n, minus, pairs) -> the one Diagram with that pairing
+
+
+def interned(colour: Colour, pairs: tuple) -> Diagram:
+    """The one Diagram of this colour and pairing (pairs sorted, each with
+    its smaller end first), kept for the life of the process.
+
+    The table fills lazily: a pairing is validated the first time it is
+    seen and never again, and one that fails validation is not kept, so it
+    raises `ValidationError` every time.
+    """
+    key = (colour.n, colour.minus, pairs)
+    diagram = _INTERNED.get(key)
+    if diagram is None:
+        diagram = _INTERNED[key] = Diagram(colour, pairs)
+    return diagram
 
 
 def _matchings(points: tuple) -> list:
@@ -176,8 +202,9 @@ def _matchings(points: tuple) -> list:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int):
-    pts = tuple(range(1, 2 * n + 1))
-    return tuple(Diagram(n, m, _validated=True) for m in _matchings(pts))
+    colour = Colour(n)
+    return tuple(interned(colour, tuple(m))
+                 for m in _matchings(tuple(range(1, 2 * n + 1))))
 
 
 def enumerate_diagrams(colour) -> tuple:
@@ -187,5 +214,5 @@ def enumerate_diagrams(colour) -> tuple:
         raise PreconditionError(
             f"colour {colour.n} exceeds the configured cap {config.COLOUR_CAP}")
     if colour.n == 0:
-        return (Diagram(colour, (), _validated=True),)
+        return (interned(colour, ()),)
     return _enumerate_cached(colour.n)

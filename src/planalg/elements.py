@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram
+from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram, interned
 from .errors import ColourMismatchError, ModeMismatchError, PreconditionError
 from .scalars import SYMBOLIC, Ring, Scalar
 
@@ -122,7 +122,7 @@ class Element:
             for d2, c2 in other.combo.items():
                 pairs, loops = trace_strands(
                     wiring, below + placed_pairing(d2, 4 * n), 2 * n)
-                terms.append((Diagram(self.colour, pairs, _validated=True),
+                terms.append((interned(self.colour, pairs),
                               (c1 * c2).delta_pow(loops)))
         return Element.from_terms(self.colour, self.ring, terms)
 
@@ -155,7 +155,7 @@ class Element:
 
     @classmethod
     def from_json(cls, data, ring: Ring | None = None):
-        colour = Colour.of(data["colour"])
+        colour = Colour.capped(data["colour"])
         combo = {}
         for term in data["terms"]:
             coeff = Scalar.from_json(term["coeff"])

@@ -9,6 +9,7 @@ available.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .config import FLOAT_TOL
@@ -185,7 +186,10 @@ class Scalar:
         if mode == RATIONAL:
             return cls.rational(Fraction(data["value"]), Fraction(data["delta"]))
         if mode == FLOAT:
-            return cls.float_(data["value"], data["delta"])
+            scalar = cls.float_(data["value"], data["delta"])
+            if not (math.isfinite(scalar.value) and math.isfinite(scalar.delta)):
+                raise ValueError("float value and delta must be finite")
+            return scalar
         raise PreconditionError(f"unknown scalar mode {mode!r}")
 
     def __repr__(self):

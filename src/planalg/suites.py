@@ -465,9 +465,12 @@ def run_suite(name: str, cfg: Config):
 
 def run_suites(names, cfg: Config, jobs: int = 1) -> dict:
     names = list(names)
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker on the first submit: no more than suites
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             results = list(pool.map(_suite_worker,
                                     [(name, cfg) for name in names]))
         rows = [row for chunk in results for row in chunk]

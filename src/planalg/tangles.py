@@ -16,9 +16,10 @@ connected component must have Euler characteristic 2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
-from .diagrams import Colour, Diagram
+from .diagrams import Colour, interned
 from .elements import Element, placed_pairing, trace_strands
 from .errors import (ColourMismatchError, InternalError, ParseError,
                      PreconditionError, ValidationError)
@@ -34,7 +35,7 @@ def _norm_pair(p, q):
 class Tangle:
     """An immutable planar tangle value."""
 
-    __slots__ = ("ext", "boxes", "pairs", "loops")
+    __slots__ = ("ext", "boxes", "pairs", "loops", "_hash")
 
     def __init__(self, ext, boxes, pairs, loops=0):
         self.ext = Colour.of(ext)
@@ -43,6 +44,7 @@ class Tangle:
         if loops < 0:
             raise PreconditionError("loop count must be non-negative")
         self.loops = loops
+        self._hash = hash((self.ext, self.boxes, self.pairs, loops))
         partner = {}
         for p, q in self.pairs:
             if p in partner or q in partner or p == q:
@@ -85,7 +87,8 @@ class Tangle:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["ext"], data["boxes"],
+        return cls(Colour.capped(data["ext"]),
+                   [Colour.capped(b) for b in data["boxes"]],
                    [(tuple(p), tuple(q)) for p, q in data["pairs"]],
                    data.get("loops", 0))
 
@@ -95,7 +98,7 @@ class Tangle:
                 and self.loops == other.loops)
 
     def __hash__(self):
-        return hash((self.ext, self.boxes, self.pairs, self.loops))
+        return self._hash       # a tangle is a cache key of `_wiring`
 
     def __repr__(self):
         return (f"Tangle(ext={self.ext}, boxes={list(self.boxes)}, "
@@ -119,11 +122,13 @@ def validate(t: Tangle):
                 f"strand {p}-{q} violates the shading parity rule", strand=(p, q))
 
 
+@lru_cache(maxsize=None)
 def _wiring(t: Tangle):
     """The point numbering: external points first, then each box's in order.
 
     Returns the first id of every boundary (box 0 is the external one) and
-    the partner of every id under the tangle's strands.
+    the partner of every id under the tangle's strands, both as tuples:
+    a tangle is wired once per process.
     """
     offsets = [0]
     npts = t.ext.points
@@ -134,7 +139,7 @@ def _wiring(t: Tangle):
     for (b1, i1), (b2, i2) in t.pairs:
         p, q = offsets[b1] + i1 - 1, offsets[b2] + i2 - 1
         wiring[p], wiring[q] = q, p
-    return offsets, wiring
+    return tuple(offsets), tuple(wiring)
 
 
 def _check_planarity(t: Tangle):
@@ -208,17 +213,14 @@ def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
         combos = [(inner + placed_pairing(diagram, offset), coeff * c)
                   for inner, coeff in combos for diagram, c in x.combo.items()]
 
-    diagrams = {}       # output pairing -> Diagram, validated once per call
     terms = []
     for inner, coeff in combos:
         pairs, loops = trace_strands(wiring, inner, n_ext, t.loops)
-        diagram = diagrams.get(pairs)
-        if diagram is None:
-            try:
-                diagram = diagrams[pairs] = Diagram(t.ext, pairs)
-            except ValidationError as exc:
-                raise InternalError(
-                    f"evaluation produced a crossing output pairing: {exc}") from exc
+        try:
+            diagram = interned(t.ext, pairs)
+        except ValidationError as exc:
+            raise InternalError(
+                f"evaluation produced a crossing output pairing: {exc}") from exc
         terms.append((diagram, coeff.delta_pow(loops)))
     return Element.from_terms(t.ext, ring, terms)
 
@@ -408,6 +410,15 @@ def _parse_point(token: str, line_no: int, col: int, boxes: dict):
     raise ParseError(f"bad point {token!r}", line_no, col)
 
 
+def _parse_colour(token: str, line_no: int, col: int) -> Colour:
+    try:
+        return Colour.capped(token)
+    except ParseError as exc:
+        raise ParseError(str(exc), line_no, col)
+    except (PreconditionError, ValueError):
+        raise ParseError(f"bad colour {token!r}", line_no, col)
+
+
 def parse(text: str) -> Tangle:
     """Parse the one-declaration-per-line tangle DSL.
 
@@ -432,10 +443,7 @@ def parse(text: str) -> Tangle:
                 raise ParseError("expected: ext <colour>", line_no, len(head) + 1)
             if ext is not None:
                 raise ParseError("duplicate ext declaration", line_no, 1)
-            try:
-                ext = Colour.of(parts[1])
-            except (PreconditionError, ValueError):
-                raise ParseError(f"bad colour {parts[1]!r}", line_no, len(head) + 2)
+            ext = _parse_colour(parts[1], line_no, len(head) + 2)
         elif head == "box":
             if len(parts) != 3:
                 raise ParseError("expected: box <name> <colour>", line_no, len(head) + 1)
@@ -443,10 +451,7 @@ def parse(text: str) -> Tangle:
             if name in boxes or name.startswith("e"):
                 raise ParseError(f"bad or duplicate box name {name!r}", line_no,
                                  len(head) + 2)
-            try:
-                box_colours.append(Colour.of(parts[2]))
-            except (PreconditionError, ValueError):
-                raise ParseError(f"bad colour {parts[2]!r}", line_no, len(head) + 2)
+            box_colours.append(_parse_colour(parts[2], line_no, len(head) + 2))
             boxes[name] = len(box_colours)
         elif head == "strand":
             if len(parts) < 2:

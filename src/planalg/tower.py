@@ -134,6 +134,7 @@ def random_graded(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
 # -- the two-box product tangle -------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def sharp_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     """The P_t component tangle of the level-k product on P_m x P_n."""
     if m < k or n < k:
@@ -370,6 +371,7 @@ def psi(k: int, a: GradedElement) -> GradedElement:
 # -- the dot action of F_{k+1} on F_k ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def dot_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     """The P_t component tangle of a.b for a in P_m <= F_{k+1}, b in P_n <= F_k."""
     if k < 1:

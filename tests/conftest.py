@@ -74,7 +74,7 @@ def _stack(top: Diagram, bottom: Diagram, n: int):
             cur = glue[mid]
             if cur == start:
                 break
-    return Diagram(Colour(n), pairs, _validated=True), loops
+    return Diagram(Colour(n), pairs), loops
 
 
 def _closure_loops(d: Diagram) -> int:

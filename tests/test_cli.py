@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from planalg import suites
+from planalg import config, suites
 from planalg.cli import main
+from planalg.config import Config
 from planalg.diagrams import Diagram
 from planalg.elements import Element
 from planalg.scalars import Ring
@@ -116,6 +117,15 @@ BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
     ("tau", one_term({"mode": "rational", "value": "1", "delta": INF})),
     ("tau", one_term({"mode": "symbolic", "terms": [[0, INF]]})),
     ("tau", one_term({"mode": "symbolic", "terms": [[INF, 1]]})),
+    # float mode reads inf (a 1e400 literal too) and nan; neither is a value
+    ("tau", one_term({"mode": "float", "value": INF, "delta": 2.0})),
+    ("tau", one_term({"mode": "float", "value": float("nan"), "delta": 2.0})),
+    ("tau", one_term({"mode": "float", "value": 1.0, "delta": INF})),
+    ("tau", one_term({"mode": "float", "value": "-inf", "delta": 2.0})),
+    # colours above the cap are refused before any point is allocated
+    ("tau", {"colour": config.COLOUR_CAP + 1, "terms": []}),
+    ("dagger", {"level": 0, "components": {
+        str(config.COLOUR_CAP + 1): {"colour": config.COLOUR_CAP + 1, "terms": []}}}),
 ])
 def test_malformed_json_is_a_parse_error(tmp_path, capsys, op, data):
     path = tmp_path / "x.json"
@@ -130,11 +140,54 @@ def test_verify_bad_delta_is_a_parse_error(capsys, suite):
     assert_one_line_parse_error(capsys)
 
 
+def test_verify_non_finite_delta_is_a_parse_error(capsys):
+    assert main(["verify", "positivity", "--delta", "1.0e400"]) == 1
+    assert_one_line_parse_error(capsys)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(suites.SUITES, "annular",
                         lambda cfg: [suites._row("annular.fake", {}, False)])
     assert main(["verify", "annular"]) == 4
     assert "FAILURES" in capsys.readouterr().out
+
+
+def test_verify_rejects_zero_jobs(capsys):
+    assert main(["verify", "annular", "--jobs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: ") and err.count("\n") == 1
+
+
+def test_jobs_are_capped_at_the_number_of_suites(monkeypatch):
+    import concurrent.futures
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cfg = Config(seed=42, trials=1, level=0)
+    suites.run_suites(("annular", "commutant-replay"), cfg, jobs=64)
+    suites.run_suites(("annular", "commutant-replay"), cfg, jobs=2)
+    assert asked == [2, 2]
+
+
+def test_report_does_not_depend_on_jobs():
+    cfg = Config(seed=42, trials=2, level=1)
+    reports = [json.dumps(suites.run_suites(("annular", "commutant-replay"), cfg,
+                                            jobs=jobs), sort_keys=True)
+               for jobs in (1, 2)]
+    assert reports[0] == reports[1]
 
 
 def test_dims_output(capsys):

@@ -1,14 +1,15 @@
 """Hypothesis fuzzing of the two user-input front ends: the tangle DSL
 (`parse` then `validate`) and the element JSON loaders behind `pa compute`.
 
-Only planalg's own errors may escape.  Colours stay at most 4: a `Tangle`
-or `Diagram` allocates every marked point, and neither front end caps the
-colour it reads.
+Only planalg's own errors may escape.  Colours run up to the cap, and the
+tokens go past it: both front ends refuse a colour above
+`config.COLOUR_CAP` before a `Tangle` or `Diagram` allocates its points.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from planalg.cli import _from_json
+from planalg.config import COLOUR_CAP
 from planalg.elements import Element
 from planalg.errors import PlanarAlgebraError
 from planalg.tangles import parse, validate
@@ -20,7 +21,8 @@ FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
 # -- the tangle DSL ------------------------------------------------------------
 
 COLOUR_TOKENS = st.sampled_from(
-    ["0", "0+", "0-", "0_+", "0_-", "1", "2", "3", "4", "-1", "x", "1.5"])
+    ["0", "0+", "0-", "0_+", "0_-", "1", "2", "3", "4", "-1", "x", "1.5",
+     str(COLOUR_CAP), str(COLOUR_CAP + 1), "400000"])
 INDEX_TOKENS = st.integers(-1, 9).map(str) | st.sampled_from(["", "x", "1.2"])
 BOX_NAMES = st.sampled_from(["a", "b", "c", "e", "e1", "a.b", "1"])
 POINTS = st.one_of(
@@ -39,8 +41,8 @@ LINES = st.one_of(
 @st.composite
 def matched_tangle_texts(draw):
     """Structurally valid tangles: a random matching of every marked point."""
-    ext = draw(st.integers(0, 4))
-    boxes = draw(st.lists(st.integers(0, 3), max_size=3))
+    ext = draw(st.integers(0, COLOUR_CAP))
+    boxes = draw(st.lists(st.integers(0, COLOUR_CAP), max_size=3))
     points = [f"e{i}" for i in range(1, 2 * ext + 1)]
     points += [f"b{j}.{i}" for j, c in enumerate(boxes) for i in range(1, 2 * c + 1)]
     points = draw(st.permutations(points))
@@ -79,12 +81,12 @@ SCALARS = st.fixed_dictionaries(
               "value": LEAVES, "delta": LEAVES})
 PAIRS = st.lists(st.lists(st.integers(-1, 9) | LEAVES, max_size=3), max_size=5)
 ELEMENTS = st.fixed_dictionaries(
-    {"colour": st.integers(-1, 4) | LEAVES,
+    {"colour": st.integers(-1, COLOUR_CAP + 1) | LEAVES,
      "terms": st.lists(st.fixed_dictionaries({"pairs": PAIRS | JSON,
                                               "coeff": SCALARS | JSON}),
                        max_size=3) | JSON})
 GRADED = st.fixed_dictionaries(
-    {"level": st.integers(-1, 4) | LEAVES,
+    {"level": st.integers(-1, COLOUR_CAP + 1) | LEAVES,
      "components": st.dictionaries(st.sampled_from(["0", "1", "2", "x", ""]),
                                    ELEMENTS | JSON, max_size=3) | JSON})
 

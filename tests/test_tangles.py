@@ -2,17 +2,22 @@ import random
 
 import pytest
 
-from planalg.diagrams import Diagram, enumerate_diagrams
-from planalg.elements import Element, jones_projection
+from planalg import config, diagrams
+from planalg.analysis import glue_tangle
+from planalg.annular import TSpec, annular_T, annular_double_cup
+from planalg.diagrams import (ZERO_MINUS, ZERO_PLUS, Colour, Diagram,
+                              enumerate_diagrams, identity_diagram)
+from planalg.elements import Element, jones_projection, tl_sum
 from planalg.errors import (ColourMismatchError, InternalError, ParseError,
                             PreconditionError, ValidationError)
 from planalg.scalars import Ring
-from planalg.tangles import (EXT, Tangle, _check_planarity, evaluate, evaluate_in,
-                             identity_tangle, inclusion_tangle, jones_tangle,
+from planalg.tangles import (EXT, Tangle, _check_planarity, _wiring, evaluate,
+                             evaluate_in, identity_tangle, inclusion_tangle, jones_tangle,
                              left_expectation_tangle, multiplication_tangle,
                              parse, partial_cap_tangle, right_expectation_tangle,
                              rotation_tangle, standard_tangle, substitute,
                              trace_tangle, unit_tangle, validate)
+from planalg.tower import dot_tangle, sharp_tangle
 from planalg import random_element
 
 from conftest import planarity_oracle, random_tangle, substitute_oracle
@@ -301,3 +306,86 @@ def test_evaluate_rejects_a_crossing_output(sym):
     x = Element.basis(Diagram(1, [(1, 2)]), sym)
     with pytest.raises(InternalError):
         evaluate(crossing, [x])
+    # the failed pairing is not interned, so it fails again
+    assert (2, False, ((1, 3), (2, 4))) not in diagrams._INTERNED
+    with pytest.raises(InternalError):
+        evaluate(crossing, [x])
+
+
+# -- interned diagrams and compiled tangles ------------------------------------
+
+
+def test_evaluations_share_one_diagram_per_pairing(sym, rng):
+    x = random_element(3, sym, rng, terms=4)
+    first = evaluate(rotation_tangle(3), [x])
+    back = evaluate(rotation_tangle(3), [first])
+    again = evaluate(rotation_tangle(3, direction=1), [back])
+    assert again == first
+    for d in first.combo:
+        (same,) = [e for e in again.combo if e == d]
+        assert same is d
+    basis = enumerate_diagrams(3)
+    for d in evaluate(identity_tangle(3), [tl_sum(3, sym)]).combo:
+        assert any(d is e for e in basis)
+
+
+def test_products_and_enumeration_share_the_interned_diagrams(sym):
+    basis = enumerate_diagrams(3)
+    for a in basis:
+        for b in basis:
+            (d,) = Element.basis(a, sym).multiply(Element.basis(b, sym)).combo
+            assert d is basis[basis.index(d)]
+    assert identity_diagram(3) is basis[basis.index(identity_diagram(3))]
+    assert all(d.reflect() is basis[basis.index(d.reflect())] for d in basis)
+
+
+def test_interning_keeps_the_shading_of_colour_zero(sym):
+    plus = evaluate_in(Tangle(ZERO_PLUS, [], []), [], sym)
+    minus = evaluate_in(Tangle(ZERO_MINUS, [], []), [], sym)
+    ((d_plus, _),), ((d_minus, _),) = plus.combo.items(), minus.combo.items()
+    assert d_plus.colour == ZERO_PLUS and d_minus.colour == ZERO_MINUS
+    assert enumerate_diagrams(ZERO_MINUS)[0] is d_minus
+
+
+def test_a_tangle_is_wired_once(sym):
+    t = multiplication_tangle(2)
+    assert _wiring(t) is _wiring(t)
+    assert _wiring(Tangle.from_json(t.to_json())) is _wiring(t)
+
+
+@pytest.mark.parametrize("builder, good, bad", [
+    (sharp_tangle, (2, 2, 1, 2), (2, 2, 1, 9)),
+    (dot_tangle, (3, 2, 1, 2), (3, 2, 1, 5)),
+    (annular_double_cup, (3, 1, 1), (3, 1, 5)),
+    (glue_tangle, (2, 1, 0), (2, 5, 0)),
+])
+def test_builders_are_compiled_once_and_still_reject(builder, good, bad):
+    assert builder(*good) is builder(*good)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            builder(*bad)
+
+
+def test_annular_T_is_compiled_once_per_spec():
+    spec = TSpec(1, frozenset({1}), frozenset({2}), 2, 3)
+    assert annular_T(spec) is annular_T(TSpec(1, {1}, {2}, 2, 3))
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            annular_T(TSpec(1, {1}, {5}, 2, 3))
+
+
+# -- the colour cap on user input ----------------------------------------------
+
+
+def test_user_colours_are_capped_at_parse_time():
+    over = config.COLOUR_CAP + 1
+    for text in (f"ext {over}", f"ext 1\nbox a {over}"):
+        with pytest.raises(ParseError, match="exceeds the configured cap"):
+            parse(text)
+    with pytest.raises(ParseError, match="exceeds the configured cap"):
+        Tangle.from_json({"ext": 1, "boxes": [over], "pairs": []})
+    with pytest.raises(ParseError, match="exceeds the configured cap"):
+        Element.from_json({"colour": over, "terms": []})
+    assert Colour.capped(config.COLOUR_CAP).n == config.COLOUR_CAP
+    # internal tangles are not capped: the level-k product reaches past it
+    assert sharp_tangle(6, 6, 0, 12).ext.n == 12
