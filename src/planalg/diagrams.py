@@ -8,22 +8,33 @@ from . import config
 from .errors import ParseError, PreconditionError, ValidationError
 
 
+_COLOURS = {}       # (n, minus) -> the one Colour with those values
+
+
 class Colour:
     """A box colour: 0_+, 0_- or a positive integer.
 
     An unqualified 0 always resolves to 0_+; that rule lives here and
-    nowhere else.
+    nowhere else.  There is one instance per colour, validated when first
+    built, so colours compare by identity.
     """
 
     __slots__ = ("n", "minus")
 
-    def __init__(self, n: int, minus: bool = False):
-        if n < 0:
-            raise PreconditionError("colour must be non-negative")
-        if minus and n != 0:
-            raise PreconditionError("only colour 0 carries a shading sign")
-        self.n = n
-        self.minus = minus
+    def __new__(cls, n: int, minus: bool = False):
+        colour = _COLOURS.get((n, minus))
+        if colour is None:
+            if n < 0:
+                raise PreconditionError("colour must be non-negative")
+            if minus and n != 0:
+                raise PreconditionError("only colour 0 carries a shading sign")
+            colour = _COLOURS[n, minus] = super().__new__(cls)
+            colour.n = int(n)           # a bool from JSON is kept as 0 or 1
+            colour.minus = bool(minus)
+        return colour
+
+    def __getnewargs__(self):
+        return (self.n, self.minus)
 
     @classmethod
     def of(cls, value) -> "Colour":
@@ -58,11 +69,6 @@ class Colour:
         if self.n == 0:
             return "0-" if self.minus else "0+"
         return self.n
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Colour(other)
-        return isinstance(other, Colour) and self.n == other.n and self.minus == other.minus
 
     def __hash__(self):
         return hash((self.n, self.minus))
@@ -135,14 +141,6 @@ class Diagram:
         m = self.colour.points + 1
         return interned(self.colour,
                         tuple(sorted((m - b, m - a) for a, b in self.pairs)))
-
-    def rotate(self, shift: int) -> "Diagram":
-        """Relabel every point by p -> p + shift (mod 2n)."""
-        n2 = self.colour.points
-        if n2 == 0:
-            return self
-        move = lambda p: (p - 1 + shift) % n2 + 1
-        return Diagram(self.colour, [(move(a), move(b)) for a, b in self.pairs])
 
     def to_json(self):
         return [list(p) for p in self.pairs]

@@ -1,18 +1,22 @@
 """Vectors in the Temperley-Lieb spaces P_n, with the C*-algebra operations.
 
-Every strand contraction in the package goes through `trace_strands`: the
-product and the trace here are the multiplication tangle (box 2 above box 1)
-and the full closure, each wired once per colour; the generic tangle
-evaluator feeds it its own wiring.  The direct stacking and closure-loop
-routes live in the tests as the independent oracle.
+Every strand contraction in the package goes through `trace_strands`, and
+every filling of a tangle's boxes through `contract`: the product is the
+multiplication tangle (box 2 above box 1) and the trace the full closure,
+each wired once per colour; tangle evaluation, and with it the tower's
+dagger, inclusion and expectation, feeds `contract` the tangle's own
+wiring.  The direct stacking and closure-loop routes live in the tests as
+the independent oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram, interned
-from .errors import ColourMismatchError, ModeMismatchError, PreconditionError
+from .errors import (ColourMismatchError, InternalError, ModeMismatchError,
+                     PreconditionError, ValidationError)
 from .scalars import SYMBOLIC, Ring, Scalar
 
 
@@ -66,10 +70,8 @@ class Element:
 
     def __add__(self, other):
         self._check_colour(other)
-        combo = dict(self.combo)
-        for d, c in other.combo.items():
-            combo[d] = combo[d] + c if d in combo else c
-        return Element(self.colour, self.ring, combo)
+        return Element.from_terms(self.colour, self.ring,
+                                  chain(self.combo.items(), other.combo.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,17 +116,8 @@ class Element:
         """
         self._check_colour(other)
         n = self.colour.n
-        wiring = _product_wiring(n)
-        pad = (None,) * (2 * n)
-        terms = []
-        for d1, c1 in self.combo.items():
-            below = pad + placed_pairing(d1, 2 * n)
-            for d2, c2 in other.combo.items():
-                pairs, loops = trace_strands(
-                    wiring, below + placed_pairing(d2, 4 * n), 2 * n)
-                terms.append((interned(self.colour, pairs),
-                              (c1 * c2).delta_pow(loops)))
-        return Element.from_terms(self.colour, self.ring, terms)
+        return contract(self.colour, self.ring, _product_wiring(n),
+                        (2 * n, 4 * n), (self, other), 0)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -178,6 +171,34 @@ def _ring_of(scalar: Scalar) -> Ring:
     if scalar.mode == "symbolic":
         return Ring.symbolic()
     return Ring(scalar.mode, scalar.delta)
+
+
+def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
+             loops: int) -> Element:
+    """Fill a wired tangle's boxes with its inputs and trace its strands.
+
+    `wiring` numbers the external points of `colour` first, box b's from
+    `offsets[b]` on (see `trace_strands`).  Each choice of one diagram per
+    box contributes its traced output diagram with coefficient
+    (c1 * c2 * ...) in box order times delta to the power `loops` plus the
+    closed loops; with no boxes the coefficient is `ring.one()`.  A crossing
+    output pairing raises `InternalError`.
+    """
+    n_ext = colour.points
+    combos = [((None,) * n_ext, ring.one())]
+    for b, (offset, x) in enumerate(zip(offsets, inputs)):
+        combos = [(inner + placed_pairing(diagram, offset), coeff * c if b else c)
+                  for inner, coeff in combos for diagram, c in x.combo.items()]
+    terms = []
+    for inner, coeff in combos:
+        pairs, closed = trace_strands(wiring, inner, n_ext, loops)
+        try:
+            diagram = interned(colour, pairs)
+        except ValidationError as exc:
+            raise InternalError(
+                f"evaluation produced a crossing output pairing: {exc}") from exc
+        terms.append((diagram, coeff.delta_pow(closed)))
+    return Element.from_terms(colour, ring, terms)
 
 
 def trace_strands(wiring, inner, n_ext: int, loops: int = 0):

@@ -123,6 +123,8 @@ class Scalar:
 
     def delta_pow(self, m: int):
         """Multiply by delta**m (the only division this ring ever needs)."""
+        if m == 0:
+            return self         # scalars are immutable
         if self.mode == SYMBOLIC:
             return self._like(terms={e + m: c for e, c in self.terms.items()})
         return self._like(value=self.value * self.delta ** m)
@@ -148,20 +150,7 @@ class Scalar:
 
     __hash__ = None  # tolerance-based equality in float mode
 
-    # -- specialization -------------------------------------------------------
-
-    def specialize(self, delta):
-        """Evaluate a symbolic scalar at a fixed delta (rational or float)."""
-        if self.mode != SYMBOLIC:
-            raise ModeMismatchError("specialize requires a symbolic scalar")
-        if delta == 0:
-            raise PreconditionError("delta must be nonzero")
-        if isinstance(delta, float):
-            return Scalar.float_(
-                sum(float(c) * delta ** e for e, c in self.terms.items()), delta)
-        delta = Fraction(delta)
-        return Scalar.rational(
-            sum(c * delta ** e for e, c in self.terms.items()), delta)
+    # -- conversion -------------------------------------------------------------
 
     def to_float(self) -> float:
         if self.mode == SYMBOLIC:

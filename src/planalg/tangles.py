@@ -19,10 +19,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .diagrams import Colour, interned
-from .elements import Element, placed_pairing, trace_strands
-from .errors import (ColourMismatchError, InternalError, ParseError,
-                     PreconditionError, ValidationError)
+from .diagrams import Colour
+from .elements import Element, contract, trace_strands
+from .errors import (ColourMismatchError, ParseError, PreconditionError,
+                     ValidationError)
 from .scalars import Ring
 
 EXT = 0
@@ -70,14 +70,6 @@ class Tangle:
 
     def with_loops(self, loops: int) -> "Tangle":
         return Tangle(self.ext, self.boxes, self.pairs, loops)
-
-    def adjoint(self) -> "Tangle":
-        """The reflected tangle: point (b, p) goes to (b, 2n_b + 1 - p)."""
-        def refl(point):
-            b, p = point
-            return (b, self._colour_of_box(b).points + 1 - p)
-        return Tangle(self.ext, self.boxes,
-                      [(refl(p), refl(q)) for p, q in self.pairs], self.loops)
 
     def to_json(self):
         return {"ext": self.ext.to_json(),
@@ -206,23 +198,7 @@ def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
         if x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
     offsets, wiring = _wiring(t)
-    n_ext = t.ext.points
-    # one inner pairing per choice of a diagram in every box, boxes in order
-    combos = [((None,) * n_ext, ring.one())]
-    for offset, x in zip(offsets[1:], inputs):
-        combos = [(inner + placed_pairing(diagram, offset), coeff * c)
-                  for inner, coeff in combos for diagram, c in x.combo.items()]
-
-    terms = []
-    for inner, coeff in combos:
-        pairs, loops = trace_strands(wiring, inner, n_ext, t.loops)
-        try:
-            diagram = interned(t.ext, pairs)
-        except ValidationError as exc:
-            raise InternalError(
-                f"evaluation produced a crossing output pairing: {exc}") from exc
-        terms.append((diagram, coeff.delta_pow(loops)))
-    return Element.from_terms(t.ext, ring, terms)
+    return contract(t.ext, ring, wiring, offsets[1:], inputs, t.loops)
 
 
 # -- operadic substitution --------------------------------------------------------
@@ -310,6 +286,7 @@ def trace_tangle(n) -> Tangle:
     return Tangle(0, [n], [((1, i), (1, 2 * n + 1 - i)) for i in range(1, n + 1)])
 
 
+@lru_cache(maxsize=None)
 def rotation_tangle(n, direction: int = -1) -> Tangle:
     """R^n_n: boundary indices shift by one strand pair (2 points)."""
     n = Colour.of(n).n

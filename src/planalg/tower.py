@@ -10,13 +10,15 @@ convention and are enforced by a one-shot self-check.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
-from .annular import enumerate_good
-from .diagrams import Colour, Diagram
+from .annular import enumerate_good, transpose_annular
+from .diagrams import Diagram, identity_diagram
 from .elements import Element, jones_projection, random_element, tl_sum
 from .errors import (InternalError, LevelMismatchError, PreconditionError)
 from .scalars import Ring, Scalar
-from .tangles import EXT, Tangle, evaluate, evaluate_in
+from .tangles import (EXT, Tangle, evaluate, evaluate_in, partial_cap_tangle,
+                      rotation_tangle)
 
 
 class GradedElement:
@@ -66,9 +68,6 @@ class GradedElement:
             return self.components[n]
         return Element.zero(n, self.ring)
 
-    def colours(self):
-        return sorted(self.components)
-
     def _check_level(self, other):
         if self.level != other.level:
             raise LevelMismatchError(
@@ -76,10 +75,9 @@ class GradedElement:
 
     def __add__(self, other):
         self._check_level(other)
-        comps = dict(self.components)
-        for n, el in other.components.items():
-            comps[n] = comps[n] + el if n in comps else el
-        return GradedElement(self.level, self.ring, comps)
+        return GradedElement.from_parts(
+            self.level, self.ring,
+            chain(self.components.values(), other.components.values()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -190,23 +188,13 @@ def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
 # -- dagger, traces, inner product ------------------------------------------------
 
 
-def _dagger_element(x: Element, k: int) -> Element:
-    """Rotation^k of the adjoint: point i goes to 2(m-k)+1-i mod 2m."""
-    m = x.colour.n
-    if m == 0:
-        return x
-    mod = 2 * m
-    mu = lambda i: (2 * (m - k) - i) % mod + 1
-    combo = {}
-    for d, c in x.combo.items():
-        combo[Diagram(x.colour, [(mu(p), mu(q)) for p, q in d.pairs])] = c
-    return Element(x.colour, x.ring, combo)
-
-
 def dagger(a: GradedElement) -> GradedElement:
-    return GradedElement(a.level, a.ring,
-                         {n: _dagger_element(el, a.level)
-                          for n, el in a.components.items()})
+    """The involution: on colour m > 0, the level-fold rotation (point i to
+    i - 2k) of the adjoint; colour 0 is fixed."""
+    k = a.level
+    return GradedElement(k, a.ring, {
+        m: evaluate(rotation_tangle(m, -k), [el.star()]) if m else el
+        for m, el in a.components.items()})
 
 
 def trace_tk(a: GradedElement) -> Scalar:
@@ -232,52 +220,31 @@ def hk_norm_squared(a: GradedElement) -> Scalar:
 # -- inclusion and conditional expectation --------------------------------------------
 
 
-def _include_element(x: Element, new_level: int) -> Element:
-    n = x.colour.n + 1
-    k = new_level
-    cut = 2 * n - k
-    combo = {}
-    for d, c in x.combo.items():
-        pairs = [tuple(p if p < cut else p + 2 for p in pair) for pair in d.pairs]
-        pairs.append((cut, cut + 1))
-        combo[Diagram(n, pairs)] = c
-    return Element(Colour(n), x.ring, combo)
+@lru_cache(maxsize=None)
+def _cap_tangles(n: int, k: int):
+    """The level-k expectation's cap on P_n, joining the innermost bottom
+    points 2n-k and 2n-k+1, and its transpose: the cup of the inclusion of
+    P_{n-1} into P_n at level k."""
+    cap = partial_cap_tangle(n, [(2 * n - k, 2 * n - k + 1)])
+    return cap, transpose_annular(cap)
 
 
 def include(a: GradedElement) -> GradedElement:
     """The unital trace-preserving embedding of F_k(P) into F_{k+1}(P)."""
     k = a.level + 1
-    return GradedElement(k, a.ring,
-                         {n + 1: _include_element(el, k)
-                          for n, el in a.components.items()})
-
-
-def _expect_element(x: Element, k: int) -> Element:
-    n = x.colour.n
-    c1, c2 = 2 * n - k, 2 * n - k + 1
-    relabel = lambda p: p if p < c1 else p - 2
-    terms = []
-    for d, c in x.combo.items():
-        if d.partner(c1) == c2:
-            pairs = [pr for pr in d.pairs if c1 not in pr]
-            factor = 0          # one closed loop cancels the 1/delta prefactor
-        else:
-            p1, p2 = d.partner(c1), d.partner(c2)
-            pairs = [pr for pr in d.pairs if not set(pr) & {c1, c2}]
-            pairs.append((p1, p2))
-            factor = -1
-        pairs = [(relabel(a), relabel(b)) for a, b in pairs]
-        terms.append((Diagram(n - 1, pairs), c.delta_pow(factor)))
-    return Element.from_terms(n - 1, x.ring, terms)
+    return GradedElement(k, a.ring, {
+        n + 1: evaluate(_cap_tangles(n + 1, k)[1], [el])
+        for n, el in a.components.items()})
 
 
 def cond_expect(a: GradedElement) -> GradedElement:
     """E_{k-1}: the delta^{-1}-scaled capping retraction F_k -> F_{k-1}."""
     if a.level < 1:
         raise PreconditionError("conditional expectation needs level >= 1")
-    return GradedElement(a.level - 1, a.ring,
-                         {n - 1: _expect_element(el, a.level)
-                          for n, el in a.components.items()})
+    k = a.level
+    return GradedElement(k - 1, a.ring, {
+        n - 1: evaluate(_cap_tangles(n, k)[0], [el]).delta_pow(-1)
+        for n, el in a.components.items()})
 
 
 # -- distinguished elements ------------------------------------------------------------
@@ -322,8 +289,7 @@ def trace_Tr(a: GradedElement, k: int | None = None) -> Scalar:
                    for i in range(1, 2 * (m - k) + 1)]
             tangle = Tangle(0, [m, m - k], top + side)
             closed = evaluate_in(tangle, [el, tl_sum(m - k, a.ring)], a.ring)
-        empty = Diagram(Colour(0), ())
-        total = total + closed.combo.get(empty, a.ring.zero())
+        total = total + closed.combo.get(identity_diagram(0), a.ring.zero())
     return total
 
 
@@ -478,6 +444,7 @@ def _check_conventions(ring: Ring) -> None:
         _CONVENTIONS_CHECKED = False
         raise InternalError("dagger is not anti-multiplicative: rotation "
                             "direction convention is broken")
-    if _dagger_element(x, 2) != x.star():
+    top = GradedElement.of_element(2, x)       # x at level k = its colour
+    if dagger(top) != GradedElement.of_element(2, x.star()):
         _CONVENTIONS_CHECKED = False
         raise InternalError("dagger does not restrict to * on P_k")

@@ -6,8 +6,9 @@ import pytest
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
-                            PreconditionError, ValidationError)
-from planalg.scalars import Ring
+                            ModeMismatchError, PreconditionError,
+                            ValidationError)
+from planalg.scalars import SYMBOLIC, Ring, Scalar
 from planalg.tangles import EXT, Tangle
 
 
@@ -95,6 +96,81 @@ def _closure_loops(d: Diagram) -> int:
             if cur == start:
                 break
     return loops
+
+
+# -- per-term relabelings: the oracles of the tower's tangle routes ----------------
+
+
+def dagger_oracle(x: Element, k: int) -> Element:
+    """Rotation^k of the adjoint: point i goes to 2(m-k)+1-i mod 2m."""
+    m = x.colour.n
+    if m == 0:
+        return x
+    mod = 2 * m
+    mu = lambda i: (2 * (m - k) - i) % mod + 1
+    combo = {}
+    for d, c in x.combo.items():
+        combo[Diagram(x.colour, [(mu(p), mu(q)) for p, q in d.pairs])] = c
+    return Element(x.colour, x.ring, combo)
+
+
+def include_oracle(x: Element, new_level: int) -> Element:
+    """A new strand joining points 2n-k and 2n-k+1 of the colour-n result;
+    the points from 2n-k on move up by two."""
+    n = x.colour.n + 1
+    k = new_level
+    cut = 2 * n - k
+    combo = {}
+    for d, c in x.combo.items():
+        pairs = [tuple(p if p < cut else p + 2 for p in pair) for pair in d.pairs]
+        pairs.append((cut, cut + 1))
+        combo[Diagram(n, pairs)] = c
+    return Element(Colour(n), x.ring, combo)
+
+
+def expect_oracle(x: Element, k: int) -> Element:
+    """delta^{-1} times the cap on points 2n-k and 2n-k+1, term by term."""
+    n = x.colour.n
+    c1, c2 = 2 * n - k, 2 * n - k + 1
+    relabel = lambda p: p if p < c1 else p - 2
+    terms = []
+    for d, c in x.combo.items():
+        if d.partner(c1) == c2:
+            pairs = [pr for pr in d.pairs if c1 not in pr]
+            factor = 0          # one closed loop cancels the 1/delta prefactor
+        else:
+            p1, p2 = d.partner(c1), d.partner(c2)
+            pairs = [pr for pr in d.pairs if not set(pr) & {c1, c2}]
+            pairs.append((p1, p2))
+            factor = -1
+        pairs = [(relabel(a), relabel(b)) for a, b in pairs]
+        terms.append((Diagram(n - 1, pairs), c.delta_pow(factor)))
+    return Element.from_terms(n - 1, x.ring, terms)
+
+
+def tangle_adjoint(t: Tangle) -> Tangle:
+    """The reflected tangle: point (b, p) goes to (b, 2n_b + 1 - p)."""
+    def refl(point):
+        b, p = point
+        return (b, t._colour_of_box(b).points + 1 - p)
+    return Tangle(t.ext, t.boxes, [(refl(p), refl(q)) for p, q in t.pairs],
+                  t.loops)
+
+
+# -- evaluation at a fixed delta: the cross-mode oracle of scalar arithmetic -------
+
+
+def specialize(s: Scalar, delta) -> Scalar:
+    """Evaluate a symbolic scalar at a fixed delta (rational or float)."""
+    if s.mode != SYMBOLIC:
+        raise ModeMismatchError("specialize requires a symbolic scalar")
+    if delta == 0:
+        raise PreconditionError("delta must be nonzero")
+    if isinstance(delta, float):
+        return Scalar.float_(
+            sum(float(c) * delta ** e for e, c in s.terms.items()), delta)
+    delta = Fraction(delta)
+    return Scalar.rational(sum(c * delta ** e for e, c in s.terms.items()), delta)
 
 
 # -- the Element route of the numeric layer: the oracle of its basis tables ---------

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from planalg.diagrams import (Colour, Diagram, ZERO_MINUS, ZERO_PLUS, catalan,
                               enumerate_diagrams, identity_diagram)
+from planalg.elements import Element
 from planalg.errors import PreconditionError, ValidationError
+from planalg.scalars import Ring
+from planalg.tangles import evaluate, rotation_tangle
 from planalg import config
 
 
@@ -98,12 +101,32 @@ def test_reflection_involution(n, pick):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 10 ** 6), st.integers(-5, 5))
 def test_rotation_by_strand_pairs_stays_noncrossing(n, pick, r):
+    # rotation_tangle(n, r) moves every point p to p + 2r (mod 2n)
+    sym = Ring.symbolic()
     basis = enumerate_diagrams(n)
     d = basis[pick % len(basis)]
-    rotated = d.rotate(2 * r)
-    assert rotated in basis
+    (rotated, coeff), = evaluate(rotation_tangle(n, r),
+                                 [Element.basis(d, sym)]).combo.items()
+    move = lambda p: (p - 1 + 2 * r) % (2 * n) + 1
+    assert rotated in basis and coeff == sym.one()
+    assert rotated.pairs == tuple(sorted(tuple(sorted((move(a), move(b))))
+                                         for a, b in d.pairs))
 
 
 def test_identity_diagram():
     assert identity_diagram(3).pairs == ((1, 6), (2, 5), (3, 4))
     assert identity_diagram(0).pairs == ()
+
+
+def test_one_shared_colour_per_value():
+    import pickle
+    assert Colour.of(3) is Colour(3)
+    assert Colour.of("0-") is ZERO_MINUS and Colour.of("0+") is ZERO_PLUS
+    assert Colour.of(0) is ZERO_PLUS and ZERO_PLUS is not ZERO_MINUS
+    for colour in (Colour(4), ZERO_MINUS):
+        assert pickle.loads(pickle.dumps(colour)) is colour
+        assert hash(colour) == hash((colour.n, colour.minus))
+    for bad in ((-1,), (2, True)):
+        for _ in range(2):          # a rejected value is never kept
+            with pytest.raises(PreconditionError):
+                Colour(*bad)

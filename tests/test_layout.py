@@ -1,8 +1,11 @@
-"""Every module-level function and class in src/planalg has a caller there.
+"""Every module-level function and class in src/planalg, and every method
+other than a dunder, has a caller there.
 
 Code that only tests call belongs in the tests; code nothing calls goes.
 A name counts as used when another top-level statement anywhere in the
-package refers to it (a recursive call inside its own body does not count).
+package refers to it (a recursive call inside its own body does not
+count).  A method counts as used when the package reads an attribute of
+its name anywhere outside its own body.
 """
 
 import ast
@@ -38,18 +41,44 @@ def _entry_points() -> set:
     return {target.rpartition(":")[2] for target in scripts.values()}
 
 
+def _modules() -> list:
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.glob("*.py"))]
+
+
 def _unused() -> set:
     """Top-level definitions no other top-level statement of the package uses."""
     definitions = []        # (module, name, defining statement)
     statements = []         # every top-level statement of the package
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _modules():
+        for stmt in tree.body:
             statements.append(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name, stmt))
+                definitions.append((module, stmt.name, stmt))
     uses = [(stmt, _referenced(stmt)) for stmt in statements]
     return {(module, name) for module, name, node in definitions
             if not any(name in refs for stmt, refs in uses if stmt is not node)}
+
+
+def _unused_methods() -> set:
+    """(module, "Class.method") for each non-dunder method whose name the
+    package reads as an attribute nowhere outside the method's own body."""
+    trees = _modules()
+    methods = [(module, cls.name, fn) for module, tree in trees
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    reads = []              # (attribute name, node reading it)
+    for _module, tree in trees:
+        reads += [(sub.attr, sub) for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute)]
+    unused = set()
+    for module, cls, fn in methods:
+        inside = {id(sub) for sub in ast.walk(fn)}
+        if not any(attr == fn.name and id(node) not in inside
+                   for attr, node in reads):
+            unused.add((module, f"{cls}.{fn.name}"))
+    return unused
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -60,4 +89,10 @@ def test_every_definition_has_a_caller_in_src():
 
 
 def test_allowlist_names_only_unused_definitions():
-    assert set(ALLOWED) <= {name for _module, name in _unused()}
+    assert set(ALLOWED) <= {name for _module, name in _unused() | _unused_methods()}
+
+
+def test_every_method_has_a_caller_in_src():
+    unused = sorted(f"{module}.{name}" for module, name in _unused_methods()
+                    if name not in ALLOWED)
+    assert unused == []

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from planalg.errors import ModeMismatchError, PreconditionError
 from planalg.scalars import SYMBOLIC, Ring, Scalar
 
+from conftest import specialize
+
 
 def test_exponent_cancellation(sym):
     assert sym.delta_power(2) * sym.delta_power(-2) == sym.one()
@@ -23,16 +25,16 @@ def test_rational_inverse_power():
 
 def test_specialize_examples():
     s = Scalar.symbolic({2: 1, 0: -1})     # delta^2 - 1
-    assert s.specialize(Fraction(2)) == Scalar.rational(3, 2)
-    assert Scalar.symbolic({-1: 1}).specialize(Fraction(2)) \
+    assert specialize(s, Fraction(2)) == Scalar.rational(3, 2)
+    assert specialize(Scalar.symbolic({-1: 1}), Fraction(2)) \
         == Scalar.rational(Fraction(1, 2), 2)
-    assert Scalar.symbolic({}).specialize(Fraction(7)).is_zero()
-    assert abs(s.specialize(2.0).value - 3.0) < 1e-12
+    assert specialize(Scalar.symbolic({}), Fraction(7)).is_zero()
+    assert abs(specialize(s, 2.0).value - 3.0) < 1e-12
 
 
 def test_specialize_at_zero_rejected():
     with pytest.raises(PreconditionError):
-        Scalar.symbolic({1: 1}).specialize(0)
+        specialize(Scalar.symbolic({1: 1}), 0)
 
 
 def test_mode_mixing_rejected(sym):
@@ -61,8 +63,8 @@ laurents = st.dictionaries(st.integers(-4, 4),
 def test_specialize_is_ring_homomorphism(t1, t2):
     a, b = Scalar.symbolic(t1), Scalar.symbolic(t2)
     for delta in (Fraction(2), Fraction(5, 2)):
-        assert (a * b).specialize(delta) == a.specialize(delta) * b.specialize(delta)
-        assert (a + b).specialize(delta) == a.specialize(delta) + b.specialize(delta)
+        assert specialize(a * b, delta) == specialize(a, delta) * specialize(b, delta)
+        assert specialize(a + b, delta) == specialize(a, delta) + specialize(b, delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +83,7 @@ def test_symbolic_equality_implies_rational(sym):
     rhs = sym.delta_power(2) - sym.one()
     assert lhs == rhs
     for delta in (Fraction(2), Fraction(5, 2)):
-        assert lhs.specialize(delta) == rhs.specialize(delta)
+        assert specialize(lhs, delta) == specialize(rhs, delta)
 
 
 def test_json_roundtrip():
@@ -124,6 +126,15 @@ def test_mixed_int_fraction_arithmetic_is_exact(sym):
 
 def test_specialize_returns_fraction():
     s = Scalar.symbolic({1: 2, 0: 1})        # 2 delta + 1, int coefficients
-    value = s.specialize(3).value
+    value = specialize(s, 3).value
     assert type(value) is Fraction and value == 7
-    assert s.specialize(Fraction(1, 2)).value == Fraction(2)
+    assert specialize(s, Fraction(1, 2)).value == Fraction(2)
+
+
+def test_delta_pow_zero_keeps_the_value():
+    for s in (Scalar.symbolic({-1: Fraction(3, 4), 2: -2}),
+              Scalar.rational(Fraction(7, 3), Fraction(5, 2)),
+              Scalar.float_(0.1, 2.5)):
+        same = s.delta_pow(0)
+        assert same.mode == s.mode and same.to_json() == s.to_json()
+        assert same.terms == s.terms and same.value == s.value

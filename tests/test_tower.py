@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
                            sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
                            _good_tangles)
 from planalg import random_element, random_graded
+
+from conftest import dagger_oracle, expect_oracle, include_oracle
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -67,7 +70,7 @@ def test_expectation_restricts_to_er(sym):
 
 
 def test_dagger_is_rotated_star(sym, rng):
-    # the tangle route: dagger = k-fold rotation of the adjoint
+    # the per-term relabeling is the k-fold rotation of the adjoint
     for k in (1, 2):
         for m in (k, k + 1, k + 2):
             rot = rotation_tangle(m)
@@ -76,7 +79,42 @@ def test_dagger_is_rotated_star(sym, rng):
                 y = x.star()
                 for _ in range(k):
                     y = evaluate(rot, [y])
-                assert dagger(graded(k, x)).component(m) == y
+                assert dagger_oracle(x, k) == y
+
+
+@pytest.mark.parametrize("ring", [Ring.symbolic(), Ring.rational(Fraction(5, 2))],
+                         ids=["symbolic", "rational"])
+def test_tower_tangles_match_relabelings(ring):
+    rng = random.Random(7)
+    for k in range(4):
+        for _ in range(4):
+            a = random_graded(k, k + 3, ring, rng)
+            assert dagger(a) == GradedElement(
+                k, ring, {m: dagger_oracle(el, k) for m, el in a.components.items()})
+            assert include(a) == GradedElement(
+                k + 1, ring,
+                {n + 1: include_oracle(el, k + 1) for n, el in a.components.items()})
+            if k:
+                assert cond_expect(a) == GradedElement(
+                    k - 1, ring,
+                    {n - 1: expect_oracle(el, k) for n, el in a.components.items()})
+
+
+def test_tower_operations_reuse_their_diagrams(sym, monkeypatch):
+    a = random_graded(2, 5, sym, random.Random(3))
+    for op in (dagger, include, cond_expect):
+        op(a)
+    built = []
+    init = Diagram.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Diagram, "__init__", counting)
+    for op in (dagger, include, cond_expect):
+        op(a)
+    assert built == []
 
 
 # -- product structure ----------------------------------------------------------
