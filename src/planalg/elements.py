@@ -173,6 +173,10 @@ def _ring_of(scalar: Scalar) -> Ring:
     return Ring(scalar.mode, scalar.delta)
 
 
+_TRACED = {}    # (colour, wiring, offsets) -> {d1: {d2: ... {dk: (output, closed)}}}
+_LEAVES = {}    # (output, closed) -> the one leaf tuple every table shares
+
+
 def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
              loops: int) -> Element:
     """Fill a wired tangle's boxes with its inputs and trace its strands.
@@ -182,23 +186,41 @@ def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
     box contributes its traced output diagram with coefficient
     (c1 * c2 * ...) in box order times delta to the power `loops` plus the
     closed loops; with no boxes the coefficient is `ring.one()`.  A crossing
-    output pairing raises `InternalError`.
+    output pairing raises `InternalError`.  Each choice is traced once per
+    process (`_trace`): its output and closed loops depend on no coefficient.
     """
-    n_ext = colour.points
-    combos = [((None,) * n_ext, ring.one())]
-    for b, (offset, x) in enumerate(zip(offsets, inputs)):
-        combos = [(inner + placed_pairing(diagram, offset), coeff * c if b else c)
-                  for inner, coeff in combos for diagram, c in x.combo.items()]
+    key = (colour, wiring, offsets)
+    level = [(_TRACED.get(key) or {}, (), None)]
+    for x in inputs[:-1]:
+        level = [(node.get(d) or {}, ds + (d,), c if coeff is None else coeff * c)
+                 for node, ds, coeff in level for d, c in x.combo.items()]
+    last = inputs[-1].combo.items() if inputs else ((None, ring.one()),)
     terms = []
-    for inner, coeff in combos:
-        pairs, closed = trace_strands(wiring, inner, n_ext, loops)
-        try:
-            diagram = interned(colour, pairs)
-        except ValidationError as exc:
-            raise InternalError(
-                f"evaluation produced a crossing output pairing: {exc}") from exc
-        terms.append((diagram, coeff.delta_pow(closed)))
+    for node, ds, coeff in level:
+        for d, c in last:
+            output, closed = node.get(d) or _trace(key, ds + (d,))
+            terms.append((output, (c if coeff is None else coeff * c)
+                          .delta_pow(closed + loops)))
     return Element.from_terms(colour, ring, terms)
+
+
+def _trace(key, diagrams: tuple) -> tuple:
+    """Trace one diagram per box (`(None,)` for no boxes) on a wired tangle
+    and keep `(output, closed loops)` in `_TRACED`; a crossing output raises
+    `InternalError` and is never kept."""
+    colour, wiring, offsets = key
+    inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
+    pairs, closed = trace_strands(wiring, inner, colour.points)
+    try:
+        leaf = (interned(colour, pairs), closed)
+    except ValidationError as exc:
+        raise InternalError(
+            f"evaluation produced a crossing output pairing: {exc}") from exc
+    node = _TRACED.setdefault(key, {})
+    for d in diagrams[:-1]:
+        node = node.setdefault(d, {})
+    leaf = node[diagrams[-1]] = _LEAVES.setdefault(leaf, leaf)
+    return leaf
 
 
 def trace_strands(wiring, inner, n_ext: int, loops: int = 0):

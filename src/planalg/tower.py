@@ -229,6 +229,17 @@ def _cap_tangles(n: int, k: int):
     return cap, transpose_annular(cap)
 
 
+@lru_cache(maxsize=None)
+def _trace_closure(m: int, k: int) -> Tangle:
+    """Tr_k's closure of a colour-m component: its last k pairs of side
+    points capped and, for m > k, its top 2(m-k) points on a box of m-k."""
+    side = [((1, 2 * (m - k) + d), (1, 2 * m + 1 - d)) for d in range(1, k + 1)]
+    if m == k:
+        return Tangle(0, [m], side)
+    top = [((1, i), (2, 2 * (m - k) + 1 - i)) for i in range(1, 2 * (m - k) + 1)]
+    return Tangle(0, [m, m - k], top + side)
+
+
 def include(a: GradedElement) -> GradedElement:
     """The unital trace-preserving embedding of F_k(P) into F_{k+1}(P)."""
     k = a.level + 1
@@ -280,15 +291,8 @@ def trace_Tr(a: GradedElement, k: int | None = None) -> Scalar:
         raise PreconditionError("trace level must match the element level")
     total = a.ring.zero()
     for m, el in a.components.items():
-        side = [((1, 2 * (m - k) + d), (1, 2 * m + 1 - d)) for d in range(1, k + 1)]
-        if m == k:
-            tangle = Tangle(0, [m], side)
-            closed = evaluate_in(tangle, [el], a.ring)
-        else:
-            top = [((1, i), (2, 2 * (m - k) + 1 - i))
-                   for i in range(1, 2 * (m - k) + 1)]
-            tangle = Tangle(0, [m, m - k], top + side)
-            closed = evaluate_in(tangle, [el, tl_sum(m - k, a.ring)], a.ring)
+        inputs = [el] if m == k else [el, tl_sum(m - k, a.ring)]
+        closed = evaluate_in(_trace_closure(m, k), inputs, a.ring)
         total = total + closed.combo.get(identity_diagram(0), a.ring.zero())
     return total
 

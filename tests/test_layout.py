@@ -1,5 +1,6 @@
 """Every module-level function and class in src/planalg, and every method
-other than a dunder, has a caller there.
+other than a dunder, has a caller there; every process-global cache is
+named in README's "Performance notes".
 
 Code that only tests call belongs in the tests; code nothing calls goes.
 A name counts as used when another top-level statement anywhere in the
@@ -9,6 +10,7 @@ its name anywhere outside its own body.
 """
 
 import ast
+import re
 import tomllib
 from pathlib import Path
 
@@ -96,3 +98,28 @@ def test_every_method_has_a_caller_in_src():
     unused = sorted(f"{module}.{name}" for module, name in _unused_methods()
                     if name not in ALLOWED)
     assert unused == []
+
+
+def _caches() -> list:
+    """`module.name` of every `lru_cache`-decorated module-level function and
+    every module-level name bound to an empty dict literal (a table that
+    fills at run time)."""
+    found = []
+    for module, tree in _modules():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and any(
+                    "lru_cache" in _referenced(dec) for dec in stmt.decorator_list):
+                found.append(f"{module}.{stmt.name}")
+            elif (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+                  and not stmt.value.keys):
+                found += [f"{module}.{t.id}" for t in stmt.targets
+                          if isinstance(t, ast.Name)]
+    return found
+
+
+def test_every_cache_is_named_in_the_performance_notes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    notes = readme.split("## Performance notes", 1)[1].split("\n## ", 1)[0]
+    unnamed = [name for name in _caches()
+               if not re.search(rf"`{re.escape(name)}`", notes)]
+    assert unnamed == []

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from planalg import config, diagrams
+from planalg import config, diagrams, elements
 from planalg.analysis import glue_tangle
 from planalg.annular import TSpec, annular_T, annular_double_cup
 from planalg.diagrams import (ZERO_MINUS, ZERO_PLUS, Colour, Diagram,
@@ -17,11 +18,11 @@ from planalg.tangles import (EXT, Tangle, _check_planarity, _wiring, evaluate,
                              parse, partial_cap_tangle, right_expectation_tangle,
                              rotation_tangle, standard_tangle, substitute,
                              trace_tangle, unit_tangle, validate)
-from planalg.tower import dot_tangle, sharp_tangle
+from planalg.tower import _trace_closure, dot_tangle, sharp_tangle
 from planalg import random_element
 
-from conftest import (planarity_oracle, random_tangle, substitute_oracle,
-                      tangle_adjoint)
+from conftest import (_stack, planarity_oracle, random_tangle, specialize,
+                      substitute_oracle, tangle_adjoint)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -300,17 +301,20 @@ def test_tangle_json_roundtrip():
     assert Tangle.from_json(t.to_json()) == t
 
 
-def test_evaluate_rejects_a_crossing_output(sym):
+def test_evaluate_rejects_a_crossing_output(sym, traces):
     # a non-planar tangle (never validated) whose output strands cross
     crossing = Tangle(2, [1], [((1, 1), (EXT, 1)), ((1, 2), (EXT, 3)),
                                ((EXT, 2), (EXT, 4))])
     x = Element.basis(Diagram(1, [(1, 2)]), sym)
     with pytest.raises(InternalError):
         evaluate(crossing, [x])
-    # the failed pairing is not interned, so it fails again
+    # the failed pairing is neither interned nor kept as a traced
+    # contraction, so it is traced again and fails again
     assert (2, False, ((1, 3), (2, 4))) not in diagrams._INTERNED
+    assert elements._TRACED == {}
     with pytest.raises(InternalError):
         evaluate(crossing, [x])
+    assert len(traces) == 2
 
 
 # -- interned diagrams and compiled tangles ------------------------------------
@@ -340,11 +344,15 @@ def test_products_and_enumeration_share_the_interned_diagrams(sym):
     assert all(d.reflect() is basis[basis.index(d.reflect())] for d in basis)
 
 
-def test_interning_keeps_the_shading_of_colour_zero(sym):
-    plus = evaluate_in(Tangle(ZERO_PLUS, [], []), [], sym)
-    minus = evaluate_in(Tangle(ZERO_MINUS, [], []), [], sym)
-    ((d_plus, _),), ((d_minus, _),) = plus.combo.items(), minus.combo.items()
-    assert d_plus.colour == ZERO_PLUS and d_minus.colour == ZERO_MINUS
+def test_interning_keeps_the_shading_of_colour_zero(sym, traces):
+    # the two tangles share one (empty) wiring; the second round reads
+    # each colour's own traced output from the contraction table
+    for _ in range(2):
+        plus = evaluate_in(Tangle(ZERO_PLUS, [], []), [], sym)
+        minus = evaluate_in(Tangle(ZERO_MINUS, [], []), [], sym)
+        ((d_plus, _),), ((d_minus, _),) = plus.combo.items(), minus.combo.items()
+        assert d_plus.colour == ZERO_PLUS and d_minus.colour == ZERO_MINUS
+    assert len(traces) == 2
     assert enumerate_diagrams(ZERO_MINUS)[0] is d_minus
 
 
@@ -359,6 +367,7 @@ def test_a_tangle_is_wired_once(sym):
     (dot_tangle, (3, 2, 1, 2), (3, 2, 1, 5)),
     (annular_double_cup, (3, 1, 1), (3, 1, 5)),
     (glue_tangle, (2, 1, 0), (2, 5, 0)),
+    (_trace_closure, (3, 1), (1, 3)),
 ])
 def test_builders_are_compiled_once_and_still_reject(builder, good, bad):
     assert builder(*good) is builder(*good)
@@ -373,6 +382,67 @@ def test_annular_T_is_compiled_once_per_spec():
     for _ in range(2):
         with pytest.raises(PreconditionError):
             annular_T(TSpec(1, {1}, {5}, 2, 3))
+
+
+# -- the traced-contraction table ------------------------------------------------
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """An empty contraction table for the test; returns the list of strand
+    traces `elements.contract` makes, one entry per call."""
+    calls = []
+    kernel = elements.trace_strands
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(elements, "_TRACED", {})
+    monkeypatch.setattr(elements, "trace_strands", counted)
+    return calls
+
+
+def _product_oracle(x: Element, y: Element) -> Element:
+    """x * y (y stacked above x) term by term through the stacking oracle."""
+    ring, n = x.ring, x.colour.n
+    return Element.from_terms(x.colour, ring, (
+        (d, c1 * c2 * ring.delta_power(loops))
+        for d1, c1 in x.combo.items() for d2, c2 in y.combo.items()
+        for d, loops in [_stack(d2, d1, n)]))
+
+
+def test_a_second_evaluation_traces_nothing(sym, rng, traces):
+    x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
+    first = evaluate(multiplication_tangle(3), [x, y])
+    assert len(traces) == len(x.combo) * len(y.combo)
+    traces.clear()
+    assert evaluate(multiplication_tangle(3), [x, y]) == first
+    assert traces == []
+
+
+def test_the_contraction_table_is_ring_free(sym, rng, traces):
+    delta = Fraction(5, 2)
+    rat = Ring.rational(delta)
+    x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
+    assert evaluate(multiplication_tangle(3), [x, y]) == _product_oracle(x, y)
+    traced = len(traces)
+    x_rat, y_rat = (Element(3, rat, {d: specialize(c, delta) for d, c in z.combo.items()})
+                    for z in (x, y))
+    product = evaluate(multiplication_tangle(3), [x_rat, y_rat])
+    assert len(traces) == traced
+    assert product == _product_oracle(x_rat, y_rat)
+
+
+def test_the_tangles_own_loops_stay_out_of_the_table(sym, rng, traces):
+    t = multiplication_tangle(2)
+    x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
+    plain = evaluate(t, [x, y])
+    traces.clear()
+    assert evaluate(t.with_loops(2), [x, y]) == plain.scale(sym.delta_power(2))
+    assert traces == []         # t and t.with_loops(2) share one wiring
+    looped = evaluate(t.with_loops(1), [y, x])
+    assert evaluate(t, [y, x]).scale(sym.delta_power(1)) == looped
 
 
 # -- the colour cap on user input ----------------------------------------------
