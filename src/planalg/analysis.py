@@ -21,19 +21,20 @@ from .diagrams import enumerate_diagrams, identity_diagram
 from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
     random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
-from .scalars import FLOAT, RATIONAL, Ring, Scalar
+from .scalars import Float, Laurent, Rational, Ring
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
     substitute
-from .tower import GradedElement, element_c, element_d, hk_norm_squared, sharp
+from .tower import GradedElement, element_c, element_d, hk_norm_squared, \
+    hk_norm_squared_element, sharp
 
 
 def _require_numeric(ring: Ring):
-    if ring.mode not in (RATIONAL, FLOAT):
+    if ring.scalar is Laurent:
         raise ModeMismatchError("this operation needs a fixed numeric delta")
 
 
 def _require_float(ring: Ring):
-    if ring.mode != FLOAT:
+    if ring.scalar is not Float:
         raise ModeMismatchError("spectral computations need float mode")
 
 
@@ -181,8 +182,7 @@ class GnsGeometry:
     def element_from_operator(self, op: np.ndarray) -> Element:
         m = self.inv_lt @ op @ self.chol.T
         col = m[:, self.unit_index]
-        combo = {d: Scalar.float_(col[i], self.ring.delta)
-                 for i, d in enumerate(self.basis)}
+        combo = {d: self.ring.fraction(v) for d, v in zip(self.basis, col)}
         return Element(self.n, self.ring, combo)
 
 
@@ -227,11 +227,6 @@ def psd_sqrt(x: Element) -> Element:
 
 
 # -- norms on H_k -----------------------------------------------------------------
-
-
-def hk_norm_squared_element(x: Element, k: int):
-    """||x||^2 in H_k for x in P_u: delta^(u-k) tau(x* x)."""
-    return x.inner(x).delta_pow(x.colour.n - k)
 
 
 def hk_norm_float(a: GradedElement) -> float:
@@ -347,7 +342,7 @@ def unit_hk_norm(x: Element, k: int) -> Element:
     norm = np.sqrt(max(hk_norm_squared_element(x, k).to_float(), 0.0))
     if norm == 0.0:
         return Element.unit(x.colour, x.ring)
-    return x.scale(Scalar.float_(1.0 / norm, x.ring.delta))
+    return x.scale(x.ring.fraction(1.0 / norm))
 
 
 # -- the subspaces C^n_k -------------------------------------------------------------
@@ -389,20 +384,18 @@ def cnk_membership(x: Element, k: int) -> dict:
 
 def _solve_in_image(x: Element, k: int):
     """Exact linear solve of Z_X(y) = x over the P_k diagram basis."""
-    if x.ring.mode not in (RATIONAL, FLOAT):
-        raise ModeMismatchError("route (a) needs a numeric delta")
+    _require_numeric(x.ring)
     n = x.colour.n
     x_tangle = annular_X(n, k)
     basis_k = enumerate_diagrams(k)
     index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
-    exact = x.ring.mode == RATIONAL
+    exact = x.ring.scalar is Rational
     cols = [coordinates(evaluate(x_tangle, [Element.basis(d, x.ring)]), index)
             for d in basis_k]
     sol = _gauss_solve(cols, coordinates(x, index), exact)
     if sol is None:
         return None
-    combo = {d: x.ring.fraction(w) if exact else Scalar.float_(w, x.ring.delta)
-             for d, w in zip(basis_k, sol)}
+    combo = {d: x.ring.fraction(w) for d, w in zip(basis_k, sol)}
     return Element(k, x.ring, combo)
 
 
@@ -435,7 +428,7 @@ def row_reduce(mat, ncols: int, tol=0) -> list:
 
 def coordinates(x: Element, index: dict) -> list:
     """The coefficient column of a numeric x; `index` numbers the basis."""
-    col = [Fraction(0) if x.ring.mode == RATIONAL else 0.0] * len(index)
+    col = [x.ring.scalar.number(0)] * len(index)
     for d, c in x.combo.items():
         col[index[d]] = c.value
     return col

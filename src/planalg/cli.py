@@ -18,7 +18,6 @@ from .elements import Element
 from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
                      ModeMismatchError, ParseError, PreconditionError,
                      ValidationError)
-from .scalars import Scalar
 from .tangles import evaluate, parse, validate
 from .tower import (GradedElement, bullet, cond_expect, dagger, dot_action,
                     include, inner_product, phi, psi, sharp, trace_Tr, trace_tk)
@@ -72,10 +71,6 @@ def _emit(data, out: str | None):
         sys.stdout.write(text)
 
 
-def _scalar_str(s: Scalar) -> str:
-    return repr(s)
-
-
 # -- compute -------------------------------------------------------------------
 
 
@@ -94,10 +89,10 @@ def cmd_compute(args) -> int:
         _emit(GRADED_UNARY[op](a).to_json(), args.out)
     elif op in GRADED_SCALAR:
         a = _load_graded(args.inputs[0])
-        print(_scalar_str(GRADED_SCALAR[op](a)))
+        print(repr(GRADED_SCALAR[op](a)))
     elif op == "inner":
         a, b = _load_graded(args.inputs[0]), _load_graded(args.inputs[1])
-        print(_scalar_str(inner_product(a, b)))
+        print(repr(inner_product(a, b)))
     elif op in ("phi", "psi"):
         a = _load_graded(args.inputs[0])
         fn = phi if op == "phi" else psi
@@ -109,7 +104,7 @@ def cmd_compute(args) -> int:
     elif op == "star":
         _emit(_load_element(args.inputs[0]).star().to_json(), args.out)
     elif op == "tau":
-        print(_scalar_str(_load_element(args.inputs[0]).tau()))
+        print(repr(_load_element(args.inputs[0]).tau()))
     else:
         raise PreconditionError(f"unknown operation {op!r}")
     return 0

@@ -83,11 +83,8 @@ ZERO_PLUS = Colour(0)
 ZERO_MINUS = Colour(0, minus=True)
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
+    return 1 if n == 0 else catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
 
 
 class Diagram:

@@ -17,7 +17,7 @@ from itertools import chain
 from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram, interned
 from .errors import (ColourMismatchError, InternalError, ModeMismatchError,
                      PreconditionError, ValidationError)
-from .scalars import SYMBOLIC, Ring, Scalar
+from .scalars import Laurent, Ring, Scalar
 
 
 class Element:
@@ -153,7 +153,7 @@ class Element:
         for term in data["terms"]:
             coeff = Scalar.from_json(term["coeff"])
             if ring is None:
-                ring = _ring_of(coeff)
+                ring = Ring(coeff.mode, coeff.delta)
             combo[Diagram(colour, [tuple(p) for p in term["pairs"]])] = coeff
         if ring is None:
             ring = Ring.symbolic()
@@ -165,12 +165,6 @@ class Element:
         parts = [f"({c!r})*{d!r}" for d, c in
                  sorted(self.combo.items(), key=lambda item: item[0].pairs)]
         return " + ".join(parts)
-
-
-def _ring_of(scalar: Scalar) -> Ring:
-    if scalar.mode == "symbolic":
-        return Ring.symbolic()
-    return Ring(scalar.mode, scalar.delta)
 
 
 _TRACED = {}    # (colour, wiring, offsets) -> {d1: {d2: ... {dk: (output, closed)}}}
@@ -295,7 +289,7 @@ def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
 
     def draw():
         d = basis[rng.randrange(len(basis))]
-        if ring.mode == SYMBOLIC:
+        if ring.scalar is Laurent:
             return d, Scalar.symbolic({rng.randint(-1, 1): rng.randint(1, 3)})
         return d, ring.fraction(rng.randint(-3, 3))
 

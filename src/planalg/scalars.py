@@ -1,10 +1,11 @@
 """Coefficient arithmetic parameterized by the loop modulus delta.
 
-Three modes: `symbolic` (Laurent polynomial in delta over the rationals),
-`rational` (exact value at a fixed rational delta) and `float` (IEEE double
-at a fixed real delta).  Arithmetic never mixes modes; the only inverse ever
-needed is multiplication by an integer power of delta, which is always
-available.
+One class per mode: `Laurent` (Laurent polynomial in delta over the
+rationals), `Rational` (exact value at a fixed rational delta) and `Float`
+(IEEE double at a fixed real delta).  Arithmetic never mixes modes.  Only
+the entry points (`Scalar.symbolic`/`rational`/`float_`/`from_json`, `Ring`)
+normalise outside input; the classes store what they are given.  The only
+inverse ever needed is multiplication by an integer power of delta.
 """
 
 from __future__ import annotations
@@ -29,143 +30,27 @@ def _exact(c):
 
 
 class Scalar:
-    """Immutable ring element; build via :class:`Ring` or the classmethods."""
+    """Immutable ring element; build via :class:`Ring` or the entry points.
+    `+`, `-`, `*` and `==` check the operands' class and delta here, once,
+    then call the mode's `_add`/`_mul`/`_eq`."""
 
-    __slots__ = ("mode", "terms", "value", "delta")
-
-    def __init__(self, mode, *, terms=None, value=None, delta=None):
-        self.mode = mode
-        if mode == SYMBOLIC:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
-            self.value = None
-            self.delta = None
-        elif mode == RATIONAL:
-            self.terms = None
-            self.value = Fraction(value)
-            self.delta = Fraction(delta)
-        elif mode == FLOAT:
-            self.terms = None
-            self.value = float(value)
-            self.delta = float(delta)
-        else:
-            raise PreconditionError(f"unknown scalar mode {mode!r}")
+    __slots__ = ()
 
     # -- construction -----------------------------------------------------
 
-    @classmethod
-    def symbolic(cls, terms):
+    @staticmethod
+    def symbolic(terms):
         """Laurent polynomial from an {exponent: coefficient} map."""
-        return cls(SYMBOLIC, terms={int(e): _exact(c) for e, c in terms.items()})
+        terms = {int(e): _exact(c) for e, c in terms.items()}
+        return Laurent({e: c for e, c in terms.items() if c != 0})
 
-    @classmethod
-    def rational(cls, value, delta):
-        return cls(RATIONAL, value=value, delta=delta)
+    @staticmethod
+    def rational(value, delta):
+        return Rational(Fraction(value), Fraction(delta))
 
-    @classmethod
-    def float_(cls, value, delta):
-        return cls(FLOAT, value=value, delta=delta)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.mode != other.mode:
-            raise ModeMismatchError(
-                f"cannot mix scalar modes {self.mode} and {other.mode}")
-        if self.mode != SYMBOLIC and self.delta != other.delta:
-            raise ModeMismatchError(
-                f"cannot mix scalars at delta={self.delta} and delta={other.delta}")
-
-    def _like(self, *, terms=None, value=None):
-        if self.mode == SYMBOLIC:
-            return Scalar(SYMBOLIC, terms=terms)
-        return Scalar(self.mode, value=value, delta=self.delta)
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.mode == SYMBOLIC:
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                terms[e] = terms.get(e, 0) + c
-            return self._like(terms=terms)
-        return self._like(value=self.value + other.value)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        if self.mode == SYMBOLIC:
-            return self._like(terms={e: -c for e, c in self.terms.items()})
-        return self._like(value=-self.value)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._scalar_from_const(other)
-        self._check_compatible(other)
-        if self.mode == SYMBOLIC:
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    terms[e] = terms.get(e, 0) + c1 * c2
-            return self._like(terms=terms)
-        return self._like(value=self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def _scalar_from_const(self, c):
-        if self.mode == SYMBOLIC:
-            return Scalar.symbolic({0: c})
-        if self.mode == RATIONAL:
-            return Scalar.rational(Fraction(c), self.delta)
-        return Scalar.float_(float(c), self.delta)
-
-    def delta_pow(self, m: int):
-        """Multiply by delta**m (the only division this ring ever needs)."""
-        if m == 0:
-            return self         # scalars are immutable
-        if self.mode == SYMBOLIC:
-            return self._like(terms={e + m: c for e, c in self.terms.items()})
-        return self._like(value=self.value * self.delta ** m)
-
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        if self.mode == SYMBOLIC:
-            return not self.terms
-        if self.mode == FLOAT:
-            return abs(self.value) <= FLOAT_TOL
-        return self.value == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check_compatible(other)
-        if self.mode == SYMBOLIC:
-            return self.terms == other.terms
-        if self.mode == FLOAT:
-            return abs(self.value - other.value) <= FLOAT_TOL
-        return self.value == other.value
-
-    __hash__ = None  # tolerance-based equality in float mode
-
-    # -- conversion -------------------------------------------------------------
-
-    def to_float(self) -> float:
-        if self.mode == SYMBOLIC:
-            raise ModeMismatchError("symbolic scalar has no numeric value")
-        return float(self.value)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self):
-        if self.mode == SYMBOLIC:
-            return {"mode": SYMBOLIC,
-                    "terms": [[e, str(self.terms[e])] for e in sorted(self.terms)]}
-        if self.mode == RATIONAL:
-            return {"mode": RATIONAL, "value": str(self.value), "delta": str(self.delta)}
-        return {"mode": FLOAT, "value": self.value, "delta": self.delta}
+    @staticmethod
+    def float_(value, delta):
+        return Float(float(value), float(delta))
 
     @classmethod
     def from_json(cls, data):
@@ -173,7 +58,7 @@ class Scalar:
         if mode == SYMBOLIC:
             return cls.symbolic({int(e): c for e, c in data["terms"]})
         if mode == RATIONAL:
-            return cls.rational(Fraction(data["value"]), Fraction(data["delta"]))
+            return cls.rational(data["value"], data["delta"])
         if mode == FLOAT:
             scalar = cls.float_(data["value"], data["delta"])
             if not (math.isfinite(scalar.value) and math.isfinite(scalar.delta)):
@@ -181,36 +66,177 @@ class Scalar:
             return scalar
         raise PreconditionError(f"unknown scalar mode {mode!r}")
 
+    # -- ring operations ----------------------------------------------------
+
+    def _check_compatible(self, other):
+        if type(other) is not type(self) or other.delta != self.delta:
+            raise ModeMismatchError(f"cannot mix {self.mode} scalars at delta="
+                                    f"{self.delta} and {other.mode} at {other.delta}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._add(other)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._const(other, self.delta)
+        self._check_compatible(other)
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._eq(other)
+
+    __hash__ = None  # tolerance-based equality in float mode
+
+
+class Laurent(Scalar):
+    """A Laurent polynomial {exponent: nonzero int or Fraction} in delta."""
+
+    __slots__ = ("terms",)
+    mode = SYMBOLIC
+    value = delta = None
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @classmethod
+    def _const(cls, c, delta):
+        return cls.symbolic({0: c})
+
+    def _add(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Laurent({e: c for e, c in terms.items() if c != 0})
+
+    def _mul(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Laurent({e: c for e, c in terms.items() if c != 0})
+
+    def __neg__(self):
+        return Laurent({e: -c for e, c in self.terms.items()})
+
+    def delta_pow(self, m: int):
+        """Multiply by delta**m (the only division this ring ever needs)."""
+        if m == 0:
+            return self         # scalars are immutable
+        return Laurent({e + m: c for e, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _eq(self, other):
+        return self.terms == other.terms
+
+    def to_float(self) -> float:
+        raise ModeMismatchError("symbolic scalar has no numeric value")
+
+    def to_json(self):
+        return {"mode": SYMBOLIC,
+                "terms": [[e, str(self.terms[e])] for e in sorted(self.terms)]}
+
     def __repr__(self):
-        if self.mode == SYMBOLIC:
-            if not self.terms:
-                return "0"
-            bits = []
-            for e in sorted(self.terms, reverse=True):
-                c = self.terms[e]
-                if e == 0:
-                    bits.append(f"{c}")
-                elif e == 1:
-                    bits.append(f"{c}*d" if c != 1 else "d")
-                else:
-                    bits.append(f"{c}*d^{e}" if c != 1 else f"d^{e}")
-            return " + ".join(bits)
+        bits = []
+        for e in sorted(self.terms, reverse=True):
+            c, d = self.terms[e], "" if e == 0 else "d" if e == 1 else f"d^{e}"
+            bits.append(f"{c}" if not d else d if c == 1 else f"{c}*{d}")
+        return " + ".join(bits) or "0"
+
+
+class _Valued(Scalar):
+    """A value at a fixed delta; subclasses fix the number type, the zero
+    test and the JSON form of a number."""
+
+    __slots__ = ("value", "delta")
+    terms = None
+
+    def __init__(self, value, delta):
+        self.value = value
+        self.delta = delta
+
+    @classmethod
+    def _const(cls, c, delta):
+        return cls(cls.number(c), delta)
+
+    def _add(self, other):
+        return type(self)(self.value + other.value, self.delta)
+
+    def _mul(self, other):
+        return type(self)(self.value * other.value, self.delta)
+
+    def __neg__(self):
+        return type(self)(-self.value, self.delta)
+
+    def delta_pow(self, m: int):
+        if m == 0:
+            return self
+        return type(self)(self.value * self.delta ** m, self.delta)
+
+    def is_zero(self) -> bool:
+        return self._negligible(self.value)
+
+    def _eq(self, other):
+        return self._negligible(self.value - other.value)
+
+    def to_float(self) -> float:
+        return float(self.value)
+
+    def to_json(self):
+        return {"mode": self.mode, "value": self._json(self.value),
+                "delta": self._json(self.delta)}
+
+    def __repr__(self):
         return f"{self.value}"
+
+
+class Rational(_Valued):
+    """An exact Fraction value at a fixed rational delta."""
+
+    __slots__ = ()
+    mode, number, _json = RATIONAL, Fraction, str
+
+    @staticmethod
+    def _negligible(v) -> bool:
+        return v == 0
+
+
+class Float(_Valued):
+    """A float value at a fixed real delta, zero up to `FLOAT_TOL`."""
+
+    __slots__ = ()
+    mode, number, _json = FLOAT, float, float
+
+    @staticmethod
+    def _negligible(v) -> bool:
+        return abs(v) <= FLOAT_TOL
+
+
+_CLASSES = {SYMBOLIC: Laurent, RATIONAL: Rational, FLOAT: Float}
 
 
 class Ring:
     """Factory for scalars of one fixed mode (and delta, if numeric)."""
 
     def __init__(self, mode, delta=None):
-        self.mode = mode
-        if mode == SYMBOLIC:
-            self.delta = None
-        else:
-            if delta is None:
-                raise PreconditionError(f"{mode} mode requires a fixed delta")
-            if delta == 0:
-                raise PreconditionError("delta must be nonzero")
-            self.delta = Fraction(delta) if mode == RATIONAL else float(delta)
+        if mode not in _CLASSES:
+            raise PreconditionError(f"unknown scalar mode {mode!r}")
+        self.mode, self.scalar, self.delta = mode, _CLASSES[mode], None
+        if mode != SYMBOLIC:
+            if delta is None or delta == 0:
+                raise PreconditionError(f"{mode} mode requires a fixed nonzero delta")
+            self.delta = self.scalar.number(delta)
 
     @classmethod
     def symbolic(cls):
@@ -225,26 +251,21 @@ class Ring:
         return cls(FLOAT, delta)
 
     def zero(self) -> Scalar:
-        return self.integer(0)
+        return self.fraction(0)
 
     def one(self) -> Scalar:
-        return self.integer(1)
-
-    def integer(self, c) -> Scalar:
-        return self.fraction(c)
+        return self.fraction(1)
 
     def fraction(self, c) -> Scalar:
-        if self.mode == SYMBOLIC:
-            return Scalar.symbolic({0: c})
-        if self.mode == RATIONAL:
-            return Scalar.rational(Fraction(c), self.delta)
-        return Scalar.float_(float(c), self.delta)
+        return self.scalar._const(c, self.delta)
+
+    integer = fraction
 
     def delta_power(self, m: int) -> Scalar:
         return self.one().delta_pow(m)
 
     def matches(self, s: Scalar) -> bool:
-        return s.mode == self.mode and (self.mode == SYMBOLIC or s.delta == self.delta)
+        return type(s) is self.scalar and s.delta == self.delta
 
     def __eq__(self, other):
         return (isinstance(other, Ring)
@@ -254,6 +275,5 @@ class Ring:
         return hash((self.mode, self.delta))
 
     def __repr__(self):
-        if self.mode == SYMBOLIC:
-            return "Ring(symbolic)"
-        return f"Ring({self.mode}, delta={self.delta})"
+        return "Ring(symbolic)" if self.delta is None else \
+            f"Ring({self.mode}, delta={self.delta})"

@@ -165,7 +165,7 @@ def sharp_range(m: int, n: int, k: int):
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
     """The filtered product of F_k(P), bilinear over components."""
     a._check_level(b)
-    _check_conventions(a.ring)
+    _check_conventions()
     k = a.level
     return GradedElement.from_parts(k, a.ring, (
         sharp_component(am, bn, k, t)
@@ -177,7 +177,7 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    _check_conventions(a.ring)
+    _check_conventions()
     k = a.level
     return GradedElement.from_parts(k, a.ring, (
         sharp_component(am, bn, k, m + n - k)
@@ -208,12 +208,16 @@ def inner_product(a: GradedElement, b: GradedElement) -> Scalar:
     return trace_tk(sharp(dagger(b), a))
 
 
+def hk_norm_squared_element(x: Element, k: int) -> Scalar:
+    """||x||^2 in H_k for x in P_u: delta^(u-k) tau(x* x)."""
+    return x.inner(x).delta_pow(x.colour.n - k)
+
+
 def hk_norm_squared(a: GradedElement) -> Scalar:
     """delta^{-k} sum_n delta^n tau(a_n* a_n)."""
-    k = a.level
     total = a.ring.zero()
-    for n, el in a.components.items():
-        total = total + el.star().multiply(el).tau().delta_pow(n - k)
+    for el in a.components.values():
+        total = total + hk_norm_squared_element(el, a.level)
     return total
 
 
@@ -283,12 +287,9 @@ def jones_e(k: int, ring: Ring) -> GradedElement:
 # -- graded trace -----------------------------------------------------------------------
 
 
-def trace_Tr(a: GradedElement, k: int | None = None) -> Scalar:
+def trace_Tr(a: GradedElement) -> Scalar:
     """Tr_k: close the top through the sum of all TL diagrams, cables around."""
-    if k is None:
-        k = a.level
-    if k != a.level:
-        raise PreconditionError("trace level must match the element level")
+    k = a.level
     total = a.ring.zero()
     for m, el in a.components.items():
         inputs = [el] if m == k else [el, tl_sum(m - k, a.ring)]
@@ -430,7 +431,7 @@ def index_bijection(m, n, p):
 _CONVENTIONS_CHECKED = False
 
 
-def _check_conventions(ring: Ring) -> None:
+def _check_conventions() -> None:
     """Fail fast if the pinned rotation/stacking conventions drift."""
     global _CONVENTIONS_CHECKED
     if _CONVENTIONS_CHECKED:
