@@ -9,6 +9,7 @@ theorem, so a violation beyond tolerance means a convention or library bug.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ import numpy as np
 from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
     compose_T, transpose_annular
 from .config import FLOAT_TOL
-from .diagrams import enumerate_diagrams, identity_diagram
+from .diagrams import enumerate_diagrams, identity_diagram, interned
 from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
     random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
@@ -45,13 +46,14 @@ def _require_float(ring: Ring):
 def _basis_tables(n: int):
     """Ring-free tables of the P_n diagram basis d_0, d_1, ..., built once.
 
-    Returns (index, prod, closure, refl): index[d.pairs] is the position of
-    d; prod[a][b] = (c, loops) when d_a.multiply(d_b) is delta^loops d_c;
-    closure[a] counts the loops of the trace closure of d_a; refl[a] is the
-    position of d_a.reflect().
+    Returns (index, prod, gram_loops): index[d] is the position of d;
+    prod[a][b] = (c, loops) when d_a.multiply(d_b) is delta^loops d_c;
+    gram_loops[i][j] = (l1, l2), the loops closed by d_j* d_i and then by
+    the trace closure of that product, so the Gram entry is
+    delta^(l1 + l2 - n).
     """
     basis = enumerate_diagrams(n)
-    index = {d.pairs: i for i, d in enumerate(basis)}
+    index = {d: i for i, d in enumerate(basis)}
     wiring = _product_wiring(n)
     pad = (None,) * (2 * n)
     prod = []
@@ -61,26 +63,26 @@ def _basis_tables(n: int):
         for d2 in basis:
             pairs, loops = trace_strands(
                 wiring, below + placed_pairing(d2, 4 * n), 2 * n)
-            row.append((index[pairs], loops))
+            row.append((index[interned(d1.colour, pairs)], loops))
         prod.append(tuple(row))
-    closure = tuple(trace_strands(_closure_wiring(n), placed_pairing(d, 0), 0)[1]
-                    for d in basis)
-    refl = tuple(index[d.reflect().pairs] for d in basis)
-    return index, tuple(prod), closure, refl
+    closure = [trace_strands(_closure_wiring(n), placed_pairing(d, 0), 0)[1]
+               for d in basis]
+    refl = [index[d.reflect()] for d in basis]
+    shared = {}         # one tuple per distinct (l1, l2): about 1 MB less at n = 6
 
+    def gram_entry(c, l1):
+        key = (l1, closure[c])
+        return shared.setdefault(key, key)
 
-def _gram_loops(n: int):
-    """(l1, l2) per Gram entry (i, j): the loops closed by d_j* d_i, then by
-    the trace closure of that product, so G[i][j] = delta^(l1 + l2 - n)."""
-    _, prod, closure, refl = _basis_tables(n)
-    return [[(l1, closure[c]) for c, l1 in (prod[r][i] for r in refl)]
-            for i in range(len(refl))]
+    gram_loops = tuple(tuple(gram_entry(*prod[r][i]) for r in refl)
+                       for i in range(len(basis)))
+    return index, tuple(prod), gram_loops
 
 
 def gram(n: int, ring: Ring):
     """G[i][j] = tau(d_j* d_i) over the diagram basis, as a list of Scalars."""
     _require_numeric(ring)
-    loops = _gram_loops(n)
+    loops = _basis_tables(n)[2]
     # one Scalar per distinct entry, in the operation order of
     # d_j*.multiply(d_i).tau(), so float entries match it bit for bit
     values = {key: ring.one().delta_pow(key[0]).delta_pow(key[1] - n)
@@ -108,7 +110,7 @@ def gram_positive_definite_exact(n: int, delta) -> bool:
     delta = Ring.rational(Fraction(delta)).delta     # rejects delta = 0
     p, q = delta.numerator, delta.denominator
     scale = abs(p) ** n * q ** n
-    loops = _gram_loops(n)
+    loops = _basis_tables(n)[2]
     ints = {key: int(scale * delta ** (key[0] + key[1] - n))
             for key in {key for row in loops for key in row}}
     g = [[ints[key] for key in row] for row in loops]
@@ -136,8 +138,8 @@ def gns_matrix(x: Element) -> np.ndarray:
 def gns_matrix_exact(x: Element):
     """Columns x.multiply(d_j), read off the basis tables."""
     n = x.colour.n
-    index, prod, _, _ = _basis_tables(n)
-    terms = [(prod[index[d.pairs]], c) for d, c in x.combo.items()]
+    index, prod, _ = _basis_tables(n)
+    terms = [(prod[index[d]], c) for d, c in x.combo.items()]
     zero = x.ring.zero()
     size = len(prod)
     mat = [[zero] * size for _ in range(size)]
@@ -166,7 +168,7 @@ class GnsGeometry:
         self.chol = np.linalg.cholesky(g)      # g = L L^T
         self.inv_lt = np.linalg.inv(self.chol.T)
         self.basis = enumerate_diagrams(n)
-        self.unit_index = self.basis.index(identity_diagram(n))
+        self.unit_index = _basis_tables(n)[0][identity_diagram(n)]
 
     @classmethod
     def get(cls, n: int, ring: Ring) -> "GnsGeometry":
@@ -229,8 +231,13 @@ def psd_sqrt(x: Element) -> Element:
 # -- norms on H_k -----------------------------------------------------------------
 
 
+def _norm_float(norm_squared) -> float:
+    """The float square root of a squared norm, negative rounding read as 0."""
+    return float(np.sqrt(max(norm_squared.to_float(), 0.0)))
+
+
 def hk_norm_float(a: GradedElement) -> float:
-    return float(np.sqrt(max(hk_norm_squared(a).to_float(), 0.0)))
+    return _norm_float(hk_norm_squared(a))
 
 
 # -- the positivity lemma and boundedness estimate ----------------------------------
@@ -339,7 +346,7 @@ def sum_norm_inequality(vectors) -> bool:
 def unit_hk_norm(x: Element, k: int) -> Element:
     """Scale x to unit H_k norm (float mode); keeps residual checks O(1)."""
     _require_float(x.ring)
-    norm = np.sqrt(max(hk_norm_squared_element(x, k).to_float(), 0.0))
+    norm = _norm_float(hk_norm_squared_element(x, k))
     if norm == 0.0:
         return Element.unit(x.colour, x.ring)
     return x.scale(x.ring.fraction(1.0 / norm))
@@ -388,11 +395,10 @@ def _solve_in_image(x: Element, k: int):
     n = x.colour.n
     x_tangle = annular_X(n, k)
     basis_k = enumerate_diagrams(k)
-    index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
     exact = x.ring.scalar is Rational
-    cols = [coordinates(evaluate(x_tangle, [Element.basis(d, x.ring)]), index)
+    cols = [coordinates(evaluate(x_tangle, [Element.basis(d, x.ring)]))
             for d in basis_k]
-    sol = _gauss_solve(cols, coordinates(x, index), exact)
+    sol = _gauss_solve(cols, coordinates(x), exact)
     if sol is None:
         return None
     combo = {d: x.ring.fraction(w) for d, w in zip(basis_k, sol)}
@@ -426,8 +432,9 @@ def row_reduce(mat, ncols: int, tol=0) -> list:
     return piv_cols
 
 
-def coordinates(x: Element, index: dict) -> list:
-    """The coefficient column of a numeric x; `index` numbers the basis."""
+def coordinates(x: Element) -> list:
+    """The coefficient column of a numeric x over the diagram basis."""
+    index = _basis_tables(x.colour.n)[0]
     col = [x.ring.scalar.number(0)] * len(index)
     for d, c in x.combo.items():
         col[index[d]] = c.value
@@ -473,13 +480,13 @@ def annular_norm_bound(spec: TSpec, x: Element, k: int):
     """||Z_T(x)||_{H_k} <= delta^((n+m)/2 - |A| - k) ||x||_{H_k}, checked."""
     _require_float(x.ring)
     y = evaluate(annular_T(spec), [x])
-    lhs = float(np.sqrt(max(hk_norm_squared_element(y, k).to_float(), 0.0)))
+    lhs = _norm_float(hk_norm_squared_element(y, k))
     rhs = (x.ring.delta ** ((spec.n + spec.m) / 2.0 - len(spec.A) - k)
-           * np.sqrt(max(hk_norm_squared_element(x, k).to_float(), 0.0)))
+           * _norm_float(hk_norm_squared_element(x, k)))
     return lhs <= rhs + 1e-7, lhs, rhs
 
 
-def dcomm_replay(k: int, ring: Ring | None = None, rng=None) -> dict:
+def dcomm_replay(k: int, rng=None) -> dict:
     """The three capping sub-checks, with a scan over Y/Z cup placements.
 
     A cup placement puts the double cup in the first or the last slot of
@@ -487,9 +494,8 @@ def dcomm_replay(k: int, ring: Ring | None = None, rng=None) -> dict:
     default pinpoints the cup-position convention; the scan reports which
     of the four placements passes all three sub-checks.
     """
-    ring = ring or Ring.symbolic()
-    import random as _random
-    rng = rng or _random.Random(0)
+    ring = Ring.symbolic()
+    rng = rng or random.Random(0)
 
     def slot(mode: str, t: int) -> int:
         return 1 if mode == "first" else t - k - 1
@@ -538,7 +544,7 @@ def dcomm_replay(k: int, ring: Ring | None = None, rng=None) -> dict:
             "passing_placements": passing, "max_residual": 0.0 if default_ok else 1.0}
 
 
-def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
+def xnxm_verify(k: int, n: int, rng) -> dict:
     """End-to-end check of the two-step recovery formula (the d = 1 case).
 
     Draws a random x_n in the orthogonal complement, forms the defining
@@ -548,10 +554,9 @@ def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
     """
     if n <= k:
         raise PreconditionError("need n > k")
-    ring = Ring.rational(Fraction(delta))
+    ring = Ring.rational(Fraction(5, 2))
     m = n + 2
     basis_m = enumerate_diagrams(m)
-    index = {d: i for i, d in enumerate(enumerate_diagrams(n + 1))}
 
     t1 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(1, n - k + 1),
                          n + 1, m))
@@ -566,14 +571,14 @@ def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
         _, pb = perp_projection(Element.basis(d, ring), k)
         if not pb.is_zero():
             perp_basis.append(pb)
-    cols = [coordinates(texpr(pb), index) for pb in perp_basis]
+    cols = [coordinates(texpr(pb)) for pb in perp_basis]
 
     failures = 0
     trials = 5
     for _ in range(trials):
         _, x_n = perp_projection(random_element(n, ring, rng), k)
         z = commutator_with_c(x_n, k, n + 1)
-        sol = _gauss_solve(cols, coordinates(z, index), exact=True)
+        sol = _gauss_solve(cols, coordinates(z), exact=True)
         if sol is None:
             failures += 1
             continue
@@ -588,7 +593,7 @@ def xnxm_verify(k: int, n: int, rng, delta=Fraction(5, 2)) -> dict:
     # the zero case must round-trip to zero
     zero_ok = xn_from_xm(Element.zero(m, ring), n, k, d=1).is_zero()
     status = "pass" if failures == 0 and zero_ok else "fail"
-    return {"check": "xnxm", "params": {"k": k, "n": n, "delta": str(delta)},
+    return {"check": "xnxm", "params": {"k": k, "n": n, "delta": str(ring.delta)},
             "status": status, "trials": trials, "failures": failures,
             "zero_case": zero_ok, "max_residual": float(failures),
             "details": "recovery formula exact" if status == "pass"
@@ -610,10 +615,10 @@ def xn_from_xm(x_m: Element, n: int, k: int, d: int) -> Element:
     return out
 
 
-def xnxm_telescope(k: int, n: int, rng, ring: Ring | None = None) -> dict:
+def xnxm_telescope(k: int, n: int, rng) -> dict:
     """The induction step at d = 2: the four-term double sum telescopes to
     the direct formula, checked exactly on random complement elements."""
-    ring = ring or Ring.symbolic()
+    ring = Ring.symbolic()
     d = 2
     m = n + 2 * d
     failures = 0

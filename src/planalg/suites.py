@@ -393,11 +393,10 @@ def _el_fixed_point_ok(k: int, i: int) -> bool:
     """delta^i-eigenspace of EL(i) equals its image: rank comparison, exact."""
     ring = Ring.rational(Fraction(7, 2))
     basis = enumerate_diagrams(k)
-    index = {d: j for j, d in enumerate(basis)}
     el = left_expectation_tangle(k, i)
     n_dim = len(basis)
     # EL(i)'s matrix transposed, a row per basis image; no rank below changes
-    mat = [analysis.coordinates(evaluate(el, [Element.basis(d, ring)]), index)
+    mat = [analysis.coordinates(evaluate(el, [Element.basis(d, ring)]))
            for d in basis]
     lam = Fraction(7, 2) ** i
     shifted = [[mat[a][b] - (lam if a == b else 0) for b in range(n_dim)]

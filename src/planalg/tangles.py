@@ -5,17 +5,19 @@ internal box colours, a perfect matching on all marked points, and a count
 of free closed loops.  Points are addressed as (box, index) with box 0 the
 external boundary and indices 1..2n clockwise from the box's *-region.
 
-Every strand walk runs on one integer numbering of the points (`_wiring`):
-the external points first, then each box's points in order.  Planarity is
-decided on the ribbon graph whose vertices are the boundary circles that
-carry points and whose edges are the strands.  A face is traced by crossing
-a strand and stepping to the next point of the circle reached: clockwise on
-the external boundary, counterclockwise on a box (seen from outside).  Every
-connected component must have Euler characteristic 2.
+Every strand walk runs on one integer numbering of the points, fixed when
+the tangle is built (`Tangle.offsets` and `Tangle.wiring`): the external
+points first, then each box's points in order.  Planarity is decided on
+the ribbon graph whose vertices are the boundary circles that carry points
+and whose edges are the strands.  A face is traced by crossing a strand and
+stepping to the next point of the circle reached: clockwise on the external
+boundary, counterclockwise on a box (seen from outside).  Every connected
+component must have Euler characteristic 2.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
@@ -33,9 +35,13 @@ def _norm_pair(p, q):
 
 
 class Tangle:
-    """An immutable planar tangle value."""
+    """An immutable planar tangle value, wired when it is built.
 
-    __slots__ = ("ext", "boxes", "pairs", "loops", "_hash")
+    `offsets[b]` is the first id of boundary b (0 the external one) and
+    `wiring[p]` the partner of id p under the tangle's strands.
+    """
+
+    __slots__ = ("ext", "boxes", "pairs", "loops", "offsets", "wiring")
 
     def __init__(self, ext, boxes, pairs, loops=0):
         self.ext = Colour.of(ext)
@@ -44,29 +50,30 @@ class Tangle:
         if loops < 0:
             raise PreconditionError("loop count must be non-negative")
         self.loops = loops
-        self._hash = hash((self.ext, self.boxes, self.pairs, loops))
-        partner = {}
+        sizes = [self.ext.points] + [b.points for b in self.boxes]
+        self.offsets = offsets = tuple(accumulate(sizes[:-1], initial=0))
+        boundaries = range(len(sizes))
+        indices = [range(1, size + 1) for size in sizes]
+        wiring = [None] * sum(sizes)
         for p, q in self.pairs:
-            if p in partner or q in partner or p == q:
+            for point in (p, q):
+                if not (len(point) == 2 and point[0] in boundaries
+                        and point[1] in indices[point[0]]):
+                    raise ValidationError(
+                        f"strand endpoint {point} is out of range", strand=point)
+            a, c = offsets[p[0]] + p[1] - 1, offsets[q[0]] + q[1] - 1
+            if a == c or wiring[a] is not None or wiring[c] is not None:
                 raise ValidationError(f"point matched twice: {p}", strand=(p, q))
-            partner[p] = q
-            partner[q] = p
-        self._check_structure(set(partner))
+            wiring[a], wiring[c] = c, a
+        if None in wiring:
+            a = wiring.index(None)
+            b = bisect_right(offsets, a) - 1
+            point = (b, a - offsets[b] + 1)
+            raise ValidationError(f"marked point {point} is unmatched", strand=point)
+        self.wiring = tuple(wiring)
 
     def _colour_of_box(self, b: int) -> Colour:
         return self.ext if b == EXT else self.boxes[b - 1]
-
-    def _check_structure(self, actual: set):
-        expected = set()
-        for b in range(len(self.boxes) + 1):
-            for i in range(1, self._colour_of_box(b).points + 1):
-                expected.add((b, i))
-        if actual - expected:
-            p = sorted(actual - expected)[0]
-            raise ValidationError(f"strand endpoint {p} is out of range", strand=p)
-        if expected - actual:
-            p = sorted(expected - actual)[0]
-            raise ValidationError(f"marked point {p} is unmatched", strand=p)
 
     def with_loops(self, loops: int) -> "Tangle":
         return Tangle(self.ext, self.boxes, self.pairs, loops)
@@ -90,7 +97,7 @@ class Tangle:
                 and self.loops == other.loops)
 
     def __hash__(self):
-        return self._hash       # a tangle is a cache key of `_wiring`
+        return hash((self.ext, self.boxes, self.pairs, self.loops))
 
     def __repr__(self):
         return (f"Tangle(ext={self.ext}, boxes={list(self.boxes)}, "
@@ -114,28 +121,8 @@ def validate(t: Tangle):
                 f"strand {p}-{q} violates the shading parity rule", strand=(p, q))
 
 
-@lru_cache(maxsize=None)
-def _wiring(t: Tangle):
-    """The point numbering: external points first, then each box's in order.
-
-    Returns the first id of every boundary (box 0 is the external one) and
-    the partner of every id under the tangle's strands, both as tuples:
-    a tangle is wired once per process.
-    """
-    offsets = [0]
-    npts = t.ext.points
-    for b in t.boxes:
-        offsets.append(npts)
-        npts += b.points
-    wiring = [0] * npts
-    for (b1, i1), (b2, i2) in t.pairs:
-        p, q = offsets[b1] + i1 - 1, offsets[b2] + i2 - 1
-        wiring[p], wiring[q] = q, p
-    return tuple(offsets), tuple(wiring)
-
-
 def _check_planarity(t: Tangle):
-    offsets, wiring = _wiring(t)
+    offsets, wiring = t.offsets, t.wiring
     circle, turn = [], []       # per id: its boundary, the next id a face takes
     for b, first in enumerate(offsets):
         size = t._colour_of_box(b).points
@@ -197,8 +184,7 @@ def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
     for x in inputs:
         if x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    offsets, wiring = _wiring(t)
-    return contract(t.ext, ring, wiring, offsets[1:], inputs, t.loops)
+    return contract(t.ext, ring, t.wiring, t.offsets[1:], inputs, t.loops)
 
 
 # -- operadic substitution --------------------------------------------------------

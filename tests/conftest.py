@@ -255,6 +255,22 @@ def random_tangle(rng, ext=None) -> Tangle:
 # -- graph walks over tagged points: the oracles of the tangle point numbering -----
 
 
+def wiring_oracle(t: Tangle):
+    """The point numbering recomputed from the pairs: external points first,
+    then each box's in order.  Returns the first id of every boundary (box 0
+    is the external one) and the partner of every id, both as tuples."""
+    offsets = [0]
+    npts = t.ext.points
+    for b in t.boxes:
+        offsets.append(npts)
+        npts += b.points
+    wiring = [0] * npts
+    for (b1, i1), (b2, i2) in t.pairs:
+        p, q = offsets[b1] + i1 - 1, offsets[b2] + i2 - 1
+        wiring[p], wiring[q] = q, p
+    return tuple(offsets), tuple(wiring)
+
+
 def planarity_oracle(t: Tangle):
     """The rotation-system check: three darts per marked point, its own
     union-find; raises ValidationError on a non-planar tangle."""

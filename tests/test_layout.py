@@ -100,20 +100,33 @@ def test_every_method_has_a_caller_in_src():
     assert unused == []
 
 
+def _empty_dict_names(body) -> list:
+    """Names bound to an empty dict literal by the statements of `body`."""
+    names = []
+    for stmt in body:
+        if (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                and isinstance(stmt.value, ast.Dict) and not stmt.value.keys):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def _caches() -> list:
-    """`module.name` of every `lru_cache`-decorated module-level function and
+    """`module.name` of every `lru_cache`-decorated module-level function,
     every module-level name bound to an empty dict literal (a table that
-    fills at run time)."""
+    fills at run time), and `module.Class.name` of every such class
+    attribute."""
     found = []
     for module, tree in _modules():
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef) and any(
                     "lru_cache" in _referenced(dec) for dec in stmt.decorator_list):
                 found.append(f"{module}.{stmt.name}")
-            elif (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
-                  and not stmt.value.keys):
-                found += [f"{module}.{t.id}" for t in stmt.targets
-                          if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.ClassDef):
+                found += [f"{module}.{stmt.name}.{name}"
+                          for name in _empty_dict_names(stmt.body)]
+            else:
+                found += [f"{module}.{name}" for name in _empty_dict_names([stmt])]
     return found
 
 

@@ -12,7 +12,7 @@ from planalg.elements import Element, jones_projection, tl_sum
 from planalg.errors import (ColourMismatchError, InternalError, ParseError,
                             PreconditionError, ValidationError)
 from planalg.scalars import Ring
-from planalg.tangles import (EXT, Tangle, _check_planarity, _wiring, evaluate,
+from planalg.tangles import (EXT, Tangle, _check_planarity, evaluate,
                              evaluate_in, identity_tangle, inclusion_tangle, jones_tangle,
                              left_expectation_tangle, multiplication_tangle,
                              parse, partial_cap_tangle, right_expectation_tangle,
@@ -22,7 +22,7 @@ from planalg.tower import _trace_closure, dot_tangle, sharp_tangle
 from planalg import random_element
 
 from conftest import (_stack, planarity_oracle, random_tangle, specialize,
-                      substitute_oracle, tangle_adjoint)
+                      substitute_oracle, tangle_adjoint, wiring_oracle)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -356,10 +356,54 @@ def test_interning_keeps_the_shading_of_colour_zero(sym, traces):
     assert enumerate_diagrams(ZERO_MINUS)[0] is d_minus
 
 
-def test_a_tangle_is_wired_once(sym):
+def _standard_tangles():
+    tangles = [standard_tangle(kind, n) for kind in ("M", "I", "TR", "R", "UNIT", "ID")
+               for n in range(4)]
+    tangles += [jones_tangle(n) for n in (2, 3, 4)]
+    tangles += [standard_tangle(kind, n, i) for kind in ("EL", "ER")
+                for n in range(4) for i in range(n + 1)]
+    tangles += [partial_cap_tangle(3, [(1, 2)]), partial_cap_tangle(3, [(2, 5), (3, 4)]),
+                sharp_tangle(2, 2, 1, 2), dot_tangle(3, 2, 1, 2),
+                annular_double_cup(3, 1, 1), glue_tangle(2, 1, 0), _trace_closure(3, 1),
+                annular_T(TSpec(1, (1, 2), (2, 3), 3, 4)), tangle_adjoint(glue_tangle(2, 1, 1))]
+    return tangles
+
+
+def test_a_tangle_is_wired_once(sym, rng, traces):
+    for t in _standard_tangles():
+        for u in (t, Tangle.from_json(t.to_json()), t.with_loops(1)):
+            assert (u.offsets, u.wiring) == wiring_oracle(t), t
+    # the contraction table is keyed by the wiring's value: a rebuilt
+    # tangle reads what the first one traced
     t = multiplication_tangle(2)
-    assert _wiring(t) is _wiring(t)
-    assert _wiring(Tangle.from_json(t.to_json())) is _wiring(t)
+    x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
+    first = evaluate(t, [x, y])
+    traces.clear()
+    assert evaluate(Tangle.from_json(t.to_json()), [x, y]) == first
+    assert traces == []
+
+
+@pytest.mark.parametrize("ext, boxes, pairs, message, strand", [
+    (1, [], [((0, 1), (0, 2)), ((0, 2), (0, 1))],
+     "point matched twice: (0, 1)", ((0, 1), (0, 2))),
+    (1, [], [((0, 1), (0, 1))], "point matched twice: (0, 1)", ((0, 1), (0, 1))),
+    (1, [], [((0, 1), (0, 3))], "strand endpoint (0, 3) is out of range", (0, 3)),
+    (1, [1], [((0, 1), (1, 1)), ((0, 2), (2, 1))],
+     "strand endpoint (2, 1) is out of range", (2, 1)),
+    (1, [1], [((0, 1), (1, 1)), ((0, 2), (1, "2"))],
+     "strand endpoint (1, '2') is out of range", (1, "2")),
+    (1, [], [((0, 1), (0,))], "strand endpoint (0,) is out of range", (0,)),
+    (1, [], [((0, 1), (-1, 1))], "strand endpoint (-1, 1) is out of range", (-1, 1)),
+    (1, [1], [((0, 1), (0, 2))], "marked point (1, 1) is unmatched", (1, 1)),
+    (2, ["0+", 1], [((0, 1), (0, 2)), ((0, 3), (0, 4))],
+     "marked point (2, 1) is unmatched", (2, 1)),
+])
+def test_structural_defects_raise_one_validation_error(ext, boxes, pairs, message,
+                                                       strand):
+    with pytest.raises(ValidationError) as err:
+        Tangle(ext, boxes, pairs)
+    assert str(err.value) == message
+    assert err.value.strand == strand
 
 
 @pytest.mark.parametrize("builder, good, bad", [
