@@ -136,22 +136,18 @@ def gns_matrix(x: Element) -> np.ndarray:
 
 
 def gns_matrix_exact(x: Element):
-    """Columns x.multiply(d_j), read off the basis tables."""
+    """Columns x.multiply(d_j), read off the basis tables; one kernel call
+    sums every entry."""
     n = x.colour.n
     index, prod, _ = _basis_tables(n)
-    terms = [(prod[index[d]], c) for d, c in x.combo.items()]
-    zero = x.ring.zero()
-    size = len(prod)
+    ring, size = x.ring, len(prod)
+    zero = ring.zero()
     mat = [[zero] * size for _ in range(size)]
-    for j in range(size):
-        col = {}
-        for row, c in terms:
-            r, loops = row[j]
-            v = c.delta_pow(loops)
-            col[r] = col[r] + v if r in col else v
-        for r, v in col.items():
-            if not v.is_zero():         # the zero-drop of the Element constructor
-                mat[r][j] = v
+    entries = ring.scalar._sum_products(
+        [((r, j), None, c, loops) for d, c in x.combo.items()
+         for j, (r, loops) in enumerate(prod[index[d]])], ring.delta)
+    for (r, j), v in entries.items():
+        mat[r][j] = v
     return mat
 
 
@@ -317,10 +313,8 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
     violations = 0
     worst = 0.0
     for _ in range(trials):
-        b = GradedElement.zero(k, ring)
-        for n in range(k, m + 2):
-            if rng.random() < 0.6:
-                b = b + GradedElement.of_element(k, random_element(n, ring, rng))
+        b = GradedElement.from_parts(k, ring, [
+            random_element(n, ring, rng) for n in range(k, m + 2) if rng.random() < 0.6])
         norm_b = hk_norm_float(b)
         if norm_b == 0.0:
             continue

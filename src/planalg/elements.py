@@ -28,16 +28,21 @@ class Element:
     def __init__(self, colour, ring: Ring, combo=None):
         self.colour = Colour.of(colour)
         self.ring = ring
-        clean = {}
-        for diagram, coeff in (combo or {}).items():
+        combo = combo or {}
+        for diagram, coeff in combo.items():
             if diagram.colour != self.colour:
                 raise ColourMismatchError(
                     f"diagram of colour {diagram.colour} in element of colour {self.colour}")
             if not ring.matches(coeff):
                 raise ModeMismatchError("coefficient mode does not match element ring")
-            if not coeff.is_zero():
-                clean[diagram] = coeff
-        self.combo = clean
+        self.combo = _nonzero(combo)
+
+    @classmethod
+    def _of(cls, colour: Colour, ring: Ring, combo: dict) -> "Element":
+        """An element holding `combo` as it is, built from checked inputs."""
+        el = object.__new__(cls)
+        el.colour, el.ring, el.combo = colour, ring, combo
+        return el
 
     # -- constructors -------------------------------------------------------
 
@@ -56,37 +61,40 @@ class Element:
     @classmethod
     def from_terms(cls, colour, ring: Ring, terms):
         """Sum (diagram, coefficient) pairs in one pass over a single dict."""
-        combo = {}
-        for d, c in terms:
-            combo[d] = combo[d] + c if d in combo else c
-        return cls(colour, ring, combo)
+        return cls(colour, ring, _summed(terms))
+
+    @classmethod
+    def _sum(cls, colour: Colour, ring: Ring, terms) -> "Element":
+        """`from_terms` for terms already checked against colour and ring."""
+        return cls._of(colour, ring, _nonzero(_summed(terms)))
 
     # -- linear structure -----------------------------------------------------
 
-    def _check_colour(self, other):
+    def _check_join(self, other):
         if self.colour != other.colour:
             raise ColourMismatchError(
                 f"colour mismatch: {self.colour} vs {other.colour}")
+        self.ring.check(other.ring)
 
     def __add__(self, other):
-        self._check_colour(other)
-        return Element.from_terms(self.colour, self.ring,
-                                  chain(self.combo.items(), other.combo.items()))
+        self._check_join(other)
+        return Element._sum(self.colour, self.ring,
+                            chain(self.combo.items(), other.combo.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.colour, self.ring,
-                       {d: -c for d, c in self.combo.items()})
+        return Element._of(self.colour, self.ring,
+                           {d: -c for d, c in self.combo.items()})
 
     def scale(self, s: Scalar) -> "Element":
-        return Element(self.colour, self.ring,
-                       {d: c * s for d, c in self.combo.items()})
+        return Element._of(self.colour, self.ring,
+                           _nonzero({d: c * s for d, c in self.combo.items()}))
 
     def delta_pow(self, m: int) -> "Element":
-        return Element(self.colour, self.ring,
-                       {d: c.delta_pow(m) for d, c in self.combo.items()})
+        return Element._of(self.colour, self.ring, _nonzero(
+            {d: c.delta_pow(m) for d, c in self.combo.items()}))
 
     def is_zero(self) -> bool:
         return not self.combo
@@ -104,8 +112,8 @@ class Element:
 
     def star(self) -> "Element":
         """Adjoint: reflect every diagram (coefficients are real, so unchanged)."""
-        return Element(self.colour, self.ring,
-                       {d.reflect(): c for d, c in self.combo.items()})
+        return Element._of(self.colour, self.ring,
+                           {d.reflect(): c for d, c in self.combo.items()})
 
     def multiply(self, other: "Element") -> "Element":
         """Algebra product of P_n: the second factor stacked above the first.
@@ -114,7 +122,7 @@ class Element:
         level-k two-box product restricted to P_k (the convention the
         Y/Z capping identities force; see README).
         """
-        self._check_colour(other)
+        self._check_join(other)
         n = self.colour.n
         return contract(self.colour, self.ring, _product_wiring(n),
                         (2 * n, 4 * n), (self, other), 0)
@@ -182,6 +190,7 @@ def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
     closed loops; with no boxes the coefficient is `ring.one()`.  A crossing
     output pairing raises `InternalError`.  Each choice is traced once per
     process (`_trace`): its output and closed loops depend on no coefficient.
+    The inputs must be of `ring`, whose kernel sums all the terms in one call.
     """
     key = (colour, wiring, offsets)
     level = [(_TRACED.get(key) or {}, (), None)]
@@ -193,9 +202,20 @@ def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
     for node, ds, coeff in level:
         for d, c in last:
             output, closed = node.get(d) or _trace(key, ds + (d,))
-            terms.append((output, (c if coeff is None else coeff * c)
-                          .delta_pow(closed + loops)))
-    return Element.from_terms(colour, ring, terms)
+            terms.append((output, coeff, c, closed + loops))
+    return Element._of(colour, ring, ring.scalar._sum_products(terms, ring.delta))
+
+
+def _summed(terms) -> dict:
+    """Add (diagram, coefficient) pairs into one dict with the scalar `+`."""
+    combo = {}
+    for d, c in terms:
+        combo[d] = combo[d] + c if d in combo else c
+    return combo
+
+
+def _nonzero(combo: dict) -> dict:
+    return {d: c for d, c in combo.items() if not c.is_zero()}
 
 
 def _trace(key, diagrams: tuple) -> tuple:

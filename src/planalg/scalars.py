@@ -128,6 +128,27 @@ class Laurent(Scalar):
     def __neg__(self):
         return Laurent({e: -c for e, c in self.terms.items()})
 
+    @staticmethod
+    def _sum_products(terms, delta):
+        """{key: sum of a*b*delta**m} over `(key, a, b, m)` terms (`a` None
+        counting as 1) on the raw exponent maps, zero sums dropped."""
+        sums = {}
+        for key, a, b, m in terms:
+            poly = sums.setdefault(key, {})
+            if a is None:
+                for e, c in b.terms.items():
+                    e += m
+                    poly[e] = poly[e] + c if e in poly else c
+                continue
+            for e1, c1 in a.terms.items():
+                e1 += m
+                for e2, c2 in b.terms.items():
+                    e, c = e1 + e2, c1 * c2
+                    poly[e] = poly[e] + c if e in poly else c
+        polys = ((key, {e: c for e, c in poly.items() if c} if 0 in poly.values()
+                  else poly) for key, poly in sums.items())
+        return {key: Laurent(poly) for key, poly in polys if poly}
+
     def delta_pow(self, m: int):
         """Multiply by delta**m (the only division this ring ever needs)."""
         if m == 0:
@@ -178,6 +199,18 @@ class _Valued(Scalar):
 
     def __neg__(self):
         return type(self)(-self.value, self.delta)
+
+    @classmethod
+    def _sum_products(cls, terms, delta):
+        """The same on the values, as the operators would: `(a*b) * delta**m`
+        (for m != 0) added in term order, so floats keep their bits."""
+        sums = {}
+        for key, a, b, m in terms:
+            v = b.value if a is None else a.value * b.value
+            if m:
+                v = v * delta ** m
+            sums[key] = sums[key] + v if key in sums else v
+        return {key: cls(v, delta) for key, v in sums.items() if not cls._negligible(v)}
 
     def delta_pow(self, m: int):
         if m == 0:
@@ -259,13 +292,16 @@ class Ring:
     def fraction(self, c) -> Scalar:
         return self.scalar._const(c, self.delta)
 
-    integer = fraction
-
     def delta_power(self, m: int) -> Scalar:
         return self.one().delta_pow(m)
 
     def matches(self, s: Scalar) -> bool:
         return type(s) is self.scalar and s.delta == self.delta
+
+    def check(self, other: "Ring") -> None:
+        """Raise `ModeMismatchError` unless `other` is this ring."""
+        if other != self:
+            raise ModeMismatchError(f"cannot mix {self!r} and {other!r}")
 
     def __eq__(self, other):
         return (isinstance(other, Ring)

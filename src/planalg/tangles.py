@@ -30,10 +30,6 @@ from .scalars import Ring
 EXT = 0
 
 
-def _norm_pair(p, q):
-    return (p, q) if p <= q else (q, p)
-
-
 class Tangle:
     """An immutable planar tangle value, wired when it is built.
 
@@ -46,25 +42,28 @@ class Tangle:
     def __init__(self, ext, boxes, pairs, loops=0):
         self.ext = Colour.of(ext)
         self.boxes = tuple(Colour.of(b) for b in boxes)
-        self.pairs = tuple(sorted(_norm_pair(tuple(p), tuple(q)) for p, q in pairs))
         if loops < 0:
             raise PreconditionError("loop count must be non-negative")
         self.loops = loops
         sizes = [self.ext.points] + [b.points for b in self.boxes]
         self.offsets = offsets = tuple(accumulate(sizes[:-1], initial=0))
-        boundaries = range(len(sizes))
-        indices = [range(1, size + 1) for size in sizes]
         wiring = [None] * sum(sizes)
-        for p, q in self.pairs:
-            for point in (p, q):
-                if not (len(point) == 2 and point[0] in boundaries
-                        and point[1] in indices[point[0]]):
+        normed = []
+        for p, q in pairs:
+            p, q = tuple(p), tuple(q)
+            for point in (p, q):        # checked before any comparison
+                if not (len(point) == 2 and type(point[0]) is int
+                        and type(point[1]) is int and 0 <= point[0] < len(sizes)
+                        and 1 <= point[1] <= sizes[point[0]]):
                     raise ValidationError(
                         f"strand endpoint {point} is out of range", strand=point)
+            p, q = (p, q) if p <= q else (q, p)
             a, c = offsets[p[0]] + p[1] - 1, offsets[q[0]] + q[1] - 1
             if a == c or wiring[a] is not None or wiring[c] is not None:
                 raise ValidationError(f"point matched twice: {p}", strand=(p, q))
             wiring[a], wiring[c] = c, a
+            normed.append((p, q))
+        self.pairs = tuple(sorted(normed))
         if None in wiring:
             a = wiring.index(None)
             b = bisect_right(offsets, a) - 1

@@ -15,7 +15,8 @@ from itertools import chain
 from .annular import enumerate_good, transpose_annular
 from .diagrams import Diagram, identity_diagram
 from .elements import Element, jones_projection, random_element, tl_sum
-from .errors import (InternalError, LevelMismatchError, PreconditionError)
+from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
+                     PreconditionError)
 from .scalars import Ring, Scalar
 from .tangles import (EXT, Tangle, evaluate, evaluate_in, partial_cap_tangle,
                       rotation_tangle)
@@ -56,11 +57,15 @@ class GradedElement:
 
     @classmethod
     def from_parts(cls, level, ring: Ring, parts):
-        """Sum Elements into their colour components, one pass per colour."""
+        """Sum Elements of `ring` into their colour components in one pass."""
         terms = {}      # colour n -> (Colour of the first part, its terms)
         for el in parts:
-            terms.setdefault(el.colour.n, (el.colour, []))[1].extend(el.combo.items())
-        return cls(level, ring, {n: Element.from_terms(colour, ring, ts)
+            ring.check(el.ring)
+            colour, ts = terms.setdefault(el.colour.n, (el.colour, []))
+            if el.colour != colour:
+                raise ColourMismatchError(f"colour mismatch: {colour} vs {el.colour}")
+            ts.extend(el.combo.items())
+        return cls(level, ring, {n: Element._sum(colour, ring, ts)
                                  for n, (colour, ts) in terms.items()})
 
     def component(self, n: int) -> Element:
@@ -215,10 +220,8 @@ def hk_norm_squared_element(x: Element, k: int) -> Scalar:
 
 def hk_norm_squared(a: GradedElement) -> Scalar:
     """delta^{-k} sum_n delta^n tau(a_n* a_n)."""
-    total = a.ring.zero()
-    for el in a.components.values():
-        total = total + hk_norm_squared_element(el, a.level)
-    return total
+    return sum((hk_norm_squared_element(el, a.level) for el in a.components.values()),
+               a.ring.zero())
 
 
 # -- inclusion and conditional expectation --------------------------------------------
@@ -318,11 +321,18 @@ def _column(k, j, i, excellent, diagram, ring) -> Element:
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
-    return GradedElement.from_parts(k, a.ring, (
-        _column(k, j, i, excellent, d, a.ring).scale(c)
-        for j, el in a.components.items()
-        for d, c in el.combo.items()
-        for i in range(k, j + 1)))
+    """Each coefficient times its kept columns, summed by the ring's kernel."""
+    ring, terms = a.ring, {}        # target Colour -> kernel terms
+    for j, el in a.components.items():
+        ring.check(el.ring)
+        for d, c in el.combo.items():
+            for i in range(k, j + 1):
+                col = _column(k, j, i, excellent, d, ring)
+                terms.setdefault(col.colour, []).extend(
+                    (out, cc, c, 0) for out, cc in col.combo.items())
+    return GradedElement(k, ring, {
+        colour.n: Element._of(colour, ring, ring.scalar._sum_products(ts, ring.delta))
+        for colour, ts in terms.items()})
 
 
 def phi(k: int, a: GradedElement) -> GradedElement:

@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -8,7 +11,7 @@ from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
                             ModeMismatchError, PreconditionError,
                             ValidationError)
-from planalg.scalars import SYMBOLIC, Ring, Scalar
+from planalg.scalars import FLOAT, SYMBOLIC, Ring, Scalar
 from planalg.tangles import EXT, Tangle
 
 
@@ -171,6 +174,73 @@ def specialize(s: Scalar, delta) -> Scalar:
             sum(float(c) * delta ** e for e, c in s.terms.items()), delta)
     delta = Fraction(delta)
     return Scalar.rational(sum(c * delta ** e for e, c in s.terms.items()), delta)
+
+
+# -- the per-term route: the oracle of the scalar kernels' sums of products --------
+
+
+def per_term_sum(colour, ring: Ring, terms) -> Element:
+    """Sum `(diagram, a, b, m)` terms as contraction did before the kernels:
+    one scalar `(a * b).delta_pow(m)` per term (`a` None counting as 1),
+    added in term order by `Element.from_terms` with all its checks."""
+    return Element.from_terms(colour, ring, (
+        (d, (b if a is None else a * b).delta_pow(m)) for d, a, b, m in terms))
+
+
+def per_term_multiply(x: Element, y: Element) -> Element:
+    """x * y with each pair of terms stacked by `_stack`, y above x."""
+    terms = []
+    for dx, cx in x.combo.items():
+        for dy, cy in y.combo.items():
+            out, loops = _stack(dy, dx, x.colour.n)
+            terms.append((out, cx, cy, loops))
+    return per_term_sum(x.colour, x.ring, terms)
+
+
+def per_term_evaluate(t: Tangle, inputs, ring: Ring) -> Element:
+    """Z_T(inputs) with each choice of one diagram per box (in box order,
+    the last box varying fastest) traced by `substitute_oracle`, and its
+    coefficient the product of the choice's coefficients in box order."""
+    terms = []
+    for choice in product(*(x.combo.items() for x in inputs)):
+        filled = substitute_oracle(t, {
+            b: Tangle(d.colour, [], [((EXT, p), (EXT, q)) for p, q in d.pairs])
+            for b, (d, _) in enumerate(choice, 1)})
+        out = Diagram(t.ext, [(p[1], q[1]) for p, q in filled.pairs])
+        coeffs = [c for _, c in choice] or [ring.one()]
+        prefix = reduce(mul, coeffs[:-1]) if len(coeffs) > 1 else None
+        terms.append((out, prefix, coeffs[-1], filled.loops))
+    return per_term_sum(t.ext, ring, terms)
+
+
+def same_terms(x: Element, y: Element) -> bool:
+    """Equal diagrams in equal order with equal coefficients: exact in
+    every mode, so float coefficients agree bit for bit."""
+    return (x.colour == y.colour and list(x.combo) == list(y.combo)
+            and all((c.terms, c.value) == (e.terms, e.value)
+                    for c, e in zip(x.combo.values(), y.combo.values())))
+
+
+# one ring per mode; at delta 2.2 float powers round, so operation order shows
+KERNEL_RINGS = (Ring.symbolic(), Ring.rational(Fraction(5, 2)), Ring.float_(2.2))
+
+
+def random_coeff(ring: Ring, rng) -> Scalar:
+    """A short Laurent polynomial, a small fraction or a float in [-2, 2]:
+    float sums of such values round, so their order shows."""
+    if ring.mode == SYMBOLIC:
+        return Scalar.symbolic({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])
+                                for _ in range(2)})
+    if ring.mode == FLOAT:
+        return ring.fraction(rng.uniform(-2, 2))
+    return ring.fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
+def random_combo(colour, ring: Ring, rng, terms: int = 4) -> Element:
+    """Up to `terms` random diagrams of `colour` with `random_coeff`s."""
+    basis = enumerate_diagrams(Colour.of(colour))
+    return Element.from_terms(colour, ring, (
+        (rng.choice(basis), random_coeff(ring, rng)) for _ in range(terms)))
 
 
 # -- the Element route of the numeric layer: the oracle of its basis tables ---------

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
-from planalg.elements import Element, jones_projection, tl_sum
-from planalg.errors import ColourMismatchError, ModeMismatchError
+from planalg.elements import Element, contract, jones_projection, tl_sum
+from planalg.errors import ColourMismatchError, ModeMismatchError, ValidationError
 from planalg.scalars import Ring, Scalar
-from planalg.tangles import evaluate, multiplication_tangle, trace_tangle
+from planalg.tangles import (evaluate, evaluate_in, multiplication_tangle,
+                             trace_tangle, validate)
 from planalg import random_element
-from conftest import _closure_loops, _stack
+from conftest import (KERNEL_RINGS, _closure_loops, _stack, per_term_evaluate,
+                      per_term_multiply, random_combo, random_tangle, same_terms)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -155,3 +157,33 @@ def test_from_terms_checks_colour_and_mode(sym):
     with pytest.raises(ModeMismatchError):
         Element.from_terms(2, sym, [(CUP2, sym.one()),
                                     (CUP2, Ring.rational(2).one())])
+
+
+# -- the sum-of-products kernels against the per-term route ------------------------
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_multiply_matches_per_term_route(ring, rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            x, y = random_combo(n, ring, rng), random_combo(n, ring, rng)
+            assert same_terms(x.multiply(y), per_term_multiply(x, y))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_contract_and_evaluate_match_per_term_route(ring, rng):
+    # random planar tangles with 0-4 boxes, so prefix products of up to
+    # three coefficients and the no-box case all occur
+    checked = 0
+    while checked < 60:
+        t = random_tangle(rng)
+        try:
+            validate(t)
+        except ValidationError:
+            continue
+        inputs = [random_combo(b, ring, rng, terms=3) for b in t.boxes]
+        expected = per_term_evaluate(t, inputs, ring)
+        assert same_terms(evaluate_in(t, inputs, ring), expected)
+        assert same_terms(contract(t.ext, ring, t.wiring, t.offsets[1:], inputs,
+                                   t.loops), expected)
+        checked += 1

@@ -1,18 +1,20 @@
-"""Hypothesis fuzzing of the two user-input front ends: the tangle DSL
-(`parse` then `validate`) and the element JSON loaders behind `pa compute`.
+"""Hypothesis fuzzing of the user-input front ends: the tangle DSL (`parse`
+then `validate`), the tangle JSON loader and the element JSON loaders behind
+`pa compute`.
 
 Only planalg's own errors may escape.  Colours run up to the cap, and the
-tokens go past it: both front ends refuse a colour above
+tokens go past it: the DSL and the element loaders refuse a colour above
 `config.COLOUR_CAP` before a `Tangle` or `Diagram` allocates its points.
+The tangle JSON loader gets endpoints of every JSON type beside ints.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planalg.cli import _from_json
 from planalg.config import COLOUR_CAP
 from planalg.elements import Element
 from planalg.errors import PlanarAlgebraError
-from planalg.tangles import parse, validate
+from planalg.tangles import Tangle, parse, validate
 from planalg.tower import GradedElement
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
@@ -59,6 +61,28 @@ def matched_tangle_texts(draw):
 def test_parse_and_validate_raise_only_planalg_errors(text):
     try:
         validate(parse(text))
+    except PlanarAlgebraError:
+        pass
+
+
+# -- the tangle JSON loader --------------------------------------------------------
+
+# a point is [boundary, index]; its entries may be of any JSON type, or missing
+POINT_ENTRIES = st.integers(-1, 7) | st.sampled_from(["a", "2", 2.0, 1.5, None, True])
+TANGLES = st.fixed_dictionaries(
+    {"ext": st.integers(0, 3), "boxes": st.lists(st.integers(0, 3), max_size=3),
+     "pairs": st.lists(st.tuples(*[st.lists(POINT_ENTRIES, max_size=3)] * 2),
+                       max_size=8)},
+    optional={"loops": st.integers(-1, 2)})
+
+
+@FUZZ
+@given(TANGLES)
+@example({"ext": 1, "boxes": [], "pairs": [[[0, 1], [0, "a"]]]})
+@example({"ext": 1, "boxes": [], "pairs": [[[0, 1], [0, 2.0]]]})
+def test_tangle_json_loader_raises_only_planalg_errors(data):
+    try:
+        validate(Tangle.from_json(data))
     except PlanarAlgebraError:
         pass
 

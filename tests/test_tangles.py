@@ -397,6 +397,8 @@ def test_a_tangle_is_wired_once(sym, rng, traces):
     (1, [1], [((0, 1), (0, 2))], "marked point (1, 1) is unmatched", (1, 1)),
     (2, ["0+", 1], [((0, 1), (0, 2)), ((0, 3), (0, 4))],
      "marked point (2, 1) is unmatched", (2, 1)),
+    (1, [], [((0, 1), (0, "a"))], "strand endpoint (0, 'a') is out of range", (0, "a")),
+    (1, [], [((0, 1), (0, 2.0))], "strand endpoint (0, 2.0) is out of range", (0, 2.0)),
 ])
 def test_structural_defects_raise_one_validation_error(ext, boxes, pairs, message,
                                                        strand):

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from planalg.diagrams import Diagram, enumerate_diagrams
+from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, jones_projection
-from planalg.errors import LevelMismatchError, PreconditionError
+from planalg.errors import (ColourMismatchError, LevelMismatchError,
+                            ModeMismatchError, PreconditionError)
 from planalg.scalars import Ring, Scalar
-from planalg.tangles import (evaluate, inclusion_tangle,
+from planalg.tangles import (evaluate, inclusion_tangle, multiplication_tangle,
                              right_expectation_tangle, rotation_tangle,
                              substitute, identity_tangle)
 from planalg.tower import (GradedElement, bullet, cond_expect,
@@ -16,10 +17,11 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
                            include, inner_product, jones_e, phi,
                            psi, sharp, sharp_component, sharp_range,
                            sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
-                           _good_tangles)
+                           _column, _good_tangles)
 from planalg import random_element, random_graded
 
-from conftest import dagger_oracle, expect_oracle, include_oracle
+from conftest import (KERNEL_RINGS, dagger_oracle, expect_oracle, include_oracle,
+                      per_term_sum, random_combo, same_terms)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -351,7 +353,7 @@ def tangle_sum_oracle(k, a, excellent):
     out = GradedElement.zero(k, a.ring)
     for j, el in a.components.items():
         for i in range(k, j + 1):
-            sign = a.ring.integer(-1 if excellent and (i + j) % 2 else 1)
+            sign = a.ring.fraction(-1 if excellent and (i + j) % 2 else 1)
             for tangle in _good_tangles(k, j, i, excellent):
                 out = out + graded(k, evaluate(tangle, [el]).scale(sign))
     return out
@@ -377,6 +379,80 @@ def test_phi_psi_columns_are_kept_per_ring(sym):
                         image = fn(k, a)
                         assert image.ring == ring
                         assert image == tangle_sum_oracle(k, a, excellent)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_phi_psi_match_per_term_route(ring, rng):
+    # the per-term route: each coefficient times each entry of its kept
+    # columns, one scalar per term, summed per colour in the same order
+    for k in (0, 1, 2):
+        for _ in range(3):
+            a = GradedElement.from_parts(k, ring, (
+                random_combo(n, ring, rng) for n in range(k, k + 4)))
+            for excellent, fn in ((False, phi), (True, psi)):
+                terms = {}
+                for j, el in a.components.items():
+                    for d, c in el.combo.items():
+                        for i in range(k, j + 1):
+                            col = _column(k, j, i, excellent, d, ring)
+                            terms.setdefault(i, []).extend(
+                                (out, cc, c, 0) for out, cc in col.combo.items())
+                expected = {i: per_term_sum(i, ring, ts) for i, ts in terms.items()}
+                image = fn(k, a).components
+                assert list(image) == [i for i, e in expected.items() if not e.is_zero()]
+                assert all(same_terms(image[i], expected[i]) for i in image)
+
+
+# -- joins of outside inputs still check colour and ring -------------------------
+
+SYM, RAT, F2, F25 = (Ring.symbolic(), Ring.rational(2), Ring.float_(2.0),
+                     Ring.float_(2.5))
+
+
+def two_terms(ring, n=2):
+    """The unit plus three times the first basis diagram of P_n."""
+    return Element.from_terms(n, ring, [(identity_diagram(n), ring.one()),
+                                        (enumerate_diagrams(n)[0], ring.fraction(3))])
+
+
+MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode",
+                "add-delta", "add-colour", "sub-mode", "sub-delta", "mul-mode",
+                "mul-delta", "mul-colour", "evaluate-delta", "evaluate-colour",
+                "graded-add-mode", "graded-add-delta", "from-parts-shading",
+                "sharp-delta", "phi-mode", "phi-delta"]
+
+
+@pytest.mark.parametrize("join, error", [
+    (lambda: Element(2, SYM, {CUP2: RAT.one()}), ModeMismatchError),
+    (lambda: Element(2, SYM, {Diagram(1, [(1, 2)]): SYM.one()}), ColourMismatchError),
+    (lambda: Element.from_terms(2, F2, [(CUP2, F25.one())]), ModeMismatchError),
+    (lambda: two_terms(SYM) + two_terms(RAT), ModeMismatchError),
+    (lambda: two_terms(F2) + two_terms(F25), ModeMismatchError),
+    (lambda: two_terms(SYM) + two_terms(SYM, 3), ColourMismatchError),
+    (lambda: two_terms(SYM) - two_terms(RAT), ModeMismatchError),
+    (lambda: two_terms(F2) - two_terms(F25), ModeMismatchError),
+    (lambda: two_terms(SYM) * two_terms(RAT), ModeMismatchError),
+    (lambda: two_terms(F2) * two_terms(F25), ModeMismatchError),
+    (lambda: two_terms(SYM) * two_terms(SYM, 3), ColourMismatchError),
+    (lambda: evaluate(multiplication_tangle(2), [two_terms(F2), two_terms(F25)]),
+     PreconditionError),
+    (lambda: evaluate(multiplication_tangle(2), [two_terms(SYM), two_terms(SYM, 3)]),
+     ColourMismatchError),
+    (lambda: graded(1, two_terms(SYM)) + graded(1, two_terms(RAT)), ModeMismatchError),
+    (lambda: graded(1, two_terms(F2)) + graded(1, two_terms(F25)), ModeMismatchError),
+    (lambda: GradedElement.from_parts(0, SYM, [Element.unit(0, SYM),
+                                               Element.unit(ZERO_MINUS, SYM)]),
+     ColourMismatchError),
+    (lambda: sharp(graded(1, two_terms(F2)), graded(1, two_terms(F25))),
+     PreconditionError),
+    (lambda: phi(1, GradedElement(1, SYM, {2: two_terms(RAT)})), ModeMismatchError),
+    (lambda: phi(1, GradedElement(1, F2, {2: two_terms(F25)})), ModeMismatchError),
+], ids=MISMATCH_IDS)
+def test_outside_mismatches_still_raise(join, error):
+    # internal results skip the per-coefficient checks, so each join of
+    # outside inputs must check colour and ring itself
+    with pytest.raises(error):
+        join()
 
 
 def test_graded_from_parts(sym):
