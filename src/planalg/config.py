@@ -59,6 +59,10 @@ class Config:
         value = self.delta_value()
         if self.level < 0:
             raise PreconditionError("level must be non-negative")
+        if self.trials < 1:
+            raise PreconditionError(f"trials must be at least 1, got {self.trials}")
+        if self.resolved_max_colour() < 0:
+            raise PreconditionError("max colour must be non-negative")
         if self.resolved_max_colour() > COLOUR_CAP:
             raise PreconditionError(
                 f"max colour {self.resolved_max_colour()} exceeds cap {COLOUR_CAP}")

@@ -3,6 +3,14 @@
 Each suite draws its randomness from a fresh seeded generator, so reports
 are deterministic for a given seed and independent of worker scheduling.
 Report rows share one schema: check, params, status, details, max_residual.
+
+A randomized suite is declared as a `draw` and a `check` per group of rows,
+handed to `_clauses`, which does the counting.  `draw(case)` makes every
+generator draw of one trial; `check(*inputs)` only reads its inputs and
+returns {clause: held}, computing values that several clauses share once.
+Clauses are closures in the suite body that reach `sharp`, `phi`,
+`evaluate` and the other layer functions through this module's globals at
+call time, so a tracer that rebinds those globals sees every call.
 """
 
 from __future__ import annotations
@@ -38,6 +46,18 @@ def _row(check, params, ok, details="", residual=0.0):
             "details": details, "max_residual": residual}
 
 
+def _clauses(prefix, params, cases, draw, check, tally):
+    """Rows `prefix.clause`, in name order, each passing when its clause held
+    in every case, with details `tally.format(passed, cases)`."""
+    passed = {}
+    for case in cases:
+        for clause, held in check(*draw(case)).items():
+            passed[clause] = passed.get(clause, 0) + bool(held)
+    return [_row(f"{prefix}.{clause}", params, good == len(cases),
+                 tally.format(good, len(cases)))
+            for clause, good in sorted(passed.items())]
+
+
 # -- the filtered-algebra suite ----------------------------------------------------
 
 
@@ -48,42 +68,34 @@ def suite_filtalg(cfg: Config):
     for k in range(cfg.level + 1):
         top = min(k + 3, cfg.resolved_max_colour())
         unit = GradedElement.unit(k, ring)
-        counts = dict.fromkeys(
-            ("assoc", "unit", "dagger", "trace", "inclusion", "expectation"), 0)
-        for _ in range(cfg.trials):
-            a = random_graded(k, top, ring, rng)
-            b = random_graded(k, top, ring, rng)
-            c = random_graded(k, top, ring, rng)
-            if sharp(sharp(a, b), c) == sharp(a, sharp(b, c)):
-                counts["assoc"] += 1
-            if sharp(unit, a) == a and sharp(a, unit) == a:
-                counts["unit"] += 1
-            if (dagger(sharp(a, b)) == sharp(dagger(b), dagger(a))
-                    and dagger(dagger(a)) == a):
-                counts["dagger"] += 1
-            lhs = trace_tk(sharp(dagger(b), a))
-            rhs = ring.zero()
-            for n in set(a.components) & set(b.components):
-                rhs = rhs + b.component(n).star().multiply(
-                    a.component(n)).tau().delta_pow(n - k)
-            if lhs == rhs and trace_tk(sharp(a, b)) == trace_tk(sharp(b, a)):
-                counts["trace"] += 1
+
+        def draw(_):
+            a, b, c = (random_graded(k, top, ring, rng) for _ in range(3))
+            return a, b, c, random_graded(k + 1, top + 1, ring, rng)
+
+        def check(a, b, c, x):
+            shared = set(a.components) & set(b.components)
+            rhs = sum((b.component(n).star().multiply(a.component(n)).tau()
+                       .delta_pow(n - k) for n in shared), ring.zero())
             ia, ib = include(a), include(b)
-            if (include(sharp(a, b)) == sharp(ia, ib)
-                    and include(dagger(a)) == dagger(ia)
-                    and trace_tk(ia) == trace_tk(a)
-                    and include(unit) == GradedElement.unit(k + 1, ring)):
-                counts["inclusion"] += 1
-            x = random_graded(k + 1, top + 1, ring, rng)
-            if (cond_expect(include(a)) == a
-                    and cond_expect(sharp(sharp(ia, x), ib))
-                    == sharp(sharp(a, cond_expect(x)), b)
-                    and trace_tk(cond_expect(x)) == trace_tk(x)
-                    and dagger(cond_expect(x)) == cond_expect(dagger(x))):
-                counts["expectation"] += 1
-        for clause, good in sorted(counts.items()):
-            rows.append(_row(f"filtalg.{clause}", {"k": k, "trials": cfg.trials},
-                             good == cfg.trials, f"{good}/{cfg.trials} exact"))
+            return {
+                "assoc": sharp(sharp(a, b), c) == sharp(a, sharp(b, c)),
+                "unit": sharp(unit, a) == a and sharp(a, unit) == a,
+                "dagger": dagger(sharp(a, b)) == sharp(dagger(b), dagger(a))
+                and dagger(dagger(a)) == a,
+                "trace": trace_tk(sharp(dagger(b), a)) == rhs
+                and trace_tk(sharp(a, b)) == trace_tk(sharp(b, a)),
+                "inclusion": include(sharp(a, b)) == sharp(ia, ib)
+                and include(dagger(a)) == dagger(ia)
+                and trace_tk(ia) == trace_tk(a)
+                and include(unit) == GradedElement.unit(k + 1, ring),
+                "expectation": cond_expect(include(a)) == a
+                and cond_expect(sharp(sharp(ia, x), ib))
+                == sharp(sharp(a, cond_expect(x)), b)
+                and trace_tk(cond_expect(x)) == trace_tk(x)
+                and dagger(cond_expect(x)) == cond_expect(dagger(x))}
+        rows += _clauses("filtalg", {"k": k, "trials": cfg.trials},
+                         range(cfg.trials), draw, check, "{}/{} exact")
     rows.append(_row("filtalg.index_bijection", {"max": 6},
                      _index_bijection_ok(6), "exhaustive"))
     return rows
@@ -135,50 +147,50 @@ def _random_tspec(k, m, n, rng) -> TSpec:
 def suite_annular(cfg: Config):
     ring = Ring.symbolic()
     rng = random.Random(cfg.seed)
-    rows = []
     top = min(7, cfg.resolved_max_colour() + 2)
-    good = 0
-    for _ in range(cfg.trials):
+
+    def draw_compose(_):
         k = rng.randint(0, 2)
         m, n, p = (rng.randint(k, top) for _ in range(3))
         first, second = _random_tspec(k, m, n, rng), _random_tspec(k, n, p, rng)
+        return first, second, random_element(p, ring, rng, terms=1)
+
+    def check_compose(first, second, x):
         expo, spec3 = compose_T(first, second)
-        x = random_element(p, ring, rng, terms=1)
         lhs = evaluate(annular_T(first), [evaluate(annular_T(second), [x])])
         rhs = evaluate(annular_T(spec3), [x]).scale(ring.delta_power(expo))
         tangle_ok = substitute(annular_T(first), {1: annular_T(second)}) \
             == annular_T(spec3).with_loops(expo)
-        if lhs == rhs and tangle_ok:
-            good += 1
-    rows.append(_row("annular.compose_formula", {"trials": cfg.trials, "max": top},
-                     good == cfg.trials, f"{good}/{cfg.trials} exact"))
-
+        return {"compose_formula": lhs == rhs and tangle_ok}
+    rows = _clauses("annular", {"trials": cfg.trials, "max": top},
+                    range(cfg.trials), draw_compose, check_compose, "{}/{} exact")
     rows.append(_row("annular.identity_cases", {}, _identity_cases_ok()))
 
-    adj_ok = True
-    for _ in range(cfg.trials):
+    def draw_adjoint(_):
         k = rng.randint(0, 2)
         m, n = rng.randint(k, 5), rng.randint(k, 5)
         spec = _random_tspec(k, m, n, rng)
+        return (spec, random_element(n, ring, rng, terms=1),
+                random_element(m, ring, rng, terms=1))
+
+    def check_adjoint(spec, x, y):
         tangle = annular_T(spec)
         validate(tangle)
-        x = random_element(n, ring, rng, terms=1)
-        y = random_element(m, ring, rng, terms=1)
         lhs = evaluate(tangle, [x]).inner(y)
-        rhs = x.inner(evaluate(transpose_annular(tangle), [y])).delta_pow(n - m)
-        adj_ok = adj_ok and lhs == rhs
-    rows.append(_row("annular.transpose_adjoint", {"trials": cfg.trials}, adj_ok))
+        rhs = x.inner(evaluate(transpose_annular(tangle), [y]))
+        return {"transpose_adjoint": lhs == rhs.delta_pow(spec.n - spec.m)}
+    rows += _clauses("annular", {"trials": cfg.trials}, range(cfg.trials),
+                     draw_adjoint, check_adjoint, "")
 
-    rot_ok = True
-    for n in range(1, min(5, cfg.resolved_max_colour()) + 1):
+    def check_rotation(n, x, y):
         rot = rotation_tangle(n)
-        for _ in range(5):
-            x = random_element(n, ring, rng)
-            y = random_element(n, ring, rng)
-            rot_ok = rot_ok and evaluate(rot, [x]).inner(evaluate(rot, [y])) \
-                == x.inner(y)
-    rows.append(_row("annular.rotation_unitary", {}, rot_ok))
-
+        return {"rotation_unitary":
+                evaluate(rot, [x]).inner(evaluate(rot, [y])) == x.inner(y)}
+    # below colour 1 nothing rotates and the row passes with no case
+    rows += _clauses("annular", {}, [n for n in range(
+        1, min(5, cfg.resolved_max_colour()) + 1) for _ in range(5)],
+        lambda n: (n, random_element(n, ring, rng), random_element(n, ring, rng)),
+        check_rotation, "") or [_row("annular.rotation_unitary", {}, True)]
     rows.append(_row("annular.good_families", {}, _good_families_ok()))
     return rows
 
@@ -218,23 +230,19 @@ def suite_gjs_iso(cfg: Config):
     rows = []
     for k in range(cfg.level + 1):
         top = min(k + 3, cfg.resolved_max_colour())
-        good = dict.fromkeys(("inverse", "star", "trace", "multiplicative"), 0)
-        for _ in range(cfg.trials):
-            a = random_graded(k, top, ring, rng)
-            b = random_graded(k, top, ring, rng)
-            fa = phi(k, a)
-            if psi(k, fa) == a and phi(k, psi(k, a)) == a:
-                good["inverse"] += 1
-            if dagger(fa) == phi(k, dagger(a)):
-                good["star"] += 1
-            if trace_Tr(a) == trace_tk(fa).delta_pow(k):
-                good["trace"] += 1
-            if (phi(k, bullet(a, b)) == sharp(fa, phi(k, b))
-                    and psi(k, sharp(fa, phi(k, b))) == bullet(a, b)):
-                good["multiplicative"] += 1
-        for name, count in sorted(good.items()):
-            rows.append(_row(f"gjs.{name}", {"k": k, "trials": cfg.trials},
-                             count == cfg.trials, f"{count}/{cfg.trials} exact"))
+
+        def check(a, b):
+            fa, ab = phi(k, a), bullet(a, b)
+            product = sharp(fa, phi(k, b))
+            return {"inverse": psi(k, fa) == a and phi(k, psi(k, a)) == a,
+                    "star": dagger(fa) == phi(k, dagger(a)),
+                    "trace": trace_Tr(a) == trace_tk(fa).delta_pow(k),
+                    "multiplicative": phi(k, ab) == product
+                    and psi(k, product) == ab}
+        rows += _clauses("gjs", {"k": k, "trials": cfg.trials}, range(cfg.trials),
+                         lambda _: (random_graded(k, top, ring, rng),
+                                    random_graded(k, top, ring, rng)),
+                         check, "{}/{} exact")
     return rows
 
 
@@ -252,29 +260,22 @@ def suite_jones(cfg: Config):
         expected = GradedElement.unit(k, ring).scale(ring.delta_power(-2))
         rows.append(_row("jones.expectation", {"k": k},
                          cond_expect(e) == expected))
-        exe, comm, dot_ok = 0, 0, 0
-        for _ in range(cfg.trials):
-            x = random_graded(k, top, ring, rng)
-            ix = include(x)
-            if sharp(sharp(e, ix), e) == sharp(include(include(cond_expect(x))), e):
-                exe += 1
-            y = include(include(random_graded(k - 1, top - 1, ring, rng)))
-            if sharp(e, y) == sharp(y, e):
-                comm += 1
-            a = random_graded(k + 1, top + 1, ring, rng)
-            a2 = random_graded(k + 1, top + 1, ring, rng)
-            b = random_graded(k, top, ring, rng)
-            if (dot_action(a, b) == dot_action_via_expectation(a, b)
+
+        def draw(_):
+            return [random_graded(k + j, top + j, ring, rng) for j in (0, -1, 1, 1, 0)]
+
+        def check(x, lower, a, a2, b):
+            y = include(include(lower))
+            return {"exe_rule": sharp(sharp(e, include(x)), e)
+                    == sharp(include(include(cond_expect(x))), e),
+                    "commutes_lower": sharp(e, y) == sharp(y, e),
+                    "dot_homomorphism": dot_action(a, b)
+                    == dot_action_via_expectation(a, b)
                     and dot_action(sharp(a, a2), b)
                     == dot_action(a, dot_action(a2, b))
-                    and dot_action(GradedElement.unit(k + 1, ring), b) == b):
-                dot_ok += 1
-        rows.append(_row("jones.exe_rule", {"k": k, "trials": cfg.trials},
-                         exe == cfg.trials, f"{exe}/{cfg.trials}"))
-        rows.append(_row("jones.commutes_lower", {"k": k, "trials": cfg.trials},
-                         comm == cfg.trials, f"{comm}/{cfg.trials}"))
-        rows.append(_row("jones.dot_homomorphism", {"k": k, "trials": cfg.trials},
-                         dot_ok == cfg.trials, f"{dot_ok}/{cfg.trials}"))
+                    and dot_action(GradedElement.unit(k + 1, ring), b) == b}
+        rows += _clauses("jones", {"k": k, "trials": cfg.trials},
+                         range(cfg.trials), draw, check, "{}/{}")
     return rows
 
 
@@ -332,17 +333,12 @@ def suite_commutant_replay(cfg: Config):
         rows.append(_row("replay.dcomm", {"k": k}, rep["status"] == "pass",
                          f"placements {rep['passing_placements']}"))
     rr = Ring.rational(Fraction(5, 2))
-    member_ok = 0
-    cases = 0
-    for (n, k) in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        for _ in range(max(1, cfg.trials // 4)):
-            cases += 1
-            x = random_element(n, rr, rng)
-            rep = analysis.cnk_membership(x, k)
-            if rep["status"] == "pass":
-                member_ok += 1
-    rows.append(_row("replay.cnk_membership", {"cases": cases},
-                     member_ok == cases, f"{member_ok}/{cases}"))
+    cases = [nk for nk in ((2, 1), (3, 1), (3, 2), (4, 2))
+             for _ in range(max(1, cfg.trials // 4))]
+    rows += _clauses("replay", {"cases": len(cases)}, cases,
+                     lambda nk: (random_element(nk[0], rr, rng), nk[1]),
+                     lambda x, k: {"cnk_membership": analysis.cnk_membership(
+                         x, k)["status"] == "pass"}, "{}/{}")
     inv_ok = True
     for (n, k) in ((2, 1), (3, 1), (3, 2)):
         for _ in range(3):

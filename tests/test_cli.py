@@ -10,7 +10,7 @@ from planalg.config import Config
 from planalg.diagrams import Diagram
 from planalg.elements import Element
 from planalg.scalars import Ring
-from planalg.tower import GradedElement, sharp
+from planalg.tower import GradedElement, sharp, trace_Tr
 
 
 def write_json(path, data):
@@ -156,6 +156,47 @@ def test_verify_rejects_zero_jobs(capsys):
     assert main(["verify", "annular", "--jobs", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition violation: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "annular", "--max-colour", "-1", "--trials", "1"],
+    ["verify", "filtalg", "--trials", "0"],
+    ["verify", "filtalg", "--max-colour", "-3", "--trials", "1"],
+    ["verify", "gjs-iso", "--trials", "-2"],
+], ids=["annular-colour-1", "filtalg-trials0", "filtalg-colour-3", "gjs-trials-2"])
+def test_verify_rejects_bad_sizes(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violation: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_accepts_colour_zero(capsys):
+    assert main(["verify", "annular", "--max-colour", "0", "--trials", "1"]) == 0
+    assert "PASS annular.rotation_unitary \n" in capsys.readouterr().out
+
+
+def test_negative_cap_is_a_precondition_violation(capsys):
+    assert main(["--cap", "-1", "dims", "--max-colour", "2"]) == 2
+    assert capsys.readouterr().err == \
+        "precondition violation: colour cap must be non-negative\n"
+
+
+def test_a_failing_clause_fails_only_its_own_rows(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(suites, "trace_Tr", lambda a: trace_Tr(a) + a.ring.one())
+    out = tmp_path / "rep.json"
+    assert main(["verify", "gjs-iso", "--level", "1", "--max-colour", "3",
+                 "--trials", "2", "--out", str(out)]) == 4
+    assert "FAIL gjs.trace k=0 trials=2  [0/2 exact]" in capsys.readouterr().out
+    rows = json.loads(out.read_text())["checks"]
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert [row["check"] for row in failed] == ["gjs.trace", "gjs.trace"]
+    assert all(row["details"] == "0/2 exact" for row in failed)
+    passed = [row for row in rows if row["status"] == "pass"]
+    assert {row["check"] for row in passed} == {
+        "gjs.inverse", "gjs.multiplicative", "gjs.star"}
+    assert all(row["details"] == "2/2 exact" for row in passed)
 
 
 def test_jobs_are_capped_at_the_number_of_suites(monkeypatch):

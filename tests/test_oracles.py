@@ -6,12 +6,14 @@ inclusion, expectation and the Gram test), with nothing of those routes
 inside the closed form itself.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from planalg.analysis import gram_positive_definite_exact, is_psd
+from planalg.analysis import gram_float, gram_positive_definite_exact, is_psd
 from planalg.diagrams import Diagram
 from planalg.elements import Element, jones_projection, random_element
 from planalg.scalars import Ring
@@ -112,3 +114,31 @@ def test_gram_positivity_threshold():
         for n in range(1, 6):
             closed_form = all(chebyshev_u(j, delta) > 0 for j in range(1, n + 1))
             assert gram_positive_definite_exact(n, delta) == closed_form, (delta, n)
+
+
+# -- Jones' index values (Jones, "Index for subfactors", 1983; Goodman-de la
+#    Harpe-Jones, 1989; Wenzl, 1987) -------------------------------------------
+
+
+def end_vertex_walks(vertices: int, length: int) -> int:
+    """Closed walks of `length` steps from an end vertex of the path A_vertices."""
+    counts = [1] + [0] * (vertices - 1)
+    for _ in range(length):
+        counts = [(counts[v - 1] if v else 0)
+                  + (counts[v + 1] if v + 1 < vertices else 0)
+                  for v in range(vertices)]
+    return counts[0]
+
+
+@pytest.mark.parametrize("big_n", range(3, 9))
+def test_gram_rank_at_jones_index_values(big_n):
+    """At delta = 2cos(pi/N) the Gram matrix of P_n is positive semidefinite
+    of rank the number of closed walks of length 2n from an end vertex of
+    the Dynkin diagram A_{N-1}."""
+    ring = Ring.float_(2 * math.cos(math.pi / big_n))
+    for n in range(7):
+        eigs = np.linalg.eigvalsh(gram_float(n, ring))
+        scale = np.abs(eigs).max()
+        assert eigs.min() >= -1e-9 * scale, (big_n, n, eigs.min())
+        rank = int((eigs > 1e-9 * scale).sum())
+        assert rank == end_vertex_walks(big_n - 1, 2 * n), (big_n, n, rank)
