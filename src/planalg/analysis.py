@@ -18,7 +18,7 @@ import numpy as np
 from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
     compose_T, transpose_annular
 from .config import FLOAT_TOL
-from .diagrams import enumerate_diagrams, identity_diagram, interned
+from .diagrams import Colour, enumerate_diagrams, identity_diagram, interned
 from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
     random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
@@ -462,12 +462,12 @@ def ccommlem_invert(z: Element, n: int, k: int) -> Element:
     """The displayed inverse: sum_t delta^-t T(k,[1,n+1-t-k],[t+1,n-k+1])(z)."""
     if z.colour.n != n + 1:
         raise PreconditionError("z must live in colour n+1")
-    out = Element.zero(n, z.ring)
+    terms = []
     for t in range(1, n - k + 1):
         spec = TSpec(k, _interval(1, n + 1 - t - k), _interval(t + 1, n - k + 1),
                      n, n + 1)
-        out = out + evaluate(annular_T(spec), [z]).scale(z.ring.delta_power(-t))
-    return out
+        terms += evaluate(annular_T(spec), [z])._terms(m=-t)
+    return Element._sum(Colour.of(n), z.ring, terms)
 
 
 def annular_norm_bound(spec: TSpec, x: Element, k: int):
@@ -576,9 +576,8 @@ def xnxm_verify(k: int, n: int, rng) -> dict:
         if sol is None:
             failures += 1
             continue
-        x_m = Element.zero(m, ring)
-        for w, pb in zip(sol, perp_basis):
-            x_m = x_m + pb.scale(ring.fraction(w))
+        x_m = Element._sum(Colour.of(m), ring, [
+            term for w, pb in zip(sol, perp_basis) for term in pb._terms(ring.fraction(w))])
         if texpr(x_m) != z:
             failures += 1
             continue
@@ -599,44 +598,39 @@ def xn_from_xm(x_m: Element, n: int, k: int, d: int) -> Element:
     m = x_m.colour.n
     if m != n + 2 * d:
         raise PreconditionError("colour of x_m must be n + 2d")
-    out = Element.zero(n, x_m.ring)
+    terms, minus = [], x_m.ring.fraction(-1)
     for t in range(1, n - k + 1):
-        s1 = TSpec(k, _interval(1, n + 1 - t - k), _interval(t + d, n - k + d), n, m)
-        s2 = TSpec(k, _interval(1, n + 1 - t - k),
-                   _interval(t + d + 1, n - k + d + 1), n, m)
-        term = evaluate(annular_T(s1), [x_m]) - evaluate(annular_T(s2), [x_m])
-        out = out + term.scale(x_m.ring.delta_power(-(t + d - 1)))
-    return out
+        for sign, shift in ((None, 0), (minus, 1)):
+            spec = TSpec(k, _interval(1, n + 1 - t - k),
+                         _interval(t + d + shift, n - k + d + shift), n, m)
+            terms += evaluate(annular_T(spec), [x_m])._terms(sign, 1 - t - d)
+    return Element._sum(Colour.of(n), x_m.ring, terms)
 
 
 def xnxm_telescope(k: int, n: int, rng) -> dict:
     """The induction step at d = 2: the four-term double sum telescopes to
     the direct formula, checked exactly on random complement elements."""
     ring = Ring.symbolic()
+    minus = ring.fraction(-1)
     d = 2
     m = n + 2 * d
     failures = 0
     trials = 3
     for _ in range(trials):
         _, x_m = perp_projection(random_element(m, ring, rng), k)
-        four = Element.zero(n, ring)
+        terms = []
         for t in range(1, n - k + 1):
-            t_a = TSpec(k, _interval(1, n + 1 - t - k), _interval(t + 1, n - k + 1),
-                        n, n + 2)
-            t_ap = TSpec(k, _interval(1, n + 1 - t - k), _interval(t + 2, n - k + 2),
-                         n, n + 2)
             for s in range(1, n + 2 - k + 1):
-                t_b1 = TSpec(k, _interval(1, n + 3 - s - k),
-                             _interval(s + d - 1, n - k + d + 1), n + 2, m)
-                t_b2 = TSpec(k, _interval(1, n + 3 - s - k),
-                             _interval(s + d, n - k + d + 2), n + 2, m)
-                coeff = -(t + s + d - 2)
-                for sign, ta, tb in ((1, t_a, t_b1), (-1, t_ap, t_b1),
-                                     (-1, t_a, t_b2), (1, t_ap, t_b2)):
+                # shifting one interval by one flips the sign
+                for sa, sb in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                    ta = TSpec(k, _interval(1, n + 1 - t - k),
+                               _interval(t + 1 + sa, n - k + 1 + sa), n, n + 2)
+                    tb = TSpec(k, _interval(1, n + 3 - s - k),
+                               _interval(s + d - 1 + sb, n - k + d + 1 + sb), n + 2, m)
                     expo, spec3 = compose_T(ta, tb)
-                    term = evaluate(annular_T(spec3), [x_m]).scale(
-                        ring.delta_power(expo + coeff))
-                    four = four + (term if sign > 0 else -term)
+                    terms += evaluate(annular_T(spec3), [x_m])._terms(
+                        minus if sa != sb else None, expo - (t + s + d - 2))
+        four = Element._sum(Colour.of(n), ring, terms)
         if four != xn_from_xm(x_m, n, k, d):
             failures += 1
     status = "pass" if failures == 0 else "fail"

@@ -66,6 +66,12 @@ class Config:
         if self.resolved_max_colour() > COLOUR_CAP:
             raise PreconditionError(
                 f"max colour {self.resolved_max_colour()} exceeds cap {COLOUR_CAP}")
+        # these suites draw colours level..max colour: none would be a vacuous pass
+        levels = [max(1, self.level) if s == "jones" else self.level
+                  for s in self.suites if s in ("filtalg", "gjs-iso", "jones")]
+        if levels and self.resolved_max_colour() < max(levels):
+            raise PreconditionError(f"max colour {self.resolved_max_colour()} is "
+                                    f"below the level {max(levels)} a suite runs")
         if any(s in POSITIVITY_SUITES for s in self.suites):
             if value is not None and value < 2:
                 raise PreconditionError(

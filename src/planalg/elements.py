@@ -12,7 +12,6 @@ the independent oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram, interned
 from .errors import (ColourMismatchError, InternalError, ModeMismatchError,
@@ -29,12 +28,7 @@ class Element:
         self.colour = Colour.of(colour)
         self.ring = ring
         combo = combo or {}
-        for diagram, coeff in combo.items():
-            if diagram.colour != self.colour:
-                raise ColourMismatchError(
-                    f"diagram of colour {diagram.colour} in element of colour {self.colour}")
-            if not ring.matches(coeff):
-                raise ModeMismatchError("coefficient mode does not match element ring")
+        _check(self.colour, ring, combo.items())
         self.combo = _nonzero(combo)
 
     @classmethod
@@ -60,13 +54,20 @@ class Element:
 
     @classmethod
     def from_terms(cls, colour, ring: Ring, terms):
-        """Sum (diagram, coefficient) pairs in one pass over a single dict."""
-        return cls(colour, ring, _summed(terms))
+        """Sum (diagram, coefficient) pairs, each checked first, with `_sum`."""
+        colour, terms = Colour.of(colour), list(terms)
+        _check(colour, ring, terms)
+        return cls._sum(colour, ring, [(d, None, c, 0) for d, c in terms])
 
     @classmethod
     def _sum(cls, colour: Colour, ring: Ring, terms) -> "Element":
-        """`from_terms` for terms already checked against colour and ring."""
-        return cls._of(colour, ring, _nonzero(_summed(terms)))
+        """Sum a*b*delta**m per diagram over `(diagram, a, b, m)` terms checked
+        against colour and ring, with the ring's kernel (`a` None counts as 1)."""
+        return cls._of(colour, ring, ring.scalar._sum_products(terms, ring.delta))
+
+    def _terms(self, a=None, m: int = 0) -> list:
+        """This element times a * delta**m as terms for `_sum`."""
+        return [(d, a, c, m) for d, c in self.combo.items()]
 
     # -- linear structure -----------------------------------------------------
 
@@ -78,8 +79,7 @@ class Element:
 
     def __add__(self, other):
         self._check_join(other)
-        return Element._sum(self.colour, self.ring,
-                            chain(self.combo.items(), other.combo.items()))
+        return Element._sum(self.colour, self.ring, self._terms() + other._terms())
 
     def __sub__(self, other):
         return self + (-other)
@@ -157,15 +157,13 @@ class Element:
     @classmethod
     def from_json(cls, data, ring: Ring | None = None):
         colour = Colour.capped(data["colour"])
-        combo = {}
+        terms = []      # a diagram listed twice adds up
         for term in data["terms"]:
             coeff = Scalar.from_json(term["coeff"])
             if ring is None:
                 ring = Ring(coeff.mode, coeff.delta)
-            combo[Diagram(colour, [tuple(p) for p in term["pairs"]])] = coeff
-        if ring is None:
-            ring = Ring.symbolic()
-        return cls(colour, ring, combo)
+            terms.append((Diagram(colour, [tuple(p) for p in term["pairs"]]), coeff))
+        return cls.from_terms(colour, ring or Ring.symbolic(), terms)
 
     def __repr__(self):
         if not self.combo:
@@ -203,15 +201,17 @@ def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
         for d, c in last:
             output, closed = node.get(d) or _trace(key, ds + (d,))
             terms.append((output, coeff, c, closed + loops))
-    return Element._of(colour, ring, ring.scalar._sum_products(terms, ring.delta))
+    return Element._sum(colour, ring, terms)
 
 
-def _summed(terms) -> dict:
-    """Add (diagram, coefficient) pairs into one dict with the scalar `+`."""
-    combo = {}
-    for d, c in terms:
-        combo[d] = combo[d] + c if d in combo else c
-    return combo
+def _check(colour: Colour, ring: Ring, terms) -> None:
+    """Raise unless every (diagram, coefficient) is of `colour` and `ring`."""
+    for diagram, coeff in terms:
+        if diagram.colour != colour:
+            raise ColourMismatchError(
+                f"diagram of colour {diagram.colour} in element of colour {colour}")
+        if not ring.matches(coeff):
+            raise ModeMismatchError("coefficient mode does not match element ring")
 
 
 def _nonzero(combo: dict) -> dict:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .annular import enumerate_good, transpose_annular
-from .diagrams import Diagram, identity_diagram
+from .diagrams import Colour, Diagram, identity_diagram
 from .elements import Element, jones_projection, random_element, tl_sum
 from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
                      PreconditionError)
@@ -64,7 +64,7 @@ class GradedElement:
             colour, ts = terms.setdefault(el.colour.n, (el.colour, []))
             if el.colour != colour:
                 raise ColourMismatchError(f"colour mismatch: {colour} vs {el.colour}")
-            ts.extend(el.combo.items())
+            ts += el._terms()
         return cls(level, ring, {n: Element._sum(colour, ring, ts)
                                  for n, (colour, ts) in terms.items()})
 
@@ -112,14 +112,14 @@ class GradedElement:
 
     @classmethod
     def from_json(cls, data, ring=None):
-        comps = {}
+        parts = []      # keys naming one colour twice ("2", "02") add up
         for n, el in data["components"].items():
-            comps[int(n)] = Element.from_json(el, ring)
-            if ring is None:
-                ring = comps[int(n)].ring
-        if ring is None:
-            ring = Ring.symbolic()
-        return cls(data["level"], ring, comps)
+            el = Element.from_json(el, ring)
+            if el.colour.n != int(n):
+                raise PreconditionError("component colour does not match key")
+            ring = ring or el.ring
+            parts.append(el)
+        return cls.from_parts(data["level"], ring or Ring.symbolic(), parts)
 
     def __repr__(self):
         comps = ", ".join(f"{n}: {el!r}" for n, el in sorted(self.components.items()))
@@ -314,10 +314,10 @@ def _column(k, j, i, excellent, diagram, ring) -> Element:
     """The colour-i image of one P_j basis diagram under phi (psi if
     excellent), sign included; the maps are linear in these columns."""
     x = Element.basis(diagram, ring)
-    col = Element.from_terms(i, ring, (
+    sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
+    return Element._sum(Colour.of(i), ring, [
         term for tangle in _good_tangles(k, j, i, excellent)
-        for term in evaluate(tangle, [x]).combo.items()))
-    return -col if excellent and (i + j) % 2 == 1 else col
+        for term in evaluate(tangle, [x])._terms(sign)])
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
@@ -328,10 +328,9 @@ def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
         for d, c in el.combo.items():
             for i in range(k, j + 1):
                 col = _column(k, j, i, excellent, d, ring)
-                terms.setdefault(col.colour, []).extend(
-                    (out, cc, c, 0) for out, cc in col.combo.items())
+                terms.setdefault(col.colour, []).extend(col._terms(c))
     return GradedElement(k, ring, {
-        colour.n: Element._of(colour, ring, ring.scalar._sum_products(ts, ring.delta))
+        colour.n: Element._sum(colour, ring, ts)
         for colour, ts in terms.items()})
 
 

@@ -179,11 +179,20 @@ def specialize(s: Scalar, delta) -> Scalar:
 # -- the per-term route: the oracle of the scalar kernels' sums of products --------
 
 
+def _summed(terms) -> dict:
+    """Add (diagram, coefficient) pairs into one dict with the scalar `+`."""
+    combo = {}
+    for d, c in terms:
+        combo[d] = combo[d] + c if d in combo else c
+    return combo
+
+
 def per_term_sum(colour, ring: Ring, terms) -> Element:
-    """Sum `(diagram, a, b, m)` terms as contraction did before the kernels:
-    one scalar `(a * b).delta_pow(m)` per term (`a` None counting as 1),
-    added in term order by `Element.from_terms` with all its checks."""
-    return Element.from_terms(colour, ring, (
+    """Sum `(diagram, a, b, m)` terms as `src/` did before the kernels: one
+    scalar `(a * b).delta_pow(m)` per term (`a` None counting as 1), added
+    in term order with the checked scalar `+` by `_summed`; the `Element`
+    constructor checks colour and ring and drops the zero sums."""
+    return Element(colour, ring, _summed(
         (d, (b if a is None else a * b).delta_pow(m)) for d, a, b, m in terms))
 
 

@@ -172,6 +172,31 @@ def test_verify_rejects_bad_sizes(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "filtalg", "--max-colour", "1", "--trials", "1"],
+    ["verify", "gjs-iso", "--level", "1", "--max-colour", "0", "--trials", "1"],
+    ["verify", "jones", "--level", "1", "--max-colour", "0", "--trials", "1"],
+    ["verify", "jones", "--level", "0", "--max-colour", "0", "--trials", "1"],
+    ["verify", "all", "--max-colour", "1", "--trials", "1"],
+], ids=["filtalg-2-1", "gjs-1-0", "jones-1-0", "jones-0-0", "all-2-1"])
+def test_verify_rejects_a_level_above_the_max_colour(capsys, argv):
+    # each would pass its trial rows on zero elements
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violation: max colour ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gjs-iso", "--level", "1", "--max-colour", "1", "--trials", "1"],
+    ["verify", "jones", "--level", "0", "--max-colour", "1", "--trials", "1"],
+], ids=["gjs-1-1", "jones-0-1"])
+def test_verify_accepts_a_max_colour_at_the_level(capsys, argv):
+    assert main(argv) == 0
+    assert "all passed" in capsys.readouterr().out
+
+
 def test_verify_accepts_colour_zero(capsys):
     assert main(["verify", "annular", "--max-colour", "0", "--trials", "1"]) == 0
     assert "PASS annular.rotation_unitary \n" in capsys.readouterr().out

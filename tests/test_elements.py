@@ -4,13 +4,17 @@ import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, contract, jones_projection, tl_sum
-from planalg.errors import ColourMismatchError, ModeMismatchError, ValidationError
+from planalg.config import COLOUR_CAP
+from planalg.errors import (ColourMismatchError, ModeMismatchError, ParseError,
+                            ValidationError)
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import (evaluate, evaluate_in, multiplication_tangle,
                              trace_tangle, validate)
 from planalg import random_element
+from planalg.tower import GradedElement
 from conftest import (KERNEL_RINGS, _closure_loops, _stack, per_term_evaluate,
-                      per_term_multiply, random_combo, random_tangle, same_terms)
+                      per_term_multiply, per_term_sum, random_coeff, random_combo,
+                      random_tangle, same_terms)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -141,6 +145,31 @@ def test_json_roundtrip(sym, rng):
     assert Element.from_json(zero_plus.to_json(), sym) == zero_plus
 
 
+def cup2_term(coeff):
+    return {"pairs": [[1, 2], [3, 4]], "coeff": coeff.to_json()}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_from_json_adds_a_repeated_diagram(ring):
+    # the old loader kept only the last coefficient of D2(1-2,3-4): 2, not 3
+    data = {"colour": 2, "terms": [cup2_term(ring.fraction(1)),
+                                   cup2_term(ring.fraction(2))]}
+    assert Element.from_json(data).combo == {CUP2: ring.fraction(3)}
+    data["terms"].append(cup2_term(ring.fraction(-3)))
+    assert Element.from_json(data, ring).is_zero()
+
+
+def test_from_json_keeps_its_checks(sym):
+    rat = Ring.rational(2)
+    mixed = [cup2_term(sym.one()), cup2_term(rat.one())]
+    with pytest.raises(ModeMismatchError):
+        Element.from_json({"colour": 2, "terms": mixed})
+    with pytest.raises(ModeMismatchError):
+        Element.from_json({"colour": 2, "terms": mixed[1:]}, sym)
+    with pytest.raises(ParseError):
+        Element.from_json({"colour": COLOUR_CAP + 1, "terms": []})
+
+
 def test_from_terms_merges_duplicates_and_drops_zeros(sym):
     one, d = identity_diagram(2), sym.delta_power(1)
     x = Element.from_terms(2, sym, [(CUP2, d), (one, sym.one()), (CUP2, d),
@@ -160,6 +189,32 @@ def test_from_terms_checks_colour_and_mode(sym):
 
 
 # -- the sum-of-products kernels against the per-term route ------------------------
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_sums_match_per_term_route(ring, rng):
+    # P_1 has one diagram and P_2 two, so most keys meet many terms (float
+    # sums of them round, so their order shows) and a negated term cancels
+    def terms(*xs):
+        return [(d, None, c, 0) for x in xs for d, c in x.combo.items()]
+
+    for n in (1, 2, 3):
+        basis = enumerate_diagrams(n)
+        for _ in range(10):
+            x, y = (random_combo(n, ring, rng, terms=3) for _ in range(2))
+            assert same_terms(x + y, per_term_sum(n, ring, terms(x, y)))
+            assert same_terms(x - y, per_term_sum(n, ring, terms(x, -y)))
+            assert (x - x).is_zero()
+            pairs = [(rng.choice(basis), random_coeff(ring, rng)) for _ in range(8)]
+            pairs.append((pairs[0][0], -pairs[0][1]))
+            assert same_terms(Element.from_terms(n, ring, pairs),
+                              per_term_sum(n, ring, [(d, None, c, 0) for d, c in pairs]))
+            parts = [random_combo(rng.randint(1, 3), ring, rng) for _ in range(6)]
+            graded = GradedElement.from_parts(1, ring, parts)
+            for i in range(1, 4):
+                expected = per_term_sum(i, ring, terms(*(p for p in parts
+                                                         if p.colour.n == i)))
+                assert same_terms(graded.component(i), expected)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)

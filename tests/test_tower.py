@@ -348,6 +348,30 @@ def test_graded_json_roundtrip(sym, rng):
     assert GradedElement.from_json(a.to_json()) == a
 
 
+def test_graded_from_json_adds_keys_of_one_colour(sym):
+    # "2" and "02" both name colour 2; the old loader kept only the last
+    x, y = Element.basis(CUP2, sym), Element.unit(2, sym)
+    data = {"level": 1, "components": {"2": x.to_json(), "02": (x + y).to_json()}}
+    assert GradedElement.from_json(data) == graded(1, x + x + y)
+    data["components"]["002"] = (-x - x - y).to_json()
+    assert GradedElement.from_json(data).is_zero()
+
+
+def test_graded_from_json_keeps_its_checks(sym):
+    x = Element.basis(CUP2, sym).to_json()
+    zero = Element.zero(2, sym).to_json()
+    rat = Element.basis(CUP2, Ring.rational(2)).to_json()
+    for components, level, ring, error in [
+            ({"3": x}, 1, None, "does not match key"),
+            ({"2": x}, 3, None, "below level"),
+            ({"2": zero}, 3, None, "below level"),
+            ({"2": x, "02": rat}, 1, None, ModeMismatchError),
+            ({"2": rat}, 1, sym, ModeMismatchError)]:
+        match = error if isinstance(error, str) else None
+        with pytest.raises(PreconditionError if match else error, match=match):
+            GradedElement.from_json({"level": level, "components": components}, ring)
+
+
 def tangle_sum_oracle(k, a, excellent):
     """phi/psi by their definition: every good tangle applied to the input."""
     out = GradedElement.zero(k, a.ring)
