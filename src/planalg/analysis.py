@@ -18,7 +18,7 @@ import numpy as np
 from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
     compose_T, transpose_annular
 from .config import FLOAT_TOL
-from .diagrams import Colour, enumerate_diagrams, identity_diagram, interned
+from .diagrams import Colour, enumerate_diagrams, identity_diagram
 from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
     random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
@@ -54,6 +54,7 @@ def _basis_tables(n: int):
     """
     basis = enumerate_diagrams(n)
     index = {d: i for i, d in enumerate(basis)}
+    position = {d.pairs: i for i, d in enumerate(basis)}   # trace_strands' sorted pairs
     wiring = _product_wiring(n)
     pad = (None,) * (2 * n)
     prod = []
@@ -63,7 +64,7 @@ def _basis_tables(n: int):
         for d2 in basis:
             pairs, loops = trace_strands(
                 wiring, below + placed_pairing(d2, 4 * n), 2 * n)
-            row.append((index[interned(d1.colour, pairs)], loops))
+            row.append((position[pairs], loops))
         prod.append(tuple(row))
     closure = [trace_strands(_closure_wiring(n), placed_pairing(d, 0), 0)[1]
                for d in basis]

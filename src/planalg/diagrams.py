@@ -87,25 +87,55 @@ def catalan(n: int) -> int:
     return 1 if n == 0 else catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
 
 
-class Diagram:
+_INTERNED = {}      # (n, minus, pairs) -> the one Diagram with that pairing
+
+
+class _Interned(type):
+    """`Diagram(colour, pairs)` returns the one instance of that pairing, kept
+    for the life of the process.  The lookup comes first, so `__init__` runs,
+    and validates, once per new pairing; one that fails is never kept."""
+
+    def __call__(cls, colour, pairs):
+        colour = Colour.of(colour)
+        key = (colour.n, colour.minus, _sorted_pairs(pairs))
+        diagram = _INTERNED.get(key)
+        if diagram is None:
+            diagram = _INTERNED[key] = super().__call__(colour, key[2])
+        return diagram
+
+
+def _sorted_pairs(pairs) -> tuple:
+    """The pairs sorted, each smaller end first; each must be two `int`s."""
+    out = []
+    for p in pairs:
+        try:
+            a, b = p
+        except (TypeError, ValueError):
+            raise ValidationError(f"pair {p!r} is not two endpoints") from None
+        if type(a) is not int or type(b) is not int:
+            raise ValidationError(f"pair {p!r} has an endpoint that is not an int")
+        out.append((a, b) if a < b else (b, a))
+    out.sort()
+    return tuple(out)
+
+
+class Diagram(metaclass=_Interned):
     """A non-crossing perfect matching of the 2n boundary points of an n-box.
 
     Points are numbered 1..2n clockwise.  Stored as a sorted tuple of pairs,
-    each pair with the smaller endpoint first; hashable, usable as a basis key.
+    each pair with the smaller endpoint first; diagrams compare by identity.
     """
 
-    __slots__ = ("colour", "pairs", "_partner", "_hash")
+    __slots__ = ("colour", "pairs", "_partner")
 
-    def __init__(self, colour, pairs):
-        self.colour = Colour.of(colour)
-        pairs = tuple(sorted((min(p), max(p)) for p in pairs))
+    def __init__(self, colour: Colour, pairs: tuple):
+        self.colour = colour
         self.pairs = pairs
         partner = {}
         for a, b in pairs:
             partner[a] = b
             partner[b] = a
         self._partner = partner
-        self._hash = hash((self.colour, pairs))
         self._validate()
 
     def _validate(self):
@@ -136,18 +166,13 @@ class Diagram:
     def reflect(self) -> "Diagram":
         """Mirror image: point i goes to 2n+1-i."""
         m = self.colour.points + 1
-        return interned(self.colour,
-                        tuple(sorted((m - b, m - a) for a, b in self.pairs)))
+        return Diagram(self.colour, [(m - b, m - a) for a, b in self.pairs])
+
+    def __reduce__(self):
+        return (Diagram, (self.colour, self.pairs))
 
     def to_json(self):
         return [list(p) for p in self.pairs]
-
-    def __eq__(self, other):
-        return (isinstance(other, Diagram)
-                and self.colour == other.colour and self.pairs == other.pairs)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         inner = ",".join(f"{a}-{b}" for a, b in self.pairs)
@@ -156,27 +181,8 @@ class Diagram:
 
 def identity_diagram(colour) -> Diagram:
     """The unit 1_n: point i joined to 2n+1-i."""
-    colour = Colour.of(colour)
-    n = colour.n
-    return interned(colour, tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
-
-
-_INTERNED = {}      # (n, minus, pairs) -> the one Diagram with that pairing
-
-
-def interned(colour: Colour, pairs: tuple) -> Diagram:
-    """The one Diagram of this colour and pairing (pairs sorted, each with
-    its smaller end first), kept for the life of the process.
-
-    The table fills lazily: a pairing is validated the first time it is
-    seen and never again, and one that fails validation is not kept, so it
-    raises `ValidationError` every time.
-    """
-    key = (colour.n, colour.minus, pairs)
-    diagram = _INTERNED.get(key)
-    if diagram is None:
-        diagram = _INTERNED[key] = Diagram(colour, pairs)
-    return diagram
+    n = Colour.of(colour).n
+    return Diagram(colour, [(i, 2 * n + 1 - i) for i in range(1, n + 1)])
 
 
 def _matchings(points: tuple) -> list:
@@ -196,10 +202,9 @@ def _matchings(points: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(n: int):
-    colour = Colour(n)
-    return tuple(interned(colour, tuple(m))
-                 for m in _matchings(tuple(range(1, 2 * n + 1))))
+def _enumerate_cached(colour: Colour):
+    return tuple(Diagram(colour, m)
+                 for m in _matchings(tuple(range(1, colour.points + 1))))
 
 
 def enumerate_diagrams(colour) -> tuple:
@@ -208,6 +213,4 @@ def enumerate_diagrams(colour) -> tuple:
     if colour.n > config.COLOUR_CAP:
         raise PreconditionError(
             f"colour {colour.n} exceeds the configured cap {config.COLOUR_CAP}")
-    if colour.n == 0:
-        return (interned(colour, ()),)
-    return _enumerate_cached(colour.n)
+    return _enumerate_cached(colour)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram, interned
+from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram
 from .errors import (ColourMismatchError, InternalError, ModeMismatchError,
                      PreconditionError, ValidationError)
 from .scalars import Laurent, Ring, Scalar
@@ -162,7 +162,7 @@ class Element:
             coeff = Scalar.from_json(term["coeff"])
             if ring is None:
                 ring = Ring(coeff.mode, coeff.delta)
-            terms.append((Diagram(colour, [tuple(p) for p in term["pairs"]]), coeff))
+            terms.append((Diagram(colour, term["pairs"]), coeff))
         return cls.from_terms(colour, ring or Ring.symbolic(), terms)
 
     def __repr__(self):
@@ -226,7 +226,7 @@ def _trace(key, diagrams: tuple) -> tuple:
     inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
     pairs, closed = trace_strands(wiring, inner, colour.points)
     try:
-        leaf = (interned(colour, pairs), closed)
+        leaf = (Diagram(colour, pairs), closed)
     except ValidationError as exc:
         raise InternalError(
             f"evaluation produced a crossing output pairing: {exc}") from exc

@@ -134,6 +134,23 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys, op, data):
     assert_one_line_parse_error(capsys)
 
 
+@pytest.mark.parametrize("pairs", [
+    [[1.0, 4.0], [2.0, 3.0]],       # float endpoints
+    [[1, 4, 2], [2, 3]],            # a third entry
+    [[True, 4], [2, 3]],            # a bool endpoint
+], ids=["float", "three-entries", "bool"])
+@pytest.mark.parametrize("argv", [["multiply", "f", "f"], ["inner", "f", "f"],
+                                  ["dagger", "f"]], ids=["multiply", "inner", "dagger"])
+def test_malformed_pair_endpoints_are_a_precondition_violation(tmp_path, capsys,
+                                                               pairs, argv):
+    path = tmp_path / "f.json"
+    write_json(path, {"colour": 2, "terms": [
+        {"pairs": pairs, "coeff": {"mode": "symbolic", "terms": [[0, 1]]}}]})
+    assert main(["compute"] + [str(path) if a == "f" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: pair ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("suite", ["positivity", "filtalg"])
 def test_verify_bad_delta_is_a_parse_error(capsys, suite):
     assert main(["verify", suite, "--delta", "abc"]) == 1

@@ -82,6 +82,10 @@ def test_crossing_rejected():
         Diagram(2, [(1, 2), (3, 3)])
     with pytest.raises(ValidationError):
         Diagram(2, [(1, 2)])
+    for pairs in ([(1.0, 4.0), (2.0, 3.0)], [(1, 4, 2), (2, 3)],
+                  [(True, 4), (2, 3)], [1, (2, 3)]):
+        with pytest.raises(ValidationError):
+            Diagram(2, pairs)
 
 
 def test_equal_parity_pair_rejected():

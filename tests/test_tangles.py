@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -311,6 +312,7 @@ def test_evaluate_rejects_a_crossing_output(sym, traces):
     # the failed pairing is neither interned nor kept as a traced
     # contraction, so it is traced again and fails again
     assert (2, False, ((1, 3), (2, 4))) not in diagrams._INTERNED
+    assert (1, False, ((1, 2),)) in diagrams._INTERNED
     assert elements._TRACED == {}
     with pytest.raises(InternalError):
         evaluate(crossing, [x])
@@ -342,6 +344,11 @@ def test_products_and_enumeration_share_the_interned_diagrams(sym):
             assert d is basis[basis.index(d)]
     assert identity_diagram(3) is basis[basis.index(identity_diagram(3))]
     assert all(d.reflect() is basis[basis.index(d.reflect())] for d in basis)
+    for d in basis:
+        shuffled = [(b, a) for a, b in reversed(d.pairs)]
+        assert Diagram(3, shuffled) is d
+        assert Diagram(3, tuple(map(list, shuffled))) is d
+        assert pickle.loads(pickle.dumps(d)) is d
 
 
 def test_interning_keeps_the_shading_of_colour_zero(sym, traces):
