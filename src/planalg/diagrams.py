@@ -33,8 +33,8 @@ class Colour:
             colour.minus = bool(minus)
         return colour
 
-    def __getnewargs__(self):
-        return (self.n, self.minus)
+    def __reduce__(self):
+        return (Colour, (self.n, self.minus))
 
     @classmethod
     def of(cls, value) -> "Colour":

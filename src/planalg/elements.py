@@ -1,12 +1,12 @@
 """Vectors in the Temperley-Lieb spaces P_n, with the C*-algebra operations.
 
 Every strand contraction in the package goes through `trace_strands`, and
-every filling of a tangle's boxes through `contract`: the product is the
-multiplication tangle (box 2 above box 1) and the trace the full closure,
-each wired once per colour; tangle evaluation, and with it the tower's
-dagger, inclusion and expectation, feeds `contract` the tangle's own
-wiring.  The direct stacking and closure-loop routes live in the tests as
-the independent oracle.
+every filling of a tangle's boxes through `contract_terms`: the product is
+the multiplication tangle (box 2 above box 1) and the trace the full
+closure, each wired once per colour; tangle evaluation, and with it the
+tower's products, dagger, inclusion and expectation, feeds `contract_terms`
+the tangle's own wiring.  The direct stacking and closure-loop routes live
+in the tests as the independent oracle.
 """
 
 from __future__ import annotations
@@ -100,11 +100,19 @@ class Element:
         return not self.combo
 
     def __eq__(self, other):
+        """`(self - other).is_zero()` without the difference: another colour
+        is unequal, another ring raises, then supports and coefficients
+        (`Scalar ==`) must agree.  No combo holds a zero or negligible
+        coefficient, so a key of one support only would survive in the
+        difference, and on a shared key `c1 + (-c2)` is `c1 - c2` exactly in
+        IEEE and `Fraction` arithmetic, the value `c1 == c2` tests."""
         if not isinstance(other, Element):
             return NotImplemented
         if self.colour != other.colour:
             return False
-        return (self - other).is_zero()
+        self.ring.check(other.ring)
+        return self.combo.keys() == other.combo.keys() and all(
+            c == other.combo[d] for d, c in self.combo.items())
 
     __hash__ = None
 
@@ -123,9 +131,9 @@ class Element:
         Y/Z capping identities force; see README).
         """
         self._check_join(other)
-        n = self.colour.n
-        return contract(self.colour, self.ring, _product_wiring(n),
-                        (2 * n, 4 * n), (self, other), 0)
+        colour, ring, n = self.colour, self.ring, self.colour.n
+        return Element._sum(colour, ring, contract_terms(
+            colour, ring, _product_wiring(n), (2 * n, 4 * n), (self, other), 0))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -177,18 +185,18 @@ _TRACED = {}    # (colour, wiring, offsets) -> {d1: {d2: ... {dk: (output, close
 _LEAVES = {}    # (output, closed) -> the one leaf tuple every table shares
 
 
-def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
-             loops: int) -> Element:
+def contract_terms(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
+                   loops: int) -> list:
     """Fill a wired tangle's boxes with its inputs and trace its strands.
 
     `wiring` numbers the external points of `colour` first, box b's from
     `offsets[b]` on (see `trace_strands`).  Each choice of one diagram per
-    box contributes its traced output diagram with coefficient
-    (c1 * c2 * ...) in box order times delta to the power `loops` plus the
-    closed loops; with no boxes the coefficient is `ring.one()`.  A crossing
-    output pairing raises `InternalError`.  Each choice is traced once per
-    process (`_trace`): its output and closed loops depend on no coefficient.
-    The inputs must be of `ring`, whose kernel sums all the terms in one call.
+    box (the last box varying fastest) is one `Element._sum` term: its
+    traced output diagram, with coefficient (c1 * c2 * ...) in box order
+    times delta to the power `loops` plus the closed loops (`ring.one()`
+    with no boxes).  A crossing output pairing raises `InternalError`.
+    Each choice is traced once per process (`_trace`): its output and
+    closed loops depend on no coefficient.  The inputs must be of `ring`.
     """
     key = (colour, wiring, offsets)
     level = [(_TRACED.get(key) or {}, (), None)]
@@ -201,7 +209,7 @@ def contract(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
         for d, c in last:
             output, closed = node.get(d) or _trace(key, ds + (d,))
             terms.append((output, coeff, c, closed + loops))
-    return Element._sum(colour, ring, terms)
+    return terms
 
 
 def _check(colour: Colour, ring: Ring, terms) -> None:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .diagrams import Colour
-from .elements import Element, contract, trace_strands
+from .elements import Element, contract_terms, trace_strands
 from .errors import (ColourMismatchError, ParseError, PreconditionError,
                      ValidationError)
 from .scalars import Ring
@@ -164,15 +164,18 @@ def _check_planarity(t: Tangle):
 def evaluate(t: Tangle, inputs) -> Element:
     """Z_T applied to one Element per internal box."""
     inputs = list(inputs)
-    return _evaluate(t, inputs, inputs[0].ring if inputs else Ring.symbolic())
+    ring = inputs[0].ring if inputs else Ring.symbolic()
+    return Element._sum(t.ext, ring, filling_terms(t, inputs, ring))
 
 
 def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
     """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
-    return _evaluate(t, list(inputs), ring)
+    return Element._sum(t.ext, ring, filling_terms(t, list(inputs), ring))
 
 
-def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
+def filling_terms(t: Tangle, inputs: list, ring: Ring) -> list:
+    """The kernel terms of Z_T(inputs) (see `contract_terms`), after the
+    checks of evaluation: one input per box, of its colour and of `ring`."""
     if len(inputs) != len(t.boxes):
         raise PreconditionError(
             f"tangle has {len(t.boxes)} boxes but got {len(inputs)} inputs")
@@ -183,7 +186,7 @@ def _evaluate(t: Tangle, inputs: list, ring: Ring) -> Element:
     for x in inputs:
         if x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    return contract(t.ext, ring, t.wiring, t.offsets[1:], inputs, t.loops)
+    return contract_terms(t.ext, ring, t.wiring, t.offsets[1:], inputs, t.loops)
 
 
 # -- operadic substitution --------------------------------------------------------

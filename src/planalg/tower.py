@@ -9,7 +9,7 @@ convention and are enforced by a one-shot self-check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from .annular import enumerate_good, transpose_annular
@@ -18,8 +18,8 @@ from .elements import Element, jones_projection, random_element, tl_sum
 from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
                      PreconditionError)
 from .scalars import Ring, Scalar
-from .tangles import (EXT, Tangle, evaluate, evaluate_in, partial_cap_tangle,
-                      rotation_tangle)
+from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
+                      partial_cap_tangle, rotation_tangle)
 
 
 class GradedElement:
@@ -39,6 +39,7 @@ class GradedElement:
                     f"component colour {n} below level {level}")
             if el.colour.n != n:
                 raise PreconditionError("component colour does not match key")
+            ring.check(el.ring)
             if not el.is_zero():
                 clean[n] = el
         self.components = clean
@@ -58,15 +59,24 @@ class GradedElement:
     @classmethod
     def from_parts(cls, level, ring: Ring, parts):
         """Sum Elements of `ring` into their colour components in one pass."""
-        terms = {}      # colour n -> (Colour of the first part, its terms)
+        parts = list(parts)
         for el in parts:
             ring.check(el.ring)
-            colour, ts = terms.setdefault(el.colour.n, (el.colour, []))
-            if el.colour != colour:
-                raise ColourMismatchError(f"colour mismatch: {colour} vs {el.colour}")
-            ts += el._terms()
-        return cls(level, ring, {n: Element._sum(colour, ring, ts)
-                                 for n, (colour, ts) in terms.items()})
+        return cls._from_terms(level, ring, ((el.colour, el._terms) for el in parts))
+
+    @classmethod
+    def _from_terms(cls, level, ring: Ring, pieces):
+        """Sum `(colour, make_terms)` pieces of `ring`: each colour's kernel
+        terms, made in piece order as its one `Element._sum` call reads them."""
+        makers = {}     # colour n -> (Colour of the first piece, its makers)
+        for colour, make in pieces:
+            first, acc = makers.setdefault(colour.n, (colour, []))
+            if colour is not first:
+                raise ColourMismatchError(f"colour mismatch: {first} vs {colour}")
+            acc.append(make)
+        return cls(level, ring, {
+            n: Element._sum(colour, ring, chain.from_iterable(make() for make in acc))
+            for n, (colour, acc) in makers.items()})
 
     def component(self, n: int) -> Element:
         if n in self.components:
@@ -99,9 +109,15 @@ class GradedElement:
         return not self.components
 
     def __eq__(self, other):
+        """Equal components by `Element ==` (no component is zero): another
+        level is unequal, another ring raises `ModeMismatchError`."""
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.level == other.level and (self - other).is_zero()
+        if self.level != other.level:
+            return False
+        self.ring.check(other.ring)
+        return self.components.keys() == other.components.keys() and all(
+            el == other.components[n] for n, el in self.components.items())
 
     __hash__ = None
 
@@ -159,12 +175,14 @@ def sharp_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     return Tangle(t, [m, n], pairs)
 
 
-def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
-    return evaluate(sharp_tangle(a.colour.n, b.colour.n, k, t), [a, b])
-
-
 def sharp_range(m: int, n: int, k: int):
     return range(abs(m - n) + k, m + n - k + 1)
+
+
+def _fused(k: int, ring: Ring, fillings) -> GradedElement:
+    """The sum of Z_T(inputs) over `(T, inputs)` fillings, by output colour."""
+    return GradedElement._from_terms(k, ring, (
+        (t.ext, partial(filling_terms, t, inputs, ring)) for t, inputs in fillings))
 
 
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -172,8 +190,8 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
     a._check_level(b)
     _check_conventions()
     k = a.level
-    return GradedElement.from_parts(k, a.ring, (
-        sharp_component(am, bn, k, t)
+    return _fused(k, a.ring, (
+        (sharp_tangle(m, n, k, t), (am, bn))
         for m, am in a.components.items()
         for n, bn in b.components.items()
         for t in sharp_range(m, n, k)))
@@ -184,8 +202,8 @@ def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     a._check_level(b)
     _check_conventions()
     k = a.level
-    return GradedElement.from_parts(k, a.ring, (
-        sharp_component(am, bn, k, m + n - k)
+    return _fused(k, a.ring, (
+        (sharp_tangle(m, n, k, m + n - k), (am, bn))
         for m, am in a.components.items()
         for n, bn in b.components.items()))
 
@@ -322,16 +340,10 @@ def _column(k, j, i, excellent, diagram, ring) -> Element:
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
     """Each coefficient times its kept columns, summed by the ring's kernel."""
-    ring, terms = a.ring, {}        # target Colour -> kernel terms
-    for j, el in a.components.items():
-        ring.check(el.ring)
-        for d, c in el.combo.items():
-            for i in range(k, j + 1):
-                col = _column(k, j, i, excellent, d, ring)
-                terms.setdefault(col.colour, []).extend(col._terms(c))
-    return GradedElement(k, ring, {
-        colour.n: Element._sum(colour, ring, ts)
-        for colour, ts in terms.items()})
+    return GradedElement._from_terms(k, a.ring, (
+        (Colour.of(i), partial(_column(k, j, i, excellent, d, a.ring)._terms, c))
+        for j, el in a.components.items() for d, c in el.combo.items()
+        for i in range(k, j + 1)))
 
 
 def phi(k: int, a: GradedElement) -> GradedElement:
@@ -385,8 +397,8 @@ def dot_action(a: GradedElement, b: GradedElement) -> GradedElement:
     if a.level != b.level + 1:
         raise LevelMismatchError("dot action needs levels (k+1, k)")
     k = b.level
-    return GradedElement.from_parts(k, b.ring, (
-        evaluate(dot_tangle(m, n, k, t), [am, bn])
+    return _fused(k, b.ring, (
+        (dot_tangle(m, n, k, t), (am, bn))
         for m, am in a.components.items()
         for n, bn in b.components.items()
         for t in dot_range(m, n, k)))

@@ -12,7 +12,8 @@ from planalg.errors import (ColourMismatchError, InternalError,
                             ModeMismatchError, PreconditionError,
                             ValidationError)
 from planalg.scalars import FLOAT, SYMBOLIC, Ring, Scalar
-from planalg.tangles import EXT, Tangle
+from planalg.tangles import EXT, Tangle, evaluate
+from planalg.tower import sharp_tangle
 
 
 @pytest.fixture
@@ -207,9 +208,15 @@ def per_term_multiply(x: Element, y: Element) -> Element:
 
 
 def per_term_evaluate(t: Tangle, inputs, ring: Ring) -> Element:
-    """Z_T(inputs) with each choice of one diagram per box (in box order,
-    the last box varying fastest) traced by `substitute_oracle`, and its
-    coefficient the product of the choice's coefficients in box order."""
+    """Z_T(inputs) summed by `per_term_sum` from `per_term_fillings`."""
+    return per_term_sum(t.ext, ring, per_term_fillings(t, inputs, ring))
+
+
+def per_term_fillings(t: Tangle, inputs, ring: Ring) -> list:
+    """The `(diagram, a, b, m)` terms of Z_T(inputs): each choice of one
+    diagram per box (in box order, the last box varying fastest) traced by
+    `substitute_oracle`, its coefficient the product of the choice's
+    coefficients in box order."""
     terms = []
     for choice in product(*(x.combo.items() for x in inputs)):
         filled = substitute_oracle(t, {
@@ -219,7 +226,13 @@ def per_term_evaluate(t: Tangle, inputs, ring: Ring) -> Element:
         coeffs = [c for _, c in choice] or [ring.one()]
         prefix = reduce(mul, coeffs[:-1]) if len(coeffs) > 1 else None
         terms.append((out, prefix, coeffs[-1], filled.loops))
-    return per_term_sum(t.ext, ring, terms)
+    return terms
+
+
+def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
+    """The P_t component of a # b at level k for a single pair of
+    components: the per-filling oracle of the fused graded products."""
+    return evaluate(sharp_tangle(a.colour.n, b.colour.n, k, t), [a, b])
 
 
 def same_terms(x: Element, y: Element) -> bool:

@@ -134,3 +134,12 @@ def test_one_shared_colour_per_value():
         for _ in range(2):          # a rejected value is never kept
             with pytest.raises(PreconditionError):
                 Colour(*bad)
+
+
+def test_pickling_returns_the_shared_instance_at_every_protocol():
+    import pickle
+    values = (Colour(4), ZERO_PLUS, ZERO_MINUS, Diagram(2, [(1, 4), (2, 3)]),
+              identity_diagram(0), identity_diagram(ZERO_MINUS))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in values:
+            assert pickle.loads(pickle.dumps(value, protocol)) is value

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
-from planalg.elements import Element, contract, jones_projection, tl_sum
+from planalg.elements import Element, contract_terms, jones_projection, tl_sum
 from planalg.config import COLOUR_CAP
 from planalg.errors import (ColourMismatchError, ModeMismatchError, ParseError,
                             ValidationError)
@@ -218,6 +218,65 @@ def test_sums_match_per_term_route(ring, rng):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_equality_is_the_difference_test(ring, rng):
+    # `==` compares coefficients; the definition it replaces, a zero
+    # difference after the colour (or level) test, is the oracle
+    def old_eq(x, y):
+        if isinstance(x, Element):
+            return x.colour == y.colour and (x - y).is_zero()
+        return x.level == y.level and (x - y).is_zero()
+
+    def agree(x, y):
+        assert (x == y) == old_eq(x, y) and (y == x) == old_eq(y, x)
+        return x == y
+
+    other = KERNEL_RINGS[(KERNEL_RINGS.index(ring) + 1) % len(KERNEL_RINGS)]
+    for n in (1, 2, 3):
+        basis = enumerate_diagrams(n)
+        for _ in range(6):
+            x = random_combo(n, ring, rng)
+            d = rng.choice(basis)
+            # equal, in another key order
+            assert agree(x, Element.from_terms(n, ring, list(x.combo.items())[::-1]))
+            # one key moved by 0.5e-9 (equal in float mode only) or by 2e-9
+            assert agree(x, x + Element.basis(d, ring, ring.fraction(
+                Fraction(1, 2 * 10**9)))) == (ring.mode == "float")
+            for h in (2, -2):
+                assert not agree(x, x + Element.basis(d, ring, ring.fraction(
+                    Fraction(h, 10**9))))
+            # other supports
+            for y in (x + Element.basis(d, ring), Element.zero(n, ring),
+                      Element.from_terms(n, ring, list(x.combo.items())[1:]),
+                      random_combo(n, ring, rng)):
+                agree(x, y)
+            for y in (random_combo(n + 1, ring, rng), Element.unit(n - 1, ring)):
+                assert x != y and old_eq(x, y) is False
+            y = random_combo(n, other, rng)
+            with pytest.raises(ModeMismatchError):
+                x == y
+            with pytest.raises(ModeMismatchError):
+                old_eq(x, y)
+    zero = Element.zero(0, ring)
+    assert agree(zero, zero) and not agree(zero, Element.zero(ZERO_MINUS, ring))
+    for k in (0, 1, 2):
+        for _ in range(4):
+            a, b = (GradedElement.from_parts(k, ring, (
+                random_combo(n, ring, rng, terms=2) for n in range(k, k + 3)
+                if rng.random() < 0.7)) for _ in range(2))
+            assert agree(a, a + b - b)
+            agree(a, b)
+            agree(a, a + GradedElement.unit(k, ring))
+            assert not agree(a, GradedElement.unit(k + 1, ring))
+            if a.components:
+                y = GradedElement.from_parts(k, other, [
+                    Element.unit(n, other) for n in a.components])
+                with pytest.raises(ModeMismatchError):
+                    a == y
+                with pytest.raises(ModeMismatchError):
+                    old_eq(a, y)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
 def test_multiply_matches_per_term_route(ring, rng):
     for n in (1, 2, 3, 4):
         for _ in range(8):
@@ -239,6 +298,6 @@ def test_contract_and_evaluate_match_per_term_route(ring, rng):
         inputs = [random_combo(b, ring, rng, terms=3) for b in t.boxes]
         expected = per_term_evaluate(t, inputs, ring)
         assert same_terms(evaluate_in(t, inputs, ring), expected)
-        assert same_terms(contract(t.ext, ring, t.wiring, t.offsets[1:], inputs,
-                                   t.loops), expected)
+        assert same_terms(Element._sum(t.ext, ring, contract_terms(
+            t.ext, ring, t.wiring, t.offsets[1:], inputs, t.loops)), expected)
         checked += 1

@@ -15,13 +15,14 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
                            dagger, dot_action, dot_action_via_expectation,
                            dot_range, dot_tangle, element_c, element_d,
                            include, inner_product, jones_e, phi,
-                           psi, sharp, sharp_component, sharp_range,
+                           psi, sharp, sharp_range,
                            sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
                            _column, _good_tangles)
 from planalg import random_element, random_graded
 
 from conftest import (KERNEL_RINGS, dagger_oracle, expect_oracle, include_oracle,
-                      per_term_sum, random_combo, same_terms)
+                      per_term_fillings, per_term_sum, random_combo, same_terms,
+                      sharp_component)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -427,6 +428,45 @@ def test_phi_psi_match_per_term_route(ring, rng):
                 assert all(same_terms(image[i], expected[i]) for i in image)
 
 
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_fused_products_match_per_term_route(ring, rng):
+    # each component is every filling's per-term terms, in filling order,
+    # summed once: float bits and key order show a change of either
+    def oracle(fillings):
+        terms = {}
+        for t, inputs in fillings:
+            terms.setdefault(t.ext.n, []).extend(per_term_fillings(t, inputs, ring))
+        return {n: per_term_sum(n, ring, ts) for n, ts in terms.items()}
+
+    def draw(level):
+        return GradedElement.from_parts(level, ring, (
+            random_combo(n, ring, rng, terms=3) for n in range(level, level + 3)))
+
+    def pairs(x, y):
+        return [(m, xm, n, yn) for m, xm in x.components.items()
+                for n, yn in y.components.items()]
+
+    for k in (0, 1, 2):
+        for _ in range(2):
+            a, b, up = draw(k), draw(k), draw(k + 1)
+            cases = [
+                (sharp(a, b), [(sharp_tangle(m, n, k, t), (am, bn))
+                               for m, am, n, bn in pairs(a, b)
+                               for t in sharp_range(m, n, k)]),
+                (bullet(a, b), [(sharp_tangle(m, n, k, m + n - k), (am, bn))
+                                for m, am, n, bn in pairs(a, b)])]
+            if k:
+                cases.append((dot_action(up, b), [
+                    (dot_tangle(m, n, k, t), (am, bn))
+                    for m, am, n, bn in pairs(up, b) for t in dot_range(m, n, k)]))
+            for product, fillings in cases:
+                expected = oracle(fillings)
+                assert list(product.components) == [
+                    n for n, e in expected.items() if not e.is_zero()]
+                assert all(same_terms(el, expected[n])
+                           for n, el in product.components.items())
+
+
 # -- joins of outside inputs still check colour and ring -------------------------
 
 SYM, RAT, F2, F25 = (Ring.symbolic(), Ring.rational(2), Ring.float_(2.0),
@@ -443,7 +483,8 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
                 "add-delta", "add-colour", "sub-mode", "sub-delta", "mul-mode",
                 "mul-delta", "mul-colour", "evaluate-delta", "evaluate-colour",
                 "graded-add-mode", "graded-add-delta", "from-parts-shading",
-                "sharp-delta", "phi-mode", "phi-delta"]
+                "sharp-delta", "phi-mode", "phi-delta", "graded-init-mode",
+                "graded-init-delta"]
 
 
 @pytest.mark.parametrize("join, error", [
@@ -471,6 +512,9 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
      PreconditionError),
     (lambda: phi(1, GradedElement(1, SYM, {2: two_terms(RAT)})), ModeMismatchError),
     (lambda: phi(1, GradedElement(1, F2, {2: two_terms(F25)})), ModeMismatchError),
+    (lambda: GradedElement(1, SYM, {2: two_terms(SYM), 3: two_terms(RAT, 3)}),
+     ModeMismatchError),
+    (lambda: GradedElement(1, F2, {2: two_terms(F25)}), ModeMismatchError),
 ], ids=MISMATCH_IDS)
 def test_outside_mismatches_still_raise(join, error):
     # internal results skip the per-coefficient checks, so each join of
