@@ -95,10 +95,12 @@ def gram_float(n: int, ring: Ring) -> np.ndarray:
     return np.array([[s.to_float() for s in row] for row in gram(n, ring)])
 
 
+@lru_cache(maxsize=None)
 def gram_min_eigenvalue(n: int, ring: Ring) -> float:
     return float(np.linalg.eigvalsh(gram_float(n, ring)).min())
 
 
+@lru_cache(maxsize=None)
 def gram_positive_definite_exact(n: int, delta) -> bool:
     """Sylvester test of the Gram matrix at a rational delta = p/q.
 
@@ -132,24 +134,19 @@ def gram_positive_definite_exact(n: int, delta) -> bool:
 def gns_matrix(x: Element) -> np.ndarray:
     """Matrix of left multiplication by x on P_n in the diagram basis."""
     _require_float(x.ring)
-    # a float-mode value is a float already: read it, no to_float call per entry
-    return np.array([[c.value for c in row] for row in gns_matrix_exact(x)])
-
-
-def gns_matrix_exact(x: Element):
-    """Columns x.multiply(d_j), read off the basis tables; one kernel call
-    sums every entry."""
-    n = x.colour.n
-    index, prod, _ = _basis_tables(n)
-    ring, size = x.ring, len(prod)
-    zero = ring.zero()
-    mat = [[zero] * size for _ in range(size)]
-    entries = ring.scalar._sum_products(
-        [((r, j), None, c, loops) for d, c in x.combo.items()
-         for j, (r, loops) in enumerate(prod[index[d]])], ring.delta)
-    for (r, j), v in entries.items():
-        mat[r][j] = v
+    mat = np.zeros((len(_basis_tables(x.colour.n)[1]),) * 2)
+    for cell, v in _gns_entries(x).items():
+        mat[cell] = v.value             # a float already: no to_float call
     return mat
+
+
+def _gns_entries(x: Element) -> dict:
+    """{(r, j): entry} of x.multiply(d_j), read off the basis tables; one
+    kernel call sums every entry and drops the zero ones."""
+    index, prod, _ = _basis_tables(x.colour.n)
+    return x.ring.scalar._sum_products(
+        [((r, j), None, c, loops) for d, c in x.combo.items()
+         for j, (r, loops) in enumerate(prod[index[d]])], x.ring.delta)
 
 
 class GnsGeometry:
@@ -481,6 +478,30 @@ def annular_norm_bound(spec: TSpec, x: Element, k: int):
     return lhs <= rhs + 1e-7, lhs, rhs
 
 
+def _cup(t: int, k: int, mode: str) -> Tangle:
+    return annular_double_cup(t, k, 1 if mode == "first" else t - k - 1)
+
+
+@lru_cache(maxsize=None)
+def _capping_ok(k: int, y_mode: str, z_mode: str):
+    """dcomm_replay's seed-free sub-checks (i) and (ii): (held, failed at)."""
+    # (i) capping {4,5} lowers the colour by one, for t >= k+4
+    for t in (k + 4, k + 5):
+        cap = partial_cap_tangle(t, [(4, 5)])
+        for name, mode in (("Y", y_mode), ("Z", z_mode)):
+            if substitute(cap, {1: _cup(t, k, mode)}) != _cup(t - 1, k, mode):
+                return False, f"(i) {name}"
+    # (ii) triple capping: delta I for Y, delta^3 I for Z
+    t0 = k + 3
+    cap3 = partial_cap_tangle(t0, [(1, 2), (3, 6), (4, 5)])
+    ident = identity_tangle(k)
+    if substitute(cap3, {1: _cup(t0, k, y_mode)}) != ident.with_loops(1):
+        return False, "(ii) Y"
+    if substitute(cap3, {1: _cup(t0, k, z_mode)}) != ident.with_loops(3):
+        return False, "(ii) Z"
+    return True, ""
+
+
 def dcomm_replay(k: int, rng=None) -> dict:
     """The three capping sub-checks, with a scan over Y/Z cup placements.
 
@@ -492,28 +513,12 @@ def dcomm_replay(k: int, rng=None) -> dict:
     ring = Ring.symbolic()
     rng = rng or random.Random(0)
 
-    def slot(mode: str, t: int) -> int:
-        return 1 if mode == "first" else t - k - 1
-
     def subchecks(y_mode: str, z_mode: str):
-        # (i) capping {4,5} lowers the colour by one, for t >= k+4
-        for t in (k + 4, k + 5):
-            cap = partial_cap_tangle(t, [(4, 5)])
-            for name, mode in (("Y", y_mode), ("Z", z_mode)):
-                lowered = substitute(cap, {1: annular_double_cup(t, k, slot(mode, t))})
-                if lowered != annular_double_cup(t - 1, k, slot(mode, t - 1)):
-                    return False, f"(i) {name}"
-        # (ii) triple capping: delta I for Y, delta^3 I for Z
-        t0 = k + 3
-        cap3 = partial_cap_tangle(t0, [(1, 2), (3, 6), (4, 5)])
-        ident = identity_tangle(k)
-        if substitute(cap3, {1: annular_double_cup(t0, k, slot(y_mode, t0))}) \
-                != ident.with_loops(1):
-            return False, "(ii) Y"
-        if substitute(cap3, {1: annular_double_cup(t0, k, slot(z_mode, t0))}) \
-                != ident.with_loops(3):
-            return False, "(ii) Z"
-        # (iii) commutator components against the two-sided products with d
+        held, fail_at = _capping_ok(k, y_mode, z_mode)
+        if not held:
+            return held, fail_at
+        # (iii) commutator components against the two-sided products with d;
+        # it draws from rng, so only where (i) and (ii) held
         d_el = element_d(k, ring)
         for t in (k + 3, k + 4):
             y1 = random_element(k, ring, rng)
@@ -523,8 +528,8 @@ def dcomm_replay(k: int, rng=None) -> dict:
                     k, evaluate(annular_X(src, k), [y1]))
                 both = both + sharp(d_el, xi) - sharp(xi, d_el)
             ysum = y1 + y1
-            rhs = evaluate(annular_double_cup(t, k, slot(y_mode, t)), [ysum]) \
-                - evaluate(annular_double_cup(t, k, slot(z_mode, t)), [ysum])
+            rhs = evaluate(_cup(t, k, y_mode), [ysum]) \
+                - evaluate(_cup(t, k, z_mode), [ysum])
             if both.component(t) != rhs:
                 return False, "(iii)"
         return True, ""
@@ -551,23 +556,7 @@ def xnxm_verify(k: int, n: int, rng) -> dict:
         raise PreconditionError("need n > k")
     ring = Ring.rational(Fraction(5, 2))
     m = n + 2
-    basis_m = enumerate_diagrams(m)
-
-    t1 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(1, n - k + 1),
-                         n + 1, m))
-    t2 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(2, n - k + 2),
-                         n + 1, m))
-
-    def texpr(el):
-        return evaluate(t1, [el]) - evaluate(t2, [el])
-
-    perp_basis = []
-    for d in basis_m:
-        _, pb = perp_projection(Element.basis(d, ring), k)
-        if not pb.is_zero():
-            perp_basis.append(pb)
-    cols = [coordinates(texpr(pb)) for pb in perp_basis]
-
+    texpr, perp_basis, cols = _xnxm_system(k, n, ring)
     failures = 0
     trials = 5
     for _ in range(trials):
@@ -592,6 +581,24 @@ def xnxm_verify(k: int, n: int, rng) -> dict:
             "zero_case": zero_ok, "max_residual": float(failures),
             "details": "recovery formula exact" if status == "pass"
             else f"{failures} failures"}
+
+
+@lru_cache(maxsize=None)
+def _xnxm_system(k: int, n: int, ring: Ring):
+    """xnxm_verify's seed-free system: the capping expression, the complement
+    basis and the expression's coordinate column on each member, as tuples."""
+    m = n + 2
+    t1 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(1, n - k + 1),
+                         n + 1, m))
+    t2 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(2, n - k + 2),
+                         n + 1, m))
+
+    def texpr(el):
+        return evaluate(t1, [el]) - evaluate(t2, [el])
+
+    perp_basis = tuple(pb for pb in (perp_projection(Element.basis(d, ring), k)[1]
+                                     for d in enumerate_diagrams(m)) if not pb.is_zero())
+    return texpr, perp_basis, tuple(tuple(coordinates(texpr(pb))) for pb in perp_basis)
 
 
 def xn_from_xm(x_m: Element, n: int, k: int, d: int) -> Element:

@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from planalg.analysis import _gns_entries
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
@@ -286,6 +287,16 @@ def gns_oracle(x: Element):
             col[index[dd]] = c
         cols.append(col)
     return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def gns_matrix_exact(x: Element):
+    """The basis-table route of the GNS matrix as a matrix of Scalars: the
+    entries of `analysis._gns_entries` (one kernel call), zeros filled in."""
+    size = len(enumerate_diagrams(x.colour.n))
+    mat = [[x.ring.zero()] * size for _ in range(size)]
+    for (r, j), v in _gns_entries(x).items():
+        mat[r][j] = v
+    return mat
 
 
 def ldl_positive_definite(n: int, delta) -> bool:

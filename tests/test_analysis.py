@@ -14,7 +14,7 @@ from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
 from planalg import random_element, random_graded
-from conftest import gns_oracle, gram_oracle, ldl_positive_definite
+from conftest import gns_matrix_exact, gns_oracle, gram_oracle, ldl_positive_definite
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -111,39 +111,56 @@ def test_gns_is_multiplicative_exact(rng):
     for _ in range(10):
         x = random_element(3, RR, rng)
         y = random_element(3, RR, rng)
-        mx = an.gns_matrix_exact(x)
-        my = an.gns_matrix_exact(y)
-        mxy = an.gns_matrix_exact(x.multiply(y))
+        mx = gns_matrix_exact(x)
+        my = gns_matrix_exact(y)
+        mxy = gns_matrix_exact(x.multiply(y))
         dim = len(mx)
         prod = [[sum((mx[i][l] * my[l][j] for l in range(dim)),
                      RR.zero()) for j in range(dim)] for i in range(dim)]
         assert all(prod[i][j] == mxy[i][j] for i in range(dim) for j in range(dim))
 
 
-def test_gns_matrix_matches_element_route(rng):
-    # the basis tables against one Element product per column, value for
-    # value; cup/3 - 5 id/6 at delta 5/2 sends the cup to (5/6 - 5/6) cup,
-    # which is 0 exactly, and -1.1e-16 in floats before the zero-drop
+def _gns_cases(ring, rng):
+    # cup/3 - 5 id/6 at delta 5/2 sends the cup to (5/6 - 5/6) cup, which
+    # is 0 exactly, and -1.1e-16 in floats before the zero-drop
     cup = Diagram(2, [(1, 2), (3, 4)])
+    cases = [Element(2, ring, {cup: ring.fraction(Fraction(1, 3)),
+                               identity_diagram(2): ring.fraction(Fraction(-5, 6))}),
+             Element.zero(3, ring)]
+    for n in range(1, 5):
+        x = random_element(n, ring, rng, terms=3)
+        cases += [x, x.star().multiply(x)]
+    return cases
+
+
+def test_gns_matrix_matches_element_route(rng):
+    # the basis tables against one Element product per column, value for value
     for ring in (RR, FL):
-        cases = [Element(2, ring, {cup: ring.fraction(Fraction(1, 3)),
-                                   identity_diagram(2): ring.fraction(Fraction(-5, 6))}),
-                 Element.zero(3, ring)]
-        for n in range(1, 5):
-            x = random_element(n, ring, rng, terms=3)
-            cases += [x, x.star().multiply(x)]
+        cases = _gns_cases(ring, rng)
         for x in cases:
-            assert [[c.value for c in row] for row in an.gns_matrix_exact(x)] \
+            assert [[c.value for c in row] for row in gns_matrix_exact(x)] \
                 == [[c.value for c in row] for row in gns_oracle(x)], x
-        assert an.gns_matrix_exact(cases[0])[0][0].value == 0      # the cancelled entry
+        assert gns_matrix_exact(cases[0])[0][0].value == 0      # the cancelled entry
+
+
+def test_gns_matrix_is_the_exact_route_bit_for_bit(rng):
+    # the numpy matrix holds the kernel's float values, zeros included
+    cases = _gns_cases(FL, rng)
+    for x in cases:
+        values = np.array([[c.value for c in row] for row in gns_matrix_exact(x)])
+        mat = an.gns_matrix(x)
+        assert mat.dtype == values.dtype and mat.shape == values.shape
+        assert mat.tobytes() == values.tobytes(), x
+    assert not an.gns_matrix(cases[1]).any()                # the zero element
+    assert an.gns_matrix(cases[0])[0, 0] == 0               # the cancelled entry
 
 
 def test_gns_gram_adjoint_exact(rng):
     # matrix of x* is the Gram-geometry adjoint: G^-1 M^T G
     x = random_element(2, RR, rng)
     g = [[s.value for s in row] for row in an.gram(2, RR)]
-    m = [[s.value for s in row] for row in an.gns_matrix_exact(x)]
-    ms = [[s.value for s in row] for row in an.gns_matrix_exact(x.star())]
+    m = [[s.value for s in row] for row in gns_matrix_exact(x)]
+    ms = [[s.value for s in row] for row in gns_matrix_exact(x.star())]
     g_np = np.array([[float(v) for v in row] for row in g])
     m_np = np.array([[float(v) for v in row] for row in m])
     ms_np = np.array([[float(v) for v in row] for row in ms])
