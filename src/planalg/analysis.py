@@ -156,12 +156,9 @@ class GnsGeometry:
 
     def __init__(self, n: int, ring: Ring):
         _require_float(ring)
-        self.n = n
-        self.ring = ring
         g = gram_float(n, ring)
         self.chol = np.linalg.cholesky(g)      # g = L L^T
         self.inv_lt = np.linalg.inv(self.chol.T)
-        self.basis = enumerate_diagrams(n)
         self.unit_index = _basis_tables(n)[0][identity_diagram(n)]
 
     @classmethod
@@ -175,12 +172,6 @@ class GnsGeometry:
         """Left multiplication by x in orthonormal coordinates."""
         return self.chol.T @ gns_matrix(x) @ self.inv_lt
 
-    def element_from_operator(self, op: np.ndarray) -> Element:
-        m = self.inv_lt @ op @ self.chol.T
-        col = m[:, self.unit_index]
-        combo = {d: self.ring.fraction(v) for d, v in zip(self.basis, col)}
-        return Element(self.n, self.ring, combo)
-
 
 def op_norm(x: Element) -> float:
     """Operator norm of left multiplication in the GNS geometry."""
@@ -188,17 +179,29 @@ def op_norm(x: Element) -> float:
     return float(np.linalg.norm(geo.operator(x), 2))
 
 
-def _asymmetric(op: np.ndarray) -> bool:
-    return np.abs(op - op.T).max() > 1e-7 * max(1.0, np.abs(op).max())
+def _spectrum(x: Element, vectors: bool = False, psd: bool = False):
+    """(frame, asymmetry, eigenvalues, eigenvectors or None) of x's GNS operator
+    A, the asymmetry being max|A - A^T| / max(1, max|A|).  Above 1e-7 the spectrum
+    is (None, None); with `psd`, that and an x that is not PSD raise instead."""
+    geo = GnsGeometry.get(x.colour.n, x.ring)
+    op = geo.operator(x)
+    skew = np.abs(op - op.T).max() / max(1.0, np.abs(op).max())
+    if skew > 1e-7:
+        if psd:
+            raise PreconditionError("element is not self-adjoint")
+        return geo, skew, None, None
+    sym = (op + op.T) / 2
+    lam, vec = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
+    if psd and lam.min() < -FLOAT_TOL:
+        raise PreconditionError(f"element is not PSD (min eigenvalue {lam.min():.3e})")
+    return geo, skew, lam, vec
 
 
 def is_psd(x: Element, tol: float = FLOAT_TOL):
-    """Whether x acts as a PSD operator; returns (flag, min eigenvalue)."""
-    geo = GnsGeometry.get(x.colour.n, x.ring)
-    op = geo.operator(x)
-    if _asymmetric(op):
+    """Whether x acts as a PSD operator: (flag, min eigenvalue or NaN if x* != x)."""
+    lam = _spectrum(x)[2]
+    if lam is None:
         return False, float("nan")
-    lam = np.linalg.eigvalsh((op + op.T) / 2)
     return bool(lam.min() >= -tol), float(lam.min())
 
 
@@ -208,18 +211,13 @@ def psd_sqrt(x: Element) -> Element:
     Eigenvalues below a relative cutoff are flushed to zero first; without
     that, +-1e-15 kernel noise turns into +-3e-8 square-root noise.
     """
-    geo = GnsGeometry.get(x.colour.n, x.ring)
-    op = geo.operator(x)
-    if _asymmetric(op):
-        raise PreconditionError("element is not self-adjoint")
-    lam, vec = np.linalg.eigh((op + op.T) / 2)
-    if lam.min() < -FLOAT_TOL:
-        raise PreconditionError(
-            f"element is not PSD (min eigenvalue {lam.min():.3e})")
+    geo, _, lam, vec = _spectrum(x, vectors=True, psd=True)
     cutoff = 1e-10 * max(1.0, lam.max())
     lam = np.where(lam < cutoff, 0.0, lam)
     root = vec @ np.diag(np.sqrt(lam)) @ vec.T
-    return geo.element_from_operator(root)
+    col = (geo.inv_lt @ root @ geo.chol.T)[:, geo.unit_index]      # root applied to 1
+    return Element(x.colour.n, x.ring, {d: x.ring.fraction(v)
+                                        for d, v in zip(enumerate_diagrams(x.colour.n), col)})
 
 
 # -- norms on H_k -----------------------------------------------------------------
@@ -267,8 +265,10 @@ def estimate_lemma_verify(a: Element, k: int, q: int, i: int) -> dict:
     report = {"check": "estimate_lemma", "params": {"p": p, "k": k, "q": q, "i": i},
               "psd": psd, "min_eigenvalue": min_eig}
     if not psd:
+        # NaN: lhs is not self-adjoint, and its relative asymmetry is the residual
+        residual = _spectrum(lhs)[1] if np.isnan(min_eig) else -min_eig
         report.update(status="fail", details="left-hand side not PSD",
-                      max_residual=abs(min(min_eig, 0.0)))
+                      max_residual=float(residual))
         return report
     if lhs.is_zero():
         c = Element.zero(2 * p - q, a.ring)
@@ -294,7 +294,9 @@ def _max_coeff(x: Element) -> float:
 
 
 def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
-    """Check ||a#b|| <= K(1+2(m-k)) ||b|| over random b with mixed colours."""
+    """Check ||a#b|| <= K(1+2(m-k)) ||b|| over random b with mixed colours, where
+    K = max_u delta^(k/2) ||psd_sqrt(glued_u)||; by the C*-identity that norm is
+    lambda_max(glued_u)^(1/2), so one eigenvalue solve per u gives it."""
     _require_float(a.ring)
     ring = a.ring
     m = a.colour.n
@@ -304,8 +306,8 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
         glued = evaluate(glue_tangle(m, q, 0), [a, a.star()])
         if glued.is_zero():
             continue
-        c_u = psd_sqrt(glued)
-        big_k = max(big_k, ring.delta ** (k / 2.0) * op_norm(c_u))
+        lam_max = max(_spectrum(glued, psd=True)[2].max(), 0.0)
+        big_k = max(big_k, ring.delta ** (k / 2.0) * float(np.sqrt(lam_max)))
     bound = big_k * (1 + 2 * (m - k))
     ga = GradedElement.of_element(k, a)
     violations = 0
@@ -384,17 +386,23 @@ def cnk_membership(x: Element, k: int) -> dict:
 def _solve_in_image(x: Element, k: int):
     """Exact linear solve of Z_X(y) = x over the P_k diagram basis."""
     _require_numeric(x.ring)
-    n = x.colour.n
-    x_tangle = annular_X(n, k)
-    basis_k = enumerate_diagrams(k)
-    exact = x.ring.scalar is Rational
-    cols = [coordinates(evaluate(x_tangle, [Element.basis(d, x.ring)]))
-            for d in basis_k]
-    sol = _gauss_solve(cols, coordinates(x), exact)
+    basis_k, cols, system = _image_system(x.colour.n, k, x.ring)
+    target = coordinates(x)
+    sol = _reduced_solve(system, target) if system else _gauss_solve(cols, target, exact=False)
     if sol is None:
         return None
     combo = {d: x.ring.fraction(w) for d, w in zip(basis_k, sol)}
     return Element(k, x.ring, combo)
+
+
+@lru_cache(maxsize=None)
+def _image_system(n: int, k: int, ring: Ring):
+    """_solve_in_image's P_k basis, its image columns, and those eliminated once."""
+    basis_k = tuple(enumerate_diagrams(k))
+    cols = tuple(tuple(coordinates(evaluate(annular_X(n, k), [Element.basis(d, ring)])))
+                 for d in basis_k)
+    system = _reduce(cols, len(_basis_tables(n)[0])) if ring.scalar is Rational else None
+    return basis_k, cols, system
 
 
 def row_reduce(mat, ncols: int, tol=0) -> list:
@@ -433,14 +441,37 @@ def coordinates(x: Element) -> list:
     return col
 
 
+def _reduce(cols, rows: int) -> tuple:
+    """row_reduce [cols | I] once: (unknowns, pivot columns, transform E).  The pivots
+    depend on `cols` alone, so E.target is the last column [cols | target] reduces to."""
+    ncols = len(cols)
+    aug = [[cols[j][i] for j in range(ncols)]
+           + [Fraction(i == r) for r in range(rows)] for i in range(rows)]
+    piv_cols = row_reduce(aug, ncols)
+    return ncols, tuple(piv_cols), tuple(tuple(row[ncols:]) for row in aug)
+
+
+def _reduced_solve(system, target):
+    """_reduce's solve of cols.w = target, free unknowns 0; None off the image."""
+    ncols, piv_cols, transform = system
+    reduced = [sum((e * t for e, t in zip(row, target) if t), Fraction(0))
+               for row in transform]
+    if any(reduced[len(piv_cols):]):
+        return None
+    value = dict(zip(piv_cols, reduced))
+    return [value.get(c, Fraction(0)) for c in range(ncols)]
+
+
 def _gauss_solve(cols, target, exact: bool):
+    if exact:
+        return _reduced_solve(_reduce(cols, len(target)), target)
     rows, ncols = len(target), len(cols)
     aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    piv_cols = row_reduce(aug, ncols, 0 if exact else 1e-10)
+    piv_cols = row_reduce(aug, ncols, 1e-10)
     for i in range(len(piv_cols), rows):
-        if abs(aug[i][ncols]) > (0 if exact else 1e-8):
+        if abs(aug[i][ncols]) > 1e-8:
             return None
-    sol = [Fraction(0) if exact else 0.0] * ncols
+    sol = [0.0] * ncols
     for ri, c in enumerate(piv_cols):
         sol[c] = aug[ri][ncols]
     return sol
@@ -556,13 +587,13 @@ def xnxm_verify(k: int, n: int, rng) -> dict:
         raise PreconditionError("need n > k")
     ring = Ring.rational(Fraction(5, 2))
     m = n + 2
-    texpr, perp_basis, cols = _xnxm_system(k, n, ring)
+    texpr, perp_basis, system = _xnxm_system(k, n, ring)
     failures = 0
     trials = 5
     for _ in range(trials):
         _, x_n = perp_projection(random_element(n, ring, rng), k)
         z = commutator_with_c(x_n, k, n + 1)
-        sol = _gauss_solve(cols, coordinates(z), exact=True)
+        sol = _reduced_solve(system, coordinates(z))
         if sol is None:
             failures += 1
             continue
@@ -585,8 +616,8 @@ def xnxm_verify(k: int, n: int, rng) -> dict:
 
 @lru_cache(maxsize=None)
 def _xnxm_system(k: int, n: int, ring: Ring):
-    """xnxm_verify's seed-free system: the capping expression, the complement
-    basis and the expression's coordinate column on each member, as tuples."""
+    """xnxm_verify's seed-free system, all tuples: the capping expression, the
+    complement basis and the expression's columns on it, eliminated once."""
     m = n + 2
     t1 = annular_T(TSpec(k, _interval(1, n - k + 1), _interval(1, n - k + 1),
                          n + 1, m))
@@ -598,7 +629,8 @@ def _xnxm_system(k: int, n: int, ring: Ring):
 
     perp_basis = tuple(pb for pb in (perp_projection(Element.basis(d, ring), k)[1]
                                      for d in enumerate_diagrams(m)) if not pb.is_zero())
-    return texpr, perp_basis, tuple(tuple(coordinates(texpr(pb))) for pb in perp_basis)
+    cols = [coordinates(texpr(pb)) for pb in perp_basis]
+    return texpr, perp_basis, _reduce(cols, len(_basis_tables(n + 1)[0]))
 
 
 def xn_from_xm(x_m: Element, n: int, k: int, d: int) -> Element:

@@ -4,7 +4,7 @@ A level-k picture of a colour-m box has 2(m-k) points on top, k on the
 right side and k on the left side; the side cables are the last 2k points
 in the clockwise numbering.  Every operation here is a combinatorially
 explicit tangle in that frame; the restriction identities to P_k pin each
-convention and are enforced by a one-shot self-check.
+convention, and the tests check them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from itertools import chain
 from .annular import enumerate_good, transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram
 from .elements import Element, jones_projection, random_element, tl_sum
-from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
-                     PreconditionError)
+from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
 from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
                       partial_cap_tangle, rotation_tangle)
@@ -188,7 +187,6 @@ def _fused(k: int, ring: Ring, fillings) -> GradedElement:
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
     """The filtered product of F_k(P), bilinear over components."""
     a._check_level(b)
-    _check_conventions()
     k = a.level
     return _fused(k, a.ring, (
         (sharp_tangle(m, n, k, t), (am, bn))
@@ -200,7 +198,6 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    _check_conventions()
     k = a.level
     return _fused(k, a.ring, (
         (sharp_tangle(m, n, k, m + n - k), (am, bn))
@@ -444,33 +441,3 @@ def dot_index_J(m, n, p, k):
 def index_bijection(m, n, p):
     """(t,s) -> (max(m+p, n+s) - t, s), shared by both associativity proofs."""
     return lambda ts: (max(m + p, n + ts[1]) - ts[0], ts[1])
-
-
-# -- convention self-check --------------------------------------------------------------
-
-
-_CONVENTIONS_CHECKED = False
-
-
-def _check_conventions() -> None:
-    """Fail fast if the pinned rotation/stacking conventions drift."""
-    global _CONVENTIONS_CHECKED
-    if _CONVENTIONS_CHECKED:
-        return
-    _CONVENTIONS_CHECKED = True
-    sym = Ring.symbolic()
-    x = Element.basis(Diagram(2, [(1, 2), (3, 4)]), sym)
-    y = Element.basis(Diagram(2, [(1, 4), (2, 3)]), sym)
-    k = 1
-    a = GradedElement.of_element(k, x)
-    b = GradedElement.of_element(k, y)
-    lhs = dagger(sharp(a, b))
-    rhs = sharp(dagger(b), dagger(a))
-    if lhs != rhs:
-        _CONVENTIONS_CHECKED = False
-        raise InternalError("dagger is not anti-multiplicative: rotation "
-                            "direction convention is broken")
-    top = GradedElement.of_element(2, x)       # x at level k = its colour
-    if dagger(top) != GradedElement.of_element(2, x.star()):
-        _CONVENTIONS_CHECKED = False
-        raise InternalError("dagger does not restrict to * on P_k")

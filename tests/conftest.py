@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from planalg.analysis import _gns_entries
+from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt, row_reduce
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
@@ -312,6 +312,32 @@ def ldl_positive_definite(n: int, delta) -> bool:
             for j in range(p, size):
                 g[i][j] -= f * g[p][j]
     return True
+
+
+def boundedness_constant_oracle(a: Element, k: int) -> float:
+    """K = max_u delta^(k/2) ||c_u|| of `boundedness_verify`, by the square-root
+    element: c_u = psd_sqrt(glued_u) and the SVD norm of its GNS operator."""
+    m = a.colour.n
+    big_k = 0.0
+    for u in range(2 * k, 2 * m + 1):
+        glued = evaluate(glue_tangle(m, 2 * m - u, 0), [a, a.star()])
+        if not glued.is_zero():
+            big_k = max(big_k, a.ring.delta ** (k / 2.0) * op_norm(psd_sqrt(glued)))
+    return big_k
+
+
+def gauss_solve_in_place(cols, target):
+    """The exact solve of cols.w = target that eliminates [cols | target] in
+    place; free unknowns at zero, None when the target is not in the image."""
+    rows, ncols = len(target), len(cols)
+    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    piv_cols = row_reduce(aug, ncols)
+    if any(aug[i][ncols] for i in range(len(piv_cols), rows)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for ri, c in enumerate(piv_cols):
+        sol[c] = aug[ri][ncols]
+    return sol
 
 
 # -- random tangles for the property tests ------------------------------------------

@@ -14,7 +14,8 @@ from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
 from planalg import random_element, random_graded
-from conftest import gns_matrix_exact, gns_oracle, gram_oracle, ldl_positive_definite
+from conftest import (boundedness_constant_oracle, gauss_solve_in_place, gns_matrix_exact,
+                      gns_oracle, gram_oracle, ldl_positive_definite)
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -233,6 +234,45 @@ def test_boundedness_sweep(rng):
     assert rep["status"] == "pass"
 
 
+def test_boundedness_constant_is_the_square_root_route():
+    # K = delta^(k/2) lambda_max(glued)^(1/2) against the norm of psd_sqrt(glued)
+    rng = random.Random(17)
+    for delta in (2.0, 2.2, 2.5):
+        ring = Ring.float_(delta)
+        for m in (2, 3):
+            for k in range(m + 1):
+                a = random_element(m, ring, rng)
+                if a.is_zero():
+                    continue
+                big_k = an.boundedness_verify(a, k, 0, rng)["bound"] / (1 + 2 * (m - k))
+                oracle = boundedness_constant_oracle(a, k)
+                assert big_k == pytest.approx(oracle, rel=1e-12, abs=0), (delta, m, k)
+
+
+# a diagram that is not its own reflection, so its basis element is not self-adjoint
+SKEW3 = Diagram(3, [(1, 2), (3, 6), (4, 5)])
+
+
+def test_boundedness_constant_keeps_the_psd_preconditions(monkeypatch, rng):
+    a = random_element(2, FL, rng)
+    monkeypatch.setattr(an, "evaluate", lambda t, inputs: -evaluate(t, inputs))
+    with pytest.raises(PreconditionError, match="not PSD"):
+        an.boundedness_verify(a, 1, 1, rng)
+    # a glued to a instead of a*
+    monkeypatch.setattr(an, "evaluate", lambda t, inputs: evaluate(t, [inputs[0]] * 2))
+    with pytest.raises(PreconditionError, match="not self-adjoint"):
+        an.boundedness_verify(Element.basis(SKEW3, FL), 1, 1, rng)
+
+
+def test_estimate_lemma_reports_the_asymmetry_of_its_left_hand_side(monkeypatch):
+    a = Element.basis(SKEW3, FL)
+    lhs = evaluate(an.glue_tangle(3, 0, 0), [a, a])
+    monkeypatch.setattr(an, "evaluate", lambda t, inputs: evaluate(t, [inputs[0]] * 2))
+    rep = an.estimate_lemma_verify(a, 1, 0, 0)
+    assert rep["status"] == "fail" and math.isnan(rep["min_eigenvalue"])
+    assert rep["max_residual"] == an._spectrum(lhs)[1] > 1e-7
+
+
 def test_hk_norm_float_sums_component_norms_in_order():
     # the float route adds the per-colour squared norms one by one, bit for bit
     rng = random.Random(5)
@@ -359,6 +399,44 @@ def test_gauss_solve_float_thresholds():
     assert an._gauss_solve([[1e-12]], [1e-7], exact=False) is None
     assert an._gauss_solve([[Fraction(1, 10**12)]], [Fraction(1, 10**9)],
                            exact=True) == [1000]
+
+
+def _exact_systems():
+    """(cols, system) of every cached exact system the numeric suites solve:
+    xnxm_verify's capping expression and cnk_membership's image columns."""
+    for k, n in ((1, 2), (1, 3), (2, 3)):
+        texpr, perp_basis, system = an._xnxm_system(k, n, RR)
+        yield [an.coordinates(texpr(pb)) for pb in perp_basis], system
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (2, 2)):
+        _basis_k, cols, system = an._image_system(n, k, RR)
+        yield cols, system
+
+
+def test_once_eliminated_solve_is_the_in_place_solve():
+    rng = random.Random(3)
+
+    def fraction():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    for cols, system in _exact_systems():
+        rows, ncols = len(cols[0]), len(cols)
+        assert system[0] == ncols and len(system[2]) == rows
+        weights = [[fraction() for _ in cols] for _ in range(4)]
+        images = [[sum((c[i] * w for c, w in zip(cols, ws)), Fraction(0)) for i in range(rows)]
+                  for ws in weights]
+        targets = [[Fraction(0)] * rows] + images + [[fraction() for _ in range(rows)]
+                                                     for _ in range(4)]
+        solutions = [an._reduced_solve(system, target) for target in targets]
+        assert solutions == [gauss_solve_in_place(cols, target) for target in targets]
+        # the zero and image targets are solved; random ones fail unless cols span
+        assert None not in solutions[:5]
+        rank = len(an.row_reduce([list(row) for row in zip(*cols)], ncols))
+        assert (None in solutions[5:]) == (rank < rows)
+        for target, sol in zip(targets, solutions):
+            if sol is not None:
+                assert all(type(v) is Fraction for v in sol)
+                assert [sum(c[i] * v for c, v in zip(cols, sol)) for i in range(rows)] \
+                    == target
 
 
 def test_gram_positive_definite_exact_rejects():

@@ -30,7 +30,7 @@ SYMBOLIC = ("filtalg", "annular", "gjs-iso", "jones")
 
 # the seed-free checks of the numeric suites, one cache each
 SEED_FREE = (analysis.gram_min_eigenvalue, analysis.gram_positive_definite_exact,
-             analysis._capping_ok, analysis._xnxm_system,
+             analysis._capping_ok, analysis._xnxm_system, analysis._image_system,
              suites._pk_commutes_cd_ok, suites._el_fixed_point_ok)
 
 # every suite at other seeds, deltas, levels and max colours; the single
@@ -96,7 +96,9 @@ def test_xnxm_verify_repeats_from_its_cache():
     info = analysis._xnxm_system.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first == second and first["status"] == "pass"
-    _texpr, perp_basis, cols = analysis._xnxm_system(1, 2, ring)
-    assert isinstance(perp_basis, tuple) and isinstance(cols, tuple)
-    assert all(isinstance(col, tuple) for col in cols)
+    # a cached value is shared by every caller, so none of it may be mutable
+    _texpr, perp_basis, (ncols, piv_cols, transform) = analysis._xnxm_system(1, 2, ring)
+    assert isinstance(perp_basis, tuple) and ncols == len(perp_basis)
+    assert isinstance(piv_cols, tuple) and isinstance(transform, tuple)
+    assert all(isinstance(row, tuple) for row in transform)
 

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from planalg import config, suites
+from planalg import analysis, config, suites
 from planalg.cli import main
 from planalg.config import Config
 from planalg.diagrams import Diagram
@@ -239,6 +241,31 @@ def test_a_failing_clause_fails_only_its_own_rows(monkeypatch, tmp_path, capsys)
     assert {row["check"] for row in passed} == {
         "gjs.inverse", "gjs.multiplicative", "gjs.star"}
     assert all(row["details"] == "2/2 exact" for row in passed)
+
+
+def test_a_lemma_row_keeps_the_residual_of_a_non_self_adjoint_lhs(monkeypatch, tmp_path,
+                                                                   capsys):
+    # every GNS operator above colour 0 made asymmetric: each left-hand side
+    # of the lemma grid is then not self-adjoint and must still report a residual
+    operator = analysis.GnsGeometry.operator
+    monkeypatch.setattr(analysis.GnsGeometry, "operator",
+                        lambda geo, x: operator(geo, x) + np.triu(np.ones(geo.chol.shape), 1))
+    monkeypatch.setattr(analysis, "boundedness_verify",
+                        lambda a, k, trials, rng: {"status": "pass"})
+    reports, verify = [], analysis.estimate_lemma_verify
+    monkeypatch.setattr(analysis, "estimate_lemma_verify",
+                        lambda *args: reports.append(verify(*args)) or reports[-1])
+    out = tmp_path / "rep.json"
+    assert main(["verify", "estimates", "--delta", "2.5", "--trials", "1",
+                 "--out", str(out)]) == 4
+    residuals = [rep["max_residual"] for rep in reports]
+    assert len(residuals) == 10 and all(math.isfinite(r) for r in residuals)
+    assert any(math.isnan(rep["min_eigenvalue"]) for rep in reports)
+    row, = [row for row in json.loads(out.read_text())["checks"]
+            if row["check"] == "estimates.lemma_grid"]
+    assert row["status"] == "fail"
+    assert row["max_residual"] == max(residuals) > 0
+    assert f"max residual {max(residuals):.2e}" in capsys.readouterr().out
 
 
 def test_jobs_are_capped_at_the_number_of_suites(monkeypatch):

@@ -42,11 +42,16 @@ def test_sharp_restricts_to_multiplication(sym):
                 assert sharp_component(ea, eb, k, k) == ea.multiply(eb)
 
 
-def test_dagger_restricts_to_star(sym):
+def test_dagger_restricts_to_star(sym, rng):
+    # on P_k, the level-k colour, dagger is * and adds no other colour
     for k in (1, 2, 3):
         for d in enumerate_diagrams(k):
             el = Element.basis(d, sym)
-            assert dagger(graded(k, el)).component(k) == el.star()
+            assert dagger(graded(k, el)) == graded(k, el.star())
+    for ring in KERNEL_RINGS:
+        for k in (0, 1, 2, 3):
+            x = random_combo(k, ring, rng)
+            assert dagger(graded(k, x)) == graded(k, x.star())
 
 
 def test_trace_restricts_to_tau(sym, rng):
