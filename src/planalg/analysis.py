@@ -199,19 +199,25 @@ def _spectrum(x: Element, vectors: bool = False, psd: bool = False):
 
 def is_psd(x: Element, tol: float = FLOAT_TOL):
     """Whether x acts as a PSD operator: (flag, min eigenvalue or NaN if x* != x)."""
-    lam = _spectrum(x)[2]
+    return _psd(_spectrum(x)[2], tol)
+
+
+def _psd(lam, tol: float = FLOAT_TOL):
+    """`is_psd` from the eigenvalues of a `_spectrum` (None: x* != x)."""
     if lam is None:
         return False, float("nan")
     return bool(lam.min() >= -tol), float(lam.min())
 
 
-def psd_sqrt(x: Element) -> Element:
+def psd_sqrt(x: Element, spectrum=None) -> Element:
     """The positive square root of a PSD element, via spectral calculus.
 
     Eigenvalues below a relative cutoff are flushed to zero first; without
-    that, +-1e-15 kernel noise turns into +-3e-8 square-root noise.
+    that, +-1e-15 kernel noise turns into +-3e-8 square-root noise.  A
+    caller that has x's `_spectrum` with vectors, and has found x PSD,
+    passes it as `spectrum`.
     """
-    geo, _, lam, vec = _spectrum(x, vectors=True, psd=True)
+    geo, _, lam, vec = spectrum or _spectrum(x, vectors=True, psd=True)
     cutoff = 1e-10 * max(1.0, lam.max())
     lam = np.where(lam < cutoff, 0.0, lam)
     root = vec @ np.diag(np.sqrt(lam)) @ vec.T
@@ -261,19 +267,20 @@ def estimate_lemma_verify(a: Element, k: int, q: int, i: int) -> dict:
     if p < k:
         raise PreconditionError("need p >= k")
     lhs = evaluate(glue_tangle(p, q, i), [a, a.star()])
-    psd, min_eig = is_psd(lhs)
+    spectrum = _spectrum(lhs, vectors=True)     # one solve: the PSD test and the root
+    psd, min_eig = _psd(spectrum[2])
     report = {"check": "estimate_lemma", "params": {"p": p, "k": k, "q": q, "i": i},
               "psd": psd, "min_eigenvalue": min_eig}
     if not psd:
         # NaN: lhs is not self-adjoint, and its relative asymmetry is the residual
-        residual = _spectrum(lhs)[1] if np.isnan(min_eig) else -min_eig
+        residual = spectrum[1] if np.isnan(min_eig) else -min_eig
         report.update(status="fail", details="left-hand side not PSD",
                       max_residual=float(residual))
         return report
     if lhs.is_zero():
         c = Element.zero(2 * p - q, a.ring)
     else:
-        c = psd_sqrt(lhs)
+        c = psd_sqrt(lhs, spectrum)
     scale = max(1.0, _max_coeff(lhs))
     square_residual = _max_coeff(c.multiply(c) - lhs) / scale
     norm_c = hk_norm_squared_element(c, k).to_float()
@@ -351,11 +358,16 @@ def unit_hk_norm(x: Element, k: int) -> Element:
 
 def perp_projection(x: Element, k: int):
     """Split x in P_n as (member of C^n_k, orthogonal complement part)."""
+    return _perp_parts(x, k)[1:]
+
+
+def _perp_parts(x: Element, k: int):
+    """(the capping tangle on x, member, perp) of `perp_projection`."""
     n = x.colour.n
     x_tangle = annular_X(n, k)
     capped = evaluate(transpose_annular(x_tangle), [x])
     member = evaluate(x_tangle, [capped]).scale(x.ring.delta_power(-(n - k)))
-    return member, x - member
+    return capped, member, x - member
 
 
 def cnk_membership(x: Element, k: int) -> dict:
@@ -366,8 +378,7 @@ def cnk_membership(x: Element, k: int) -> dict:
     agree on the decomposition x = member + perp.
     """
     n = x.colour.n
-    member, perp = perp_projection(x, k)
-    capped_x = evaluate(transpose_annular(annular_X(n, k)), [x])
+    capped_x, member, perp = _perp_parts(x, k)
     in_perp = capped_x.is_zero()
     in_member = perp.is_zero()
     route_a = _solve_in_image(x, k)

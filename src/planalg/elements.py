@@ -133,7 +133,7 @@ class Element:
         self._check_join(other)
         colour, ring, n = self.colour, self.ring, self.colour.n
         return Element._sum(colour, ring, contract_terms(
-            colour, ring, _product_wiring(n), (2 * n, 4 * n), (self, other), 0))
+            ((colour, _product_wiring(n), (2 * n, 4 * n)),), ring, (self, other), 0)[0])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -181,35 +181,37 @@ class Element:
         return " + ".join(parts)
 
 
-_TRACED = {}    # (colour, wiring, offsets) -> {d1: {d2: ... {dk: (output, closed)}}}
-_LEAVES = {}    # (output, closed) -> the one leaf tuple every table shares
+_TRACED = {}    # family -> {d1: ... {dk: ((output, closed) per member)}}
+_LEAVES = {}    # leaf -> the one leaf tuple every table shares
 
 
-def contract_terms(colour: Colour, ring: Ring, wiring: tuple, offsets, inputs,
-                   loops: int) -> list:
-    """Fill a wired tangle's boxes with its inputs and trace its strands.
+def contract_terms(family: tuple, ring: Ring, inputs, loops: int) -> tuple:
+    """Fill the boxes of a family of wired tangles with one set of inputs and
+    trace their strands: one list of `Element._sum` terms per member.
 
-    `wiring` numbers the external points of `colour` first, box b's from
-    `offsets[b]` on (see `trace_strands`).  Each choice of one diagram per
-    box (the last box varying fastest) is one `Element._sum` term: its
-    traced output diagram, with coefficient (c1 * c2 * ...) in box order
-    times delta to the power `loops` plus the closed loops (`ring.one()`
-    with no boxes).  A crossing output pairing raises `InternalError`.
-    Each choice is traced once per process (`_trace`): its output and
-    closed loops depend on no coefficient.  The inputs must be of `ring`.
+    A member is `(colour, wiring, offsets)`: `wiring` numbers the external
+    points of `colour` first, box b's from `offsets[b]` on (see
+    `trace_strands`).  The members share their boxes and `loops` free loops.
+    Each choice of one diagram per box (the last box varying fastest) is
+    one term of each member: its traced output diagram, with coefficient
+    (c1 * c2 * ...) in box order times delta to the power `loops` plus the
+    closed loops (`ring.one()` with no boxes).  A crossing output pairing
+    raises `InternalError`.  One walk over the choices serves every member,
+    and each choice is traced once per process for all of them (`_trace`):
+    outputs and loops depend on no coefficient.  The inputs must be of `ring`.
     """
-    key = (colour, wiring, offsets)
-    level = [(_TRACED.get(key) or {}, (), None)]
+    level = [(_TRACED.get(family) or {}, (), None)]
     for x in inputs[:-1]:
         level = [(node.get(d) or {}, ds + (d,), c if coeff is None else coeff * c)
                  for node, ds, coeff in level for d, c in x.combo.items()]
     last = inputs[-1].combo.items() if inputs else ((None, ring.one()),)
-    terms = []
+    lists = tuple([] for _ in family)
     for node, ds, coeff in level:
         for d, c in last:
-            output, closed = node.get(d) or _trace(key, ds + (d,))
-            terms.append((output, coeff, c, closed + loops))
-    return terms
+            for terms, (output, closed) in zip(
+                    lists, node.get(d) or _trace(family, ds + (d,))):
+                terms.append((output, coeff, c, closed + loops))
+    return lists
 
 
 def _check(colour: Colour, ring: Ring, terms) -> None:
@@ -226,21 +228,23 @@ def _nonzero(combo: dict) -> dict:
     return {d: c for d, c in combo.items() if not c.is_zero()}
 
 
-def _trace(key, diagrams: tuple) -> tuple:
-    """Trace one diagram per box (`(None,)` for no boxes) on a wired tangle
-    and keep `(output, closed loops)` in `_TRACED`; a crossing output raises
-    `InternalError` and is never kept."""
-    colour, wiring, offsets = key
-    inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
-    pairs, closed = trace_strands(wiring, inner, colour.points)
-    try:
-        leaf = (Diagram(colour, pairs), closed)
-    except ValidationError as exc:
-        raise InternalError(
-            f"evaluation produced a crossing output pairing: {exc}") from exc
-    node = _TRACED.setdefault(key, {})
+def _trace(family, diagrams: tuple) -> tuple:
+    """Trace one diagram per box (`(None,)` for no boxes) on each member of
+    a family and keep the `(output, closed loops)` of each in `_TRACED`; a
+    crossing output raises `InternalError` and is never kept."""
+    leaf = []
+    for colour, wiring, offsets in family:
+        inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
+        pairs, closed = trace_strands(wiring, inner, colour.points)
+        try:
+            leaf.append((Diagram(colour, pairs), closed))
+        except ValidationError as exc:
+            raise InternalError(
+                f"evaluation produced a crossing output pairing: {exc}") from exc
+    node = _TRACED.setdefault(family, {})
     for d in diagrams[:-1]:
         node = node.setdefault(d, {})
+    leaf = tuple(leaf)
     leaf = node[diagrams[-1]] = _LEAVES.setdefault(leaf, leaf)
     return leaf
 

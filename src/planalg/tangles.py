@@ -165,28 +165,31 @@ def evaluate(t: Tangle, inputs) -> Element:
     """Z_T applied to one Element per internal box."""
     inputs = list(inputs)
     ring = inputs[0].ring if inputs else Ring.symbolic()
-    return Element._sum(t.ext, ring, filling_terms(t, inputs, ring))
+    return Element._sum(t.ext, ring, filling_terms((t,), inputs, ring)[0])
 
 
 def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
     """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
-    return Element._sum(t.ext, ring, filling_terms(t, list(inputs), ring))
+    return Element._sum(t.ext, ring, filling_terms((t,), list(inputs), ring)[0])
 
 
-def filling_terms(t: Tangle, inputs: list, ring: Ring) -> list:
-    """The kernel terms of Z_T(inputs) (see `contract_terms`), after the
+def filling_terms(family: tuple, inputs: list, ring: Ring) -> tuple:
+    """The kernel terms of Z_T(inputs) for each T of a family of tangles with
+    the same boxes and free loops, from one `contract_terms` walk, after the
     checks of evaluation: one input per box, of its colour and of `ring`."""
-    if len(inputs) != len(t.boxes):
+    boxes = family[0].boxes
+    if len(inputs) != len(boxes):
         raise PreconditionError(
-            f"tangle has {len(t.boxes)} boxes but got {len(inputs)} inputs")
-    for x, colour in zip(inputs, t.boxes):
+            f"tangle has {len(boxes)} boxes but got {len(inputs)} inputs")
+    for x, colour in zip(inputs, boxes):
         if x.colour != colour:
             raise ColourMismatchError(
                 f"input colour {x.colour} does not match box colour {colour}")
     for x in inputs:
-        if x.ring != ring:
+        if x.ring is not ring and x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    return contract_terms(t.ext, ring, t.wiring, t.offsets[1:], inputs, t.loops)
+    return contract_terms(tuple((t.ext, t.wiring, t.offsets[1:]) for t in family),
+                          ring, inputs, family[0].loops)
 
 
 # -- operadic substitution --------------------------------------------------------

@@ -9,7 +9,7 @@ convention, and the tests check them.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 
 from .annular import enumerate_good, transpose_annular
@@ -61,21 +61,20 @@ class GradedElement:
         parts = list(parts)
         for el in parts:
             ring.check(el.ring)
-        return cls._from_terms(level, ring, ((el.colour, el._terms) for el in parts))
+        return cls._from_terms(level, ring, ((el.colour, el._terms()) for el in parts))
 
     @classmethod
     def _from_terms(cls, level, ring: Ring, pieces):
-        """Sum `(colour, make_terms)` pieces of `ring`: each colour's kernel
-        terms, made in piece order as its one `Element._sum` call reads them."""
-        makers = {}     # colour n -> (Colour of the first piece, its makers)
-        for colour, make in pieces:
-            first, acc = makers.setdefault(colour.n, (colour, []))
+        """Sum `(colour, kernel terms)` pieces of `ring`: one `Element._sum`
+        per colour over its pieces' terms, in piece order."""
+        sums = {}       # colour n -> (Colour of the first piece, its terms)
+        for colour, terms in pieces:
+            first, acc = sums.setdefault(colour.n, (colour, []))
             if colour is not first:
                 raise ColourMismatchError(f"colour mismatch: {first} vs {colour}")
-            acc.append(make)
-        return cls(level, ring, {
-            n: Element._sum(colour, ring, chain.from_iterable(make() for make in acc))
-            for n, (colour, acc) in makers.items()})
+            acc.extend(terms)
+        return cls(level, ring, {n: Element._sum(colour, ring, acc)
+                                 for n, (colour, acc) in sums.items()})
 
     def component(self, n: int) -> Element:
         if n in self.components:
@@ -178,31 +177,34 @@ def sharp_range(m: int, n: int, k: int):
     return range(abs(m - n) + k, m + n - k + 1)
 
 
-def _fused(k: int, ring: Ring, fillings) -> GradedElement:
-    """The sum of Z_T(inputs) over `(T, inputs)` fillings, by output colour."""
+@lru_cache(maxsize=None)
+def _family(make, m: int, n: int, k: int, ts: range) -> tuple:
+    """The tangles make(m, n, k, t), t in ts, of one (m, n) product block."""
+    return tuple(make(m, n, k, t) for t in ts)
+
+
+def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
+    """The sum over component pairs (m, n) of Z_T(a_m, b_n) for T in the
+    family make(m, n, k, t), t in ts(m, n, k): one walk per block feeds
+    every output colour, and each colour is summed once, in block order."""
     return GradedElement._from_terms(k, ring, (
-        (t.ext, partial(filling_terms, t, inputs, ring)) for t, inputs in fillings))
+        (t.ext, terms)
+        for m, am in a.components.items() for n, bn in b.components.items()
+        for family in (_family(make, m, n, k, ts(m, n, k)),)
+        for t, terms in zip(family, filling_terms(family, [am, bn], ring))))
 
 
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
     """The filtered product of F_k(P), bilinear over components."""
     a._check_level(b)
-    k = a.level
-    return _fused(k, a.ring, (
-        (sharp_tangle(m, n, k, t), (am, bn))
-        for m, am in a.components.items()
-        for n, bn in b.components.items()
-        for t in sharp_range(m, n, k)))
+    return _blocks(sharp_tangle, sharp_range, a.level, a, b, a.ring)
 
 
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    k = a.level
-    return _fused(k, a.ring, (
-        (sharp_tangle(m, n, k, m + n - k), (am, bn))
-        for m, am in a.components.items()
-        for n, bn in b.components.items()))
+    return _blocks(sharp_tangle, lambda m, n, k: range(m + n - k, m + n - k + 1),
+                   a.level, a, b, a.ring)
 
 
 # -- dagger, traces, inner product ------------------------------------------------
@@ -338,7 +340,7 @@ def _column(k, j, i, excellent, diagram, ring) -> Element:
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
     """Each coefficient times its kept columns, summed by the ring's kernel."""
     return GradedElement._from_terms(k, a.ring, (
-        (Colour.of(i), partial(_column(k, j, i, excellent, d, a.ring)._terms, c))
+        (Colour.of(i), _column(k, j, i, excellent, d, a.ring)._terms(c))
         for j, el in a.components.items() for d, c in el.combo.items()
         for i in range(k, j + 1)))
 
@@ -393,12 +395,7 @@ def dot_action(a: GradedElement, b: GradedElement) -> GradedElement:
     """theta_k(a)(b): the action of F_{k+1}(P) on F_k(P), by direct tangles."""
     if a.level != b.level + 1:
         raise LevelMismatchError("dot action needs levels (k+1, k)")
-    k = b.level
-    return _fused(k, b.ring, (
-        (dot_tangle(m, n, k, t), (am, bn))
-        for m, am in a.components.items()
-        for n, bn in b.components.items()
-        for t in dot_range(m, n, k)))
+    return _blocks(dot_tangle, dot_range, b.level, a, b, b.ring)
 
 
 def dot_action_via_expectation(a: GradedElement, b: GradedElement) -> GradedElement:

@@ -273,6 +273,24 @@ def test_estimate_lemma_reports_the_asymmetry_of_its_left_hand_side(monkeypatch)
     assert rep["max_residual"] == an._spectrum(lhs)[1] > 1e-7
 
 
+def test_estimate_lemma_builds_one_operator_per_point(monkeypatch):
+    # the suite's lemma grid: one GNS operator and eigen-solve serve both the
+    # PSD test and the square root, and the flag is the one is_psd gives
+    rng = random.Random(11)
+    builds, operator = [], an.GnsGeometry.operator
+    monkeypatch.setattr(an.GnsGeometry, "operator",
+                        lambda geo, x: builds.append(x) or operator(geo, x))
+    for ring in (FL, FL2):
+        for p, k, q, i in ((1, 0, 0, 0), (2, 1, 1, 1), (2, 1, 4, 0), (3, 1, 3, 2),
+                           (3, 2, 2, 1)):
+            a = an.unit_hk_norm(random_element(p, ring, rng), k)
+            builds.clear()
+            rep = an.estimate_lemma_verify(a, k, q, i)
+            assert rep["status"] == "pass" and len(builds) == 1
+            assert (rep["psd"], rep["min_eigenvalue"]) == pytest.approx(
+                an.is_psd(builds[0]), abs=1e-12)
+
+
 def test_hk_norm_float_sums_component_norms_in_order():
     # the float route adds the per-colour squared norms one by one, bit for bit
     rng = random.Random(5)
@@ -292,6 +310,16 @@ def test_sum_norm_inequality(rng):
 
 
 # -- the subspaces C^n_k ---------------------------------------------------------------
+
+
+def test_membership_caps_x_once(monkeypatch, rng):
+    # perp_projection's capping of x is the perp test's own evaluation
+    caps = []
+    monkeypatch.setattr(an, "evaluate", lambda t, inputs: (
+        caps.append(t) if t == transpose_annular(annular_X(3, 1)) else None)
+        or evaluate(t, inputs))
+    rep = an.cnk_membership(random_element(3, RR, rng), 1)
+    assert rep["status"] == "pass" and len(caps) == 1
 
 
 def test_membership_by_construction(rng):

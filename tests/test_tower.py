@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
+from planalg import elements, tangles
 from planalg.elements import Element, jones_projection
 from planalg.errors import (ColourMismatchError, LevelMismatchError,
                             ModeMismatchError, PreconditionError)
@@ -470,6 +471,31 @@ def test_fused_products_match_per_term_route(ring, rng):
                     n for n, e in expected.items() if not e.is_zero()]
                 assert all(same_terms(el, expected[n])
                            for n, el in product.components.items())
+
+
+def test_a_repeated_product_walks_each_block_once(monkeypatch):
+    # a block (m, n) of sharp/dot_action feeds all its output colours from
+    # one contract_terms walk, and a second product traces nothing
+    ring, rng = Ring.symbolic(), random.Random(8)
+    walks, traces, trace = [], [], elements._trace
+    monkeypatch.setattr(tangles, "contract_terms", lambda *args: walks.append(
+        args) or elements.contract_terms(*args))
+    monkeypatch.setattr(elements, "_trace", lambda *args: traces.append(
+        args) or trace(*args))
+    for k in (1, 2):
+        a, b = (random_graded(k, k + 3, ring, rng) for _ in range(2))
+        up = random_graded(k + 1, k + 4, ring, rng)
+        for product, x, y, ts in ((sharp, a, b, sharp_range),
+                                  (dot_action, up, b, dot_range),
+                                  (bullet, a, b, None)):
+            first = product(x, y)
+            walks.clear()
+            traces.clear()
+            assert product(x, y) == first and traces == []
+            blocks = [(m, n) for m in x.components for n in y.components]
+            assert len(walks) == len(blocks)
+            if ts:      # some block has more than one output colour
+                assert max(len(ts(m, n, k)) for m, n in blocks) > 1
 
 
 # -- joins of outside inputs still check colour and ring -------------------------
