@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import config
-from .errors import ParseError, PreconditionError, ValidationError
+from .errors import InternalError, ParseError, PreconditionError, ValidationError
 
 
 _COLOURS = {}       # (n, minus) -> the one Colour with those values
@@ -102,6 +102,15 @@ class _Interned(type):
         if diagram is None:
             diagram = _INTERNED[key] = super().__call__(colour, key[2])
         return diagram
+
+
+def traced_diagram(colour: Colour, pairs: tuple) -> "Diagram":
+    """The interned diagram of traced, already sorted `pairs`, or a new one
+    validated by `Diagram(...)`: one that crosses raises `InternalError`."""
+    try:
+        return _INTERNED.get((colour.n, colour.minus, pairs)) or Diagram(colour, pairs)
+    except ValidationError as exc:
+        raise InternalError(f"a traced output pairing crosses: {exc}") from exc
 
 
 def _sorted_pairs(pairs) -> tuple:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import Colour, Diagram, enumerate_diagrams, identity_diagram
-from .errors import (ColourMismatchError, InternalError, ModeMismatchError,
-                     PreconditionError, ValidationError)
+from .diagrams import (Colour, Diagram, enumerate_diagrams, identity_diagram,
+                       traced_diagram)
+from .errors import ColourMismatchError, ModeMismatchError, PreconditionError
 from .scalars import Laurent, Ring, Scalar
 
 
@@ -236,11 +236,7 @@ def _trace(family, diagrams: tuple) -> tuple:
     for colour, wiring, offsets in family:
         inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
         pairs, closed = trace_strands(wiring, inner, colour.points)
-        try:
-            leaf.append((Diagram(colour, pairs), closed))
-        except ValidationError as exc:
-            raise InternalError(
-                f"evaluation produced a crossing output pairing: {exc}") from exc
+        leaf.append((traced_diagram(colour, pairs), closed))
     node = _TRACED.setdefault(family, {})
     for d in diagrams[:-1]:
         node = node.setdefault(d, {})

@@ -273,7 +273,7 @@ class Ring:
 
     @classmethod
     def symbolic(cls):
-        return cls(SYMBOLIC)
+        return _SYMBOLIC_RING       # one shared instance
 
     @classmethod
     def rational(cls, delta):
@@ -300,7 +300,7 @@ class Ring:
 
     def check(self, other: "Ring") -> None:
         """Raise `ModeMismatchError` unless `other` is this ring."""
-        if other != self:
+        if other is not self and other != self:
             raise ModeMismatchError(f"cannot mix {self!r} and {other!r}")
 
     def __eq__(self, other):
@@ -313,3 +313,6 @@ class Ring:
     def __repr__(self):
         return "Ring(symbolic)" if self.delta is None else \
             f"Ring({self.mode}, delta={self.delta})"
+
+
+_SYMBOLIC_RING = Ring(SYMBOLIC)

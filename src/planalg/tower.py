@@ -13,8 +13,9 @@ from functools import lru_cache
 from itertools import chain
 
 from .annular import enumerate_good, transpose_annular
-from .diagrams import Colour, Diagram, identity_diagram
-from .elements import Element, jones_projection, random_element, tl_sum
+from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
+from .elements import (Element, jones_projection, placed_pairing, random_element,
+                       tl_sum, trace_strands)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
 from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
@@ -328,13 +329,14 @@ def _good_tangles(k: int, j: int, i: int, excellent: bool):
 
 @lru_cache(maxsize=None)
 def _column(k, j, i, excellent, diagram, ring) -> Element:
-    """The colour-i image of one P_j basis diagram under phi (psi if
-    excellent), sign included; the maps are linear in these columns."""
-    x = Element.basis(diagram, ring)
+    """Colour i of phi (psi, signed, if excellent) on one P_j basis diagram."""
+    colour, one = Colour.of(i), ring.one()
     sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
-    return Element._sum(Colour.of(i), ring, [
-        term for tangle in _good_tangles(k, j, i, excellent)
-        for term in evaluate(tangle, [x])._terms(sign)])
+    box = (None,) * colour.points + placed_pairing(diagram, colour.points)
+    traced = (trace_strands(t.wiring, box, colour.points, t.loops)
+              for t in _good_tangles(k, j, i, excellent))
+    return Element._sum(colour, ring, [
+        (traced_diagram(colour, pairs), sign, one, loops) for pairs, loops in traced])
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:

@@ -14,7 +14,7 @@ from planalg.errors import (ColourMismatchError, InternalError,
                             ValidationError)
 from planalg.scalars import FLOAT, SYMBOLIC, Ring, Scalar
 from planalg.tangles import EXT, Tangle, evaluate
-from planalg.tower import sharp_tangle
+from planalg.tower import _good_tangles, sharp_tangle
 
 
 @pytest.fixture
@@ -234,6 +234,17 @@ def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
     """The P_t component of a # b at level k for a single pair of
     components: the per-filling oracle of the fused graded products."""
     return evaluate(sharp_tangle(a.colour.n, b.colour.n, k, t), [a, b])
+
+
+def column_oracle(k, j, i, excellent, diagram, ring: Ring) -> Element:
+    """A `phi`/`psi` column by the evaluate route, the oracle of
+    `tower._column`'s direct traces: each good tangle evaluated on the basis
+    element of `diagram`, its terms signed and summed in tangle order."""
+    x = Element.basis(diagram, ring)
+    sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
+    return Element._sum(Colour.of(i), ring, [
+        term for tangle in _good_tangles(k, j, i, excellent)
+        for term in evaluate(tangle, [x])._terms(sign)])
 
 
 def same_terms(x: Element, y: Element) -> bool:

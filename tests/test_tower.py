@@ -21,9 +21,9 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
                            _column, _good_tangles)
 from planalg import random_element, random_graded
 
-from conftest import (KERNEL_RINGS, dagger_oracle, expect_oracle, include_oracle,
-                      per_term_fillings, per_term_sum, random_combo, same_terms,
-                      sharp_component)
+from conftest import (KERNEL_RINGS, column_oracle, dagger_oracle, expect_oracle,
+                      include_oracle, per_term_fillings, per_term_sum, random_combo,
+                      same_terms, sharp_component)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -413,6 +413,28 @@ def test_phi_psi_columns_are_kept_per_ring(sym):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_traced_columns_match_the_evaluate_route(ring, monkeypatch):
+    # same diagrams in the same order with the same float bits: the traced
+    # terms (output, sign, 1, loops) sum as the evaluated ones did
+    monkeypatch.setattr(elements, "_TRACED", {})        # the oracle's table
+    for k in (0, 1, 2):
+        for j in range(k, k + 4):
+            for d in enumerate_diagrams(j):
+                for i in range(k, j + 1):
+                    for excellent in (False, True):
+                        assert same_terms(_column(k, j, i, excellent, d, ring),
+                                          column_oracle(k, j, i, excellent, d, ring))
+
+
+def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
+    monkeypatch.setattr(elements, "_TRACED", {})
+    for d in enumerate_diagrams(3):
+        for excellent in (False, True):
+            assert not _column.__wrapped__(1, 3, 2, excellent, d, sym).is_zero()
+    assert elements._TRACED == {}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
 def test_phi_psi_match_per_term_route(ring, rng):
     # the per-term route: each coefficient times each entry of its kept
     # columns, one scalar per term, summed per colour in the same order
@@ -518,7 +540,7 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
                 "graded-init-delta"]
 
 
-@pytest.mark.parametrize("join, error", [
+MISMATCHES = [
     (lambda: Element(2, SYM, {CUP2: RAT.one()}), ModeMismatchError),
     (lambda: Element(2, SYM, {Diagram(1, [(1, 2)]): SYM.one()}), ColourMismatchError),
     (lambda: Element.from_terms(2, F2, [(CUP2, F25.one())]), ModeMismatchError),
@@ -546,12 +568,26 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
     (lambda: GradedElement(1, SYM, {2: two_terms(SYM), 3: two_terms(RAT, 3)}),
      ModeMismatchError),
     (lambda: GradedElement(1, F2, {2: two_terms(F25)}), ModeMismatchError),
-], ids=MISMATCH_IDS)
+]
+
+
+@pytest.mark.parametrize("join, error", MISMATCHES, ids=MISMATCH_IDS)
 def test_outside_mismatches_still_raise(join, error):
     # internal results skip the per-coefficient checks, so each join of
     # outside inputs must check colour and ring itself
     with pytest.raises(error):
         join()
+
+
+def test_one_symbolic_ring_and_checks_still_raise():
+    # the ring check short-cuts on identity: an equal ring still passes, and
+    # every join of mismatched outside inputs still raises its error
+    assert Ring.symbolic() is Ring.symbolic()
+    Ring.symbolic().check(Ring("symbolic"))
+    Ring.rational(2).check(Ring.rational(Fraction(4, 2)))
+    for join, error in MISMATCHES:
+        with pytest.raises(error):
+            join()
 
 
 def test_graded_from_parts(sym):
