@@ -19,8 +19,7 @@ from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup,
     compose_T, transpose_annular
 from .config import FLOAT_TOL
 from .diagrams import Colour, enumerate_diagrams, identity_diagram
-from .elements import Element, _closure_wiring, _product_wiring, placed_pairing, \
-    random_element, trace_strands
+from .elements import Element, _tau_loops, random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
 from .scalars import Float, Laurent, Rational, Ring
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
@@ -50,24 +49,43 @@ def _basis_tables(n: int):
     prod[a][b] = (c, loops) when d_a.multiply(d_b) is delta^loops d_c;
     gram_loops[i][j] = (l1, l2), the loops closed by d_j* d_i and then by
     the trace closure of that product, so the Gram entry is
-    delta^(l1 + l2 - n).
+    delta^(l1 + l2 - n).  Equal values share one tuple.
+
+    d_a d_b keeps d_b's top half and d_a's bottom half (`_halves`), so only
+    the middle, d_b's bottom half on d_a's top half, is traced, once per
+    pair of halves (`_middle`); the ports it joins join the kept halves'
+    through points.
     """
     basis = enumerate_diagrams(n)
+    halves = [_halves(d) for d in basis]
+    # a middle closes at most n/2 loops: each crosses the glued row twice
+    values = [[(c, loops) for loops in range(n // 2 + 1)] for c in range(len(basis))]
+    cells = {}                  # bottom half -> {top half: that diagram's values}
+    uppers, lowers = {}, {}     # the b by bottom half, the a by top half
+    for i, (top, bottom) in enumerate(halves):
+        cells.setdefault(bottom, {})[top] = values[i]
+        uppers.setdefault(bottom, []).append(i)
+        lowers.setdefault(top, []).append(i)
+    joins = {}          # (half, meets) -> the half, its through points joined
+
+    def joined(half, meets):
+        if (half, meets) not in joins:
+            through = [p for p, q in enumerate(half) if p == q]
+            link = {p: through[m] for p, m in zip(through, meets)}
+            joins[half, meets] = tuple(link.get(p, q) for p, q in enumerate(half))
+        return joins[half, meets]
+
+    prod = [[None] * len(basis) for _ in basis]
+    for upper, bs in uppers.items():
+        for lower, as_ in lowers.items():
+            loops, up, down = _middle(upper, lower)
+            tops = [(b, joined(halves[b][0], up)) for b in bs]
+            for a in as_:
+                col, row = cells[joined(halves[a][1], down)], prod[a]
+                for b, top in tops:
+                    row[b] = col[top][loops]
     index = {d: i for i, d in enumerate(basis)}
-    position = {d.pairs: i for i, d in enumerate(basis)}   # trace_strands' sorted pairs
-    wiring = _product_wiring(n)
-    pad = (None,) * (2 * n)
-    prod = []
-    for d1 in basis:
-        below = pad + placed_pairing(d1, 2 * n)
-        row = []
-        for d2 in basis:
-            pairs, loops = trace_strands(
-                wiring, below + placed_pairing(d2, 4 * n), 2 * n)
-            row.append((position[pairs], loops))
-        prod.append(tuple(row))
-    closure = [trace_strands(_closure_wiring(n), placed_pairing(d, 0), 0)[1]
-               for d in basis]
+    closure = [_tau_loops(d) for d in basis]
     refl = [index[d.reflect()] for d in basis]
     shared = {}         # one tuple per distinct (l1, l2): about 1 MB less at n = 6
 
@@ -77,7 +95,37 @@ def _basis_tables(n: int):
 
     gram_loops = tuple(tuple(gram_entry(*prod[r][i]) for r in refl)
                        for i in range(len(basis)))
-    return index, tuple(prod), gram_loops
+    return index, tuple(map(tuple, prod)), gram_loops
+
+
+def _halves(d) -> tuple:
+    """(top, bottom) of d: each row's positions 0..n-1, left to right, sent to
+    their cup partners, a through point to itself (through strands join in order)."""
+    n = d.colour.n
+    rows = ([d.partner(1 + i) - 1 for i in range(n)],          # >= n: through
+            [2 * n - d.partner(2 * n - i) for i in range(n)])
+    return tuple(tuple(p if p < n else i for i, p in enumerate(row)) for row in rows)
+
+
+def _middle(upper: tuple, lower: tuple):
+    """Trace the bottom half `upper` glued onto the top half `lower` below it,
+    their through points as ports: (closed loops, up, down), where up[j] is
+    the upper port that upper port j meets, itself if it meets a lower one,
+    and down likewise for the lower ports."""
+    n = len(upper)
+    mid = upper + tuple(n + p for p in lower)          # lower's points from n on
+    ports = [p for p, q in enumerate(mid) if p == q]
+    k = len(ports)
+    wiring = [k + p for p in ports] + [k + q if p != q else ports.index(p)
+                                       for p, q in enumerate(mid)]
+    glue = (None,) * k + tuple(k + (p + n) % (2 * n) for p in range(2 * n))
+    pairs, loops = trace_strands(wiring, glue, k)
+    s = sum(p < n for p in ports)
+    meets = list(range(k))
+    for p, q in pairs:
+        if (p <= s) == (q <= s):
+            meets[p - 1], meets[q - 1] = q - 1, p - 1
+    return loops, tuple(meets[:s]), tuple(m - s for m in meets[s:])
 
 
 def gram(n: int, ring: Ring):

@@ -11,6 +11,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import suites
 from .config import Config, set_colour_cap
 from .diagrams import catalan, enumerate_diagrams
@@ -205,13 +207,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         set_colour_cap(args.cap)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, ColourMismatchError, LevelMismatchError,
             ModeMismatchError, ValidationError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"precondition violation: float arithmetic failed at this delta "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_PRECONDITION
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

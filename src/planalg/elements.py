@@ -143,11 +143,9 @@ class Element:
     def tau(self) -> Scalar:
         """Normalised trace: delta^{-n} times the closure loop count value."""
         n = self.colour.n
-        wiring = _closure_wiring(n)
         total = self.ring.zero()
         for d, c in self.combo.items():
-            _, loops = trace_strands(wiring, placed_pairing(d, 0), 0)
-            total = total + c.delta_pow(loops - n)
+            total = total + c.delta_pow(_tau_loops(d) - n)
         return total
 
     def inner(self, other: "Element") -> Scalar:
@@ -308,6 +306,12 @@ def _product_wiring(n: int) -> tuple:
 def _closure_wiring(n: int) -> tuple:
     """The trace closure of an n-box: point i joined to 2n+1-i around it."""
     return tuple(2 * n - 1 - p for p in range(2 * n))
+
+
+@lru_cache(maxsize=None)
+def _tau_loops(d: Diagram) -> int:
+    """The loops of d's trace closure, traced once per diagram."""
+    return trace_strands(_closure_wiring(d.colour.n), placed_pairing(d, 0), 0)[1]
 
 
 def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:

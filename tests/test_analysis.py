@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import planalg.analysis as an
+import planalg.elements as elements
 from planalg.annular import TSpec, annular_T, annular_X, transpose_annular
 from planalg.diagrams import Diagram, catalan, enumerate_diagrams, identity_diagram
 from planalg.elements import Element, jones_projection
@@ -14,8 +15,9 @@ from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
 from planalg import random_element, random_graded
-from conftest import (boundedness_constant_oracle, gauss_solve_in_place, gns_matrix_exact,
-                      gns_oracle, gram_oracle, ldl_positive_definite)
+from conftest import (_closure_loops, _stack, boundedness_constant_oracle,
+                      gauss_solve_in_place, gns_matrix_exact, gns_oracle, gram_oracle,
+                      ldl_positive_definite)
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -102,6 +104,41 @@ def test_gram_meander_determinant():
                 rhs *= u[j] ** (comb(2 * n, n - j) - 2 * comb(2 * n, n - j - 1)
                                 + comb(2 * n, n - j - 2))
             assert _det(g) * d ** (n * catalan(n)) == rhs, (d, n)
+
+
+# -- the basis tables ---------------------------------------------------------------
+
+
+def test_basis_tables_match_the_stacking_and_closure_oracles():
+    # prod[a][b] is d_b stacked on d_a; gram_loops[b][j] with d_j = d_a* adds
+    # the closure loops of that product
+    for n in range(7):
+        index, prod, gram_loops = an._basis_tables(n)
+        basis = enumerate_diagrams(n)
+        assert list(index) == list(basis)
+        for a, da in enumerate(basis):
+            star = index[da.reflect()]
+            for b, db in enumerate(basis):
+                d, loops = _stack(db, da, n)
+                assert prod[a][b] == (index[d], loops), (n, a, b)
+                assert gram_loops[b][star] == (loops, _closure_loops(d)), (n, a, b)
+
+
+def test_basis_tables_trace_each_pair_of_halves_once(monkeypatch):
+    # at n = 6: 20 halves, so 400 middles, and 132 closures; a trace of
+    # every product would make 17,424 calls
+    calls = []
+    kernel = elements.trace_strands
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(an, "trace_strands", counted)
+    monkeypatch.setattr(elements, "trace_strands", counted)
+    elements._tau_loops.cache_clear()
+    an._basis_tables.__wrapped__(6)
+    assert len(calls) <= 600
 
 
 # -- GNS matrices ----------------------------------------------------------------

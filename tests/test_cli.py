@@ -164,6 +164,18 @@ def test_verify_non_finite_delta_is_a_parse_error(capsys):
     assert_one_line_parse_error(capsys)
 
 
+@pytest.mark.parametrize("suite, delta", [
+    ("estimates", "1e155"), ("positivity", "1e155"), ("estimates", "1e154"),
+], ids=["estimates-overflow", "positivity-overflow", "estimates-numpy"])
+def test_verify_huge_float_delta_is_a_precondition_violation(capsys, recwarn, suite, delta):
+    # 1e155 overflows a power of delta, 1e154 a numpy sum in the GNS operator;
+    # no numpy warning may print ahead of the one line
+    assert main(["verify", suite, "--delta", delta, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: float arithmetic failed")
+    assert err.count("\n") == 1 and not recwarn.list
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(suites.SUITES, "annular",
                         lambda cfg: [suites._row("annular.fake", {}, False)])
