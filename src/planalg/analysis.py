@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -154,29 +155,47 @@ def gram_positive_definite_exact(n: int, delta) -> bool:
 
     Runs on the integer matrix |p|^n q^n G (every entry is delta^(L-n) with
     0 <= L <= 2n loops); the scale is positive, so the signs of the leading
-    minors are those of G.  Fraction-free Bareiss elimination without row
-    swaps: each pivot is a leading principal minor, and with row swaps
-    [[0,1],[1,0]] would pass.
-    """
+    minors are those of G.  It passes iff `eliminate` pivots each column k at
+    row k, unswapped, on a positive leading principal minor."""
     delta = Ring.rational(Fraction(delta)).delta     # rejects delta = 0
     p, q = delta.numerator, delta.denominator
     scale = abs(p) ** n * q ** n
     loops = _basis_tables(n)[2]
     ints = {key: int(scale * delta ** (key[0] + key[1] - n))
             for key in {key for row in loops for key in row}}
-    g = [[ints[key] for key in row] for row in loops]
-    size = len(g)
-    prev = 1
-    for k in range(size):
-        pivot = g[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, size):
-            gi, gik = g[i], g[i][k]
-            for j in range(k + 1, size):
-                gi[j] = (gi[j] * pivot - gik * g[k][j]) // prev
+    pivots = eliminate([[ints[key] for key in row] for row in loops], len(loops))
+    return len(pivots) == len(loops) and all(
+        row == k and pivot > 0 for k, (row, _, pivot) in enumerate(pivots))
+
+
+def eliminate(mat, ncols: int) -> list:
+    """Fraction-free (Bareiss) forward elimination of the integer matrix `mat`
+    in place on its first `ncols` columns: one (row, column, pivot) per pivot.
+    The r-th pivot is the first nonzero entry of `column` from row r down,
+    found at `row` and swapped up to r.  Each pivot is a minor of `mat`, so
+    every division is exact.  Only the entries right of a pivot's column are
+    updated: the rows below it keep stale entries in that column."""
+    rows, pivots, prev = len(mat), [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, rows) if mat[i][c]), None)
+        if found is None:
+            continue
+        mat[r], mat[found] = mat[found], mat[r]
+        top, pivot = mat[r], mat[r][c]
+        for mi in mat[r + 1:]:
+            mic = mi[c]
+            for j in range(c + 1, len(top)):
+                mi[j] = (mi[j] * pivot - mic * top[j]) // prev
+        pivots.append((found, c, pivot))
         prev = pivot
-    return True
+    return pivots
+
+
+def integer_rows(mat) -> list:
+    """Each row of a rational matrix times the lcm of its denominators."""
+    scales = [lcm(*(v.denominator for v in row)) for row in mat]
+    return [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(mat, scales)]
 
 
 def gns_matrix(x: Element) -> np.ndarray:
@@ -444,10 +463,10 @@ def cnk_membership(x: Element, k: int) -> dict:
 
 def _solve_in_image(x: Element, k: int):
     """Exact linear solve of Z_X(y) = x over the P_k diagram basis."""
-    _require_numeric(x.ring)
-    basis_k, cols, system = _image_system(x.colour.n, k, x.ring)
-    target = coordinates(x)
-    sol = _reduced_solve(system, target) if system else _gauss_solve(cols, target, exact=False)
+    if x.ring.scalar is not Rational:
+        raise ModeMismatchError("the exact solve needs rational mode")
+    basis_k, system = _image_system(x.colour.n, k, x.ring)
+    sol = _reduced_solve(system, coordinates(x))
     if sol is None:
         return None
     combo = {d: x.ring.fraction(w) for d, w in zip(basis_k, sol)}
@@ -456,39 +475,11 @@ def _solve_in_image(x: Element, k: int):
 
 @lru_cache(maxsize=None)
 def _image_system(n: int, k: int, ring: Ring):
-    """_solve_in_image's P_k basis, its image columns, and those eliminated once."""
+    """_solve_in_image's P_k basis and its image columns, eliminated once."""
     basis_k = tuple(enumerate_diagrams(k))
-    cols = tuple(tuple(coordinates(evaluate(annular_X(n, k), [Element.basis(d, ring)])))
-                 for d in basis_k)
-    system = _reduce(cols, len(_basis_tables(n)[0])) if ring.scalar is Rational else None
-    return basis_k, cols, system
-
-
-def row_reduce(mat, ncols: int, tol=0) -> list:
-    """Gauss-Jordan elimination of `mat` in place on its first `ncols` columns.
-
-    An entry is a pivot only if its absolute value exceeds `tol` (0 for
-    exact entries).  Returns the pivot columns: row r has a 1 in the r-th
-    of them, and rows past the last pivot row are zero (up to `tol`) on the
-    first `ncols` columns.
-    """
-    rows = len(mat)
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if abs(mat[i][c]) > tol), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(rows):
-            if i != r and abs(mat[i][c]) > tol:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
+    cols = [coordinates(evaluate(annular_X(n, k), [Element.basis(d, ring)]))
+            for d in basis_k]
+    return basis_k, _reduce(cols, len(_basis_tables(n)[0]))
 
 
 def coordinates(x: Element) -> list:
@@ -501,39 +492,33 @@ def coordinates(x: Element) -> list:
 
 
 def _reduce(cols, rows: int) -> tuple:
-    """row_reduce [cols | I] once: (unknowns, pivot columns, transform E).  The pivots
-    depend on `cols` alone, so E.target is the last column [cols | target] reduces to."""
+    """Eliminate the integer-scaled [cols | I] once: (unknowns, pivot columns,
+    echelon rows, transform E).  E.cols is the echelon form, so cols.w = target
+    reduces to echelon.w = E.target, whatever the target."""
     ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)]
-           + [Fraction(i == r) for r in range(rows)] for i in range(rows)]
-    piv_cols = row_reduce(aug, ncols)
-    return ncols, tuple(piv_cols), tuple(tuple(row[ncols:]) for row in aug)
+    aug = integer_rows([[cols[j][i] for j in range(ncols)]
+                        + [int(i == r) for r in range(rows)] for i in range(rows)])
+    pivots = eliminate(aug, ncols)
+    return (ncols, tuple(c for _, c, _ in pivots),
+            tuple(tuple(row[:ncols]) for row in aug[:len(pivots)]),
+            tuple(tuple(row[ncols:]) for row in aug))
 
 
 def _reduced_solve(system, target):
-    """_reduce's solve of cols.w = target, free unknowns 0; None off the image."""
-    ncols, piv_cols, transform = system
-    reduced = [sum((e * t for e, t in zip(row, target) if t), Fraction(0))
-               for row in transform]
+    """_reduce's solve of cols.w = target, free unknowns 0; None off the image.
+    It runs on the target scaled to integers: the last pivot D is the minor of
+    the pivot columns, so D.w is integral and back-substitution divides exactly."""
+    ncols, piv_cols, echelon, transform = system
+    *ints, scale = integer_rows([[*target, 1]])[0]      # the 1 becomes the scale
+    reduced = [sum(e * t for e, t in zip(row, ints) if t) for row in transform]
     if any(reduced[len(piv_cols):]):
         return None
-    value = dict(zip(piv_cols, reduced))
-    return [value.get(c, Fraction(0)) for c in range(ncols)]
-
-
-def _gauss_solve(cols, target, exact: bool):
-    if exact:
-        return _reduced_solve(_reduce(cols, len(target)), target)
-    rows, ncols = len(target), len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    piv_cols = row_reduce(aug, ncols, 1e-10)
-    for i in range(len(piv_cols), rows):
-        if abs(aug[i][ncols]) > 1e-8:
-            return None
-    sol = [0.0] * ncols
-    for ri, c in enumerate(piv_cols):
-        sol[c] = aug[ri][ncols]
-    return sol
+    minor = echelon[-1][piv_cols[-1]] if piv_cols else 1
+    sol = [0] * ncols
+    for r in reversed(range(len(piv_cols))):
+        c, row = piv_cols[r], echelon[r]
+        sol[c] = (minor * reduced[r] - sum(row[j] * sol[j] for j in piv_cols[r + 1:])) // row[c]
+    return [Fraction(v, minor * scale) for v in sol]
 
 
 # -- the commutant lemmas -------------------------------------------------------------

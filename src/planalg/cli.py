@@ -130,6 +130,8 @@ def cmd_tangle(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.max_colour < 0:
+        raise PreconditionError("max colour must be non-negative")
     if args.max_colour > args.cap:
         raise PreconditionError(
             f"max colour {args.max_colour} exceeds cap {args.cap}")

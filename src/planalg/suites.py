@@ -413,7 +413,7 @@ def _el_fixed_point_ok(k: int, i: int) -> bool:
 
 def _rank(mat) -> int:
     ncols = len(mat[0]) if mat else 0
-    return len(analysis.row_reduce([row[:] for row in mat], ncols))
+    return len(analysis.eliminate(analysis.integer_rows(mat), ncols))
 
 
 # -- the positivity suite --------------------------------------------------------------------

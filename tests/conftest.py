@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt, row_reduce
+from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
@@ -335,6 +335,32 @@ def boundedness_constant_oracle(a: Element, k: int) -> float:
         if not glued.is_zero():
             big_k = max(big_k, a.ring.delta ** (k / 2.0) * op_norm(psd_sqrt(glued)))
     return big_k
+
+
+def row_reduce(mat, ncols: int) -> list:
+    """Gauss-Jordan elimination of `mat` over the fractions, in place on its
+    first `ncols` columns: the independent oracle of `analysis.eliminate`.
+
+    Returns the pivot columns: row r has a 1 in the r-th of them, and rows
+    past the last pivot row are zero on the first `ncols` columns.
+    """
+    rows = len(mat)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, rows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][c]
+        mat[r] = [Fraction(v) / pv for v in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
 
 
 def gauss_solve_in_place(cols, target):

@@ -15,9 +15,10 @@ from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
 from planalg.tower import GradedElement, element_c, sharp
 from planalg import random_element, random_graded
+from planalg.suites import _rank
 from conftest import (_closure_loops, _stack, boundedness_constant_oracle,
                       gauss_solve_in_place, gns_matrix_exact, gns_oracle, gram_oracle,
-                      ldl_positive_definite)
+                      ldl_positive_definite, row_reduce)
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -57,8 +58,8 @@ def test_gram_matches_element_route():
 
 
 def test_gram_positive_definite_exact_matches_ldl():
-    # Bareiss on the scaled integer matrix against LDL^T over the fractions;
-    # negative deltas at odd n need the scale to stay positive
+    # `eliminate` on the scaled integer matrix against LDL^T over the
+    # fractions; negative deltas at odd n need the scale to stay positive
     for delta in (Fraction(-5, 2), -2, Fraction(1, 2), 1, Fraction(5, 4),
                   Fraction(3, 2), Fraction(7, 4), 2, Fraction(5, 2), 3,
                   Fraction(7, 3)):
@@ -434,36 +435,61 @@ def test_xn_from_xm_zero(sym):
 # -- exact elimination -----------------------------------------------------------------
 
 
-def test_row_reduce_rank_of_singular_matrix():
-    mat = [[Fraction(v) for v in row] for row in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
-    assert an.row_reduce(mat, 3) == [0, 1]
-    assert mat[2] == [0, 0, 0]
+def test_eliminate_rank_of_singular_matrix():
+    mat = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert an.eliminate(mat, 3) == [(0, 0, 1), (2, 1, -2)]
+    assert mat[2][2] == 0                       # the dependent row, right of the pivots
 
 
-def test_gauss_solve_inconsistent_system():
-    cols = [[1, 1]]                             # x = 1 and x = 2
-    assert an._gauss_solve([[Fraction(v) for v in c] for c in cols],
-                           [Fraction(1), Fraction(2)], exact=True) is None
-    assert an._gauss_solve([[float(v) for v in c] for c in cols],
-                           [1.0, 2.0], exact=False) is None
+def test_eliminate_reports_the_row_it_swapped_up():
+    # the Sylvester test reads a swap off `row`: column 0 pivots on row 1
+    assert an.eliminate([[0, 1], [1, 0]], 2) == [(1, 0, 1), (1, 1, 1)]
 
 
-def test_gauss_solve_consistent_system():
-    cols = [[1, 0], [1, 1], [2, 1]]             # x + y + 2z = 3, y + z = 1
-    sol = an._gauss_solve([[Fraction(v) for v in c] for c in cols],
-                          [Fraction(3), Fraction(1)], exact=True)
+def test_sylvester_test_refuses_a_swapped_pivot(monkeypatch):
+    # [[1,1,2],[1,1,4],[2,4,1]] has a zero leading 2x2 minor, so it is not
+    # positive definite, yet every pivot is positive once row 2 swaps up
+    loops = [[(0, 0), (0, 0), (1, 0)], [(0, 0), (0, 0), (2, 0)], [(1, 0), (2, 0), (0, 0)]]
+    monkeypatch.setattr(an, "_basis_tables", lambda n: (None, None, loops))
+    assert an.eliminate([[1, 1, 2], [1, 1, 4], [2, 4, 1]], 3) \
+        == [(0, 0, 1), (2, 1, 2), (2, 2, 4)]
+    assert not an.gram_positive_definite_exact.__wrapped__(0, 2)
+
+
+def test_reduced_solve_inconsistent_system():
+    system = an._reduce([[Fraction(1), Fraction(1)]], 2)     # x = 1 and x = 2
+    assert an._reduced_solve(system, [Fraction(1), Fraction(2)]) is None
+
+
+def test_reduced_solve_consistent_system():
+    cols = [[Fraction(v) for v in c] for c in ([1, 0], [1, 1], [2, 1])]
+    # x + y + 2z = 3, y + z = 1
+    sol = an._reduced_solve(an._reduce(cols, 2), [Fraction(3), Fraction(1)])
     assert sol == [2, 1, 0]                     # free column left at zero
-    sol = an._gauss_solve([[float(v) for v in c] for c in cols],
-                          [3.0, 1.0], exact=False)
-    assert sol == pytest.approx([2.0, 1.0, 0.0])
 
 
-def test_gauss_solve_float_thresholds():
-    # below 1e-10 an entry is no pivot; a residual below 1e-8 is consistent
-    assert an._gauss_solve([[1e-12]], [1e-9], exact=False) == [0.0]
-    assert an._gauss_solve([[1e-12]], [1e-7], exact=False) is None
-    assert an._gauss_solve([[Fraction(1, 10**12)]], [Fraction(1, 10**9)],
-                           exact=True) == [1000]
+def test_reduced_solve_tiny_pivot():
+    # the integer scaling keeps a 1/10^12 pivot exact
+    system = an._reduce([[Fraction(1, 10**12)]], 1)
+    assert an._reduced_solve(system, [Fraction(1, 10**9)]) == [1000]
+
+
+def test_rank_of_scaled_integer_rows_is_the_oracle_rank():
+    rng = random.Random(11)
+
+    def fraction():
+        return Fraction(rng.choice((0, 0, 1, -1, 2, -3, 5)), rng.choice((1, 2, 3, 4, 7, 12)))
+
+    for _ in range(80):
+        ncols = rng.randint(1, 6)
+        mat = [[fraction() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):      # zero, repeated and combined rows
+            a, b = rng.choice(mat), rng.choice(mat)
+            f, g = rng.choice(((0, 0), (1, 0), (Fraction(-3, 7), 0), (fraction(), fraction())))
+            mat.insert(rng.randint(0, len(mat)), [f * x + g * y for x, y in zip(a, b)])
+        before = [row[:] for row in mat]
+        assert _rank(mat) == len(row_reduce([row[:] for row in mat], ncols)), mat
+        assert mat == before                    # the caller's rows are left alone
 
 
 def _exact_systems():
@@ -473,8 +499,9 @@ def _exact_systems():
         texpr, perp_basis, system = an._xnxm_system(k, n, RR)
         yield [an.coordinates(texpr(pb)) for pb in perp_basis], system
     for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (2, 2)):
-        _basis_k, cols, system = an._image_system(n, k, RR)
-        yield cols, system
+        _basis_k, system = an._image_system(n, k, RR)
+        yield [an.coordinates(evaluate(annular_X(n, k), [Element.basis(d, RR)]))
+               for d in enumerate_diagrams(k)], system
 
 
 def test_once_eliminated_solve_is_the_in_place_solve():
@@ -485,7 +512,7 @@ def test_once_eliminated_solve_is_the_in_place_solve():
 
     for cols, system in _exact_systems():
         rows, ncols = len(cols[0]), len(cols)
-        assert system[0] == ncols and len(system[2]) == rows
+        assert system[0] == ncols and len(system[3]) == rows
         weights = [[fraction() for _ in cols] for _ in range(4)]
         images = [[sum((c[i] * w for c, w in zip(cols, ws)), Fraction(0)) for i in range(rows)]
                   for ws in weights]
@@ -495,7 +522,7 @@ def test_once_eliminated_solve_is_the_in_place_solve():
         assert solutions == [gauss_solve_in_place(cols, target) for target in targets]
         # the zero and image targets are solved; random ones fail unless cols span
         assert None not in solutions[:5]
-        rank = len(an.row_reduce([list(row) for row in zip(*cols)], ncols))
+        rank = len(row_reduce([list(row) for row in zip(*cols)], ncols))
         assert (None in solutions[5:]) == (rank < rows)
         for target, sol in zip(targets, solutions):
             if sol is not None:

@@ -97,8 +97,10 @@ def test_xnxm_verify_repeats_from_its_cache():
     assert (info.misses, info.hits) == (1, 1)
     assert first == second and first["status"] == "pass"
     # a cached value is shared by every caller, so none of it may be mutable
-    _texpr, perp_basis, (ncols, piv_cols, transform) = analysis._xnxm_system(1, 2, ring)
+    _texpr, perp_basis, (ncols, piv_cols, echelon, transform) = \
+        analysis._xnxm_system(1, 2, ring)
     assert isinstance(perp_basis, tuple) and ncols == len(perp_basis)
-    assert isinstance(piv_cols, tuple) and isinstance(transform, tuple)
-    assert all(isinstance(row, tuple) for row in transform)
+    assert isinstance(piv_cols, tuple) and isinstance(echelon, tuple)
+    assert isinstance(transform, tuple)
+    assert all(isinstance(row, tuple) for row in echelon + transform)
 

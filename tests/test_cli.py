@@ -80,6 +80,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["compute", "tau", str(bad_json)]) == 1
     assert main(["dims", "--max-colour", "99"]) == 2
     capsys.readouterr()
+    assert main(["dims", "--max-colour", "-1"]) == 2               # no bare header
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition violation: ") and err.count("\n") == 1
 
 
 def assert_one_line_parse_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
 from planalg import elements, tangles
+from planalg.analysis import cnk_membership
 from planalg.elements import Element, jones_projection
 from planalg.errors import (ColourMismatchError, LevelMismatchError,
                             ModeMismatchError, PreconditionError)
@@ -537,7 +538,7 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
                 "mul-delta", "mul-colour", "evaluate-delta", "evaluate-colour",
                 "graded-add-mode", "graded-add-delta", "from-parts-shading",
                 "sharp-delta", "phi-mode", "phi-delta", "graded-init-mode",
-                "graded-init-delta"]
+                "graded-init-delta", "cnk-float"]
 
 
 MISMATCHES = [
@@ -568,6 +569,7 @@ MISMATCHES = [
     (lambda: GradedElement(1, SYM, {2: two_terms(SYM), 3: two_terms(RAT, 3)}),
      ModeMismatchError),
     (lambda: GradedElement(1, F2, {2: two_terms(F25)}), ModeMismatchError),
+    (lambda: cnk_membership(two_terms(F2), 1), ModeMismatchError),   # exact solve only
 ]
 
 
