@@ -140,8 +140,11 @@ def gram(n: int, ring: Ring):
     return [[values[key] for key in row] for row in loops]
 
 
+@lru_cache(maxsize=None)
 def gram_float(n: int, ring: Ring) -> np.ndarray:
-    return np.array([[s.to_float() for s in row] for row in gram(n, ring)])
+    mat = np.array([[s.to_float() for s in row] for row in gram(n, ring)])
+    mat.flags.writeable = False         # one matrix per (n, ring), shared
+    return mat
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +234,7 @@ class GnsGeometry:
     @classmethod
     def get(cls, n: int, ring: Ring) -> "GnsGeometry":
         key = (n, ring.mode, ring.delta)
-        if key not in cls._cache:
-            cls._cache[key] = cls(n, ring)
-        return cls._cache[key]
+        return cls._cache.get(key) or cls._cache.setdefault(key, cls(n, ring))
 
     def operator(self, x: Element) -> np.ndarray:
         """Left multiplication by x in orthonormal coordinates."""
@@ -431,10 +432,16 @@ def perp_projection(x: Element, k: int):
 def _perp_parts(x: Element, k: int):
     """(the capping tangle on x, member, perp) of `perp_projection`."""
     n = x.colour.n
-    x_tangle = annular_X(n, k)
-    capped = evaluate(transpose_annular(x_tangle), [x])
+    x_tangle, cap = _perp_tangles(n, k)
+    capped = evaluate(cap, [x])
     member = evaluate(x_tangle, [capped]).scale(x.ring.delta_power(-(n - k)))
     return capped, member, x - member
+
+
+@lru_cache(maxsize=None)
+def _perp_tangles(n: int, k: int):
+    """X^n_k and its transpose, the capping tangle, built once."""
+    return annular_X(n, k), transpose_annular(annular_X(n, k))
 
 
 def cnk_membership(x: Element, k: int) -> dict:

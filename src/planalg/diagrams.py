@@ -135,7 +135,7 @@ class Diagram(metaclass=_Interned):
     each pair with the smaller endpoint first; diagrams compare by identity.
     """
 
-    __slots__ = ("colour", "pairs", "_partner")
+    __slots__ = ("colour", "pairs", "_partner", "_mirror")
 
     def __init__(self, colour: Colour, pairs: tuple):
         self.colour = colour
@@ -145,6 +145,7 @@ class Diagram(metaclass=_Interned):
             partner[a] = b
             partner[b] = a
         self._partner = partner
+        self._mirror = None
         self._validate()
 
     def _validate(self):
@@ -173,9 +174,11 @@ class Diagram(metaclass=_Interned):
         return self._partner[p]
 
     def reflect(self) -> "Diagram":
-        """Mirror image: point i goes to 2n+1-i."""
-        m = self.colour.points + 1
-        return Diagram(self.colour, [(m - b, m - a) for a, b in self.pairs])
+        """Mirror image: point i goes to 2n+1-i; found once per diagram."""
+        if self._mirror is None:
+            m = self.colour.points + 1
+            self._mirror = Diagram(self.colour, [(m - b, m - a) for a, b in self.pairs])
+        return self._mirror
 
     def __reduce__(self):
         return (Diagram, (self.colour, self.pairs))

@@ -131,9 +131,8 @@ class Element:
         Y/Z capping identities force; see README).
         """
         self._check_join(other)
-        colour, ring, n = self.colour, self.ring, self.colour.n
-        return Element._sum(colour, ring, contract_terms(
-            ((colour, _product_wiring(n), (2 * n, 4 * n)),), ring, (self, other), 0)[0])
+        return Element._sum(self.colour, self.ring, contract_terms(
+            _product_family(self.colour), self.ring, (self, other))[0])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -179,31 +178,45 @@ class Element:
         return " + ".join(parts)
 
 
-_TRACED = {}    # family -> {d1: ... {dk: ((output, closed) per member)}}
+_TRACED = {}    # family members -> {d1: ... {dk: ((output, closed) per member)}}
 _LEAVES = {}    # leaf -> the one leaf tuple every table shares
 
 
-def contract_terms(family: tuple, ring: Ring, inputs, loops: int) -> tuple:
+class Family:
+    """Wired tangles sharing their boxes and free loops, compiled for
+    `contract_terms`: `members`, one `(colour, wiring, offsets)` per tangle,
+    keys their trie in `_TRACED`; `root` is that trie, found once per `table`."""
+
+    __slots__ = ("members", "boxes", "loops", "table", "root")
+
+    def __init__(self, members, boxes: tuple, loops: int = 0):
+        self.members, self.boxes, self.loops = tuple(members), boxes, loops
+        self.table = self.root = None
+
+
+def contract_terms(family: Family, ring: Ring, inputs, lists=None) -> tuple:
     """Fill the boxes of a family of wired tangles with one set of inputs and
-    trace their strands: one list of `Element._sum` terms per member.
+    trace their strands: one term list per member, appended to `lists` if given.
 
     A member is `(colour, wiring, offsets)`: `wiring` numbers the external
     points of `colour` first, box b's from `offsets[b]` on (see
-    `trace_strands`).  The members share their boxes and `loops` free loops.
-    Each choice of one diagram per box (the last box varying fastest) is
-    one term of each member: its traced output diagram, with coefficient
-    (c1 * c2 * ...) in box order times delta to the power `loops` plus the
-    closed loops (`ring.one()` with no boxes).  A crossing output pairing
-    raises `InternalError`.  One walk over the choices serves every member,
-    and each choice is traced once per process for all of them (`_trace`):
-    outputs and loops depend on no coefficient.  The inputs must be of `ring`.
+    `trace_strands`).  Each choice of one diagram per box (the last box
+    varying fastest) is one term of each member: its traced output diagram,
+    with coefficient (c1 * c2 * ...) in box order times delta to the power
+    of the family's loops plus the closed loops (`ring.one()` with no boxes).
+    A crossing output pairing raises `InternalError`.  One walk over the
+    choices serves every member, and each choice is traced once per process
+    for all of them (`_trace`): outputs and loops depend on no coefficient.
+    The inputs must be of `ring`.
     """
-    level = [(_TRACED.get(family) or {}, (), None)]
+    if family.table is not _TRACED:     # a detached root until `_trace` keeps one
+        family.table, family.root = _TRACED, _TRACED.get(family.members, {})
+    level = [(family.root, (), None)]
     for x in inputs[:-1]:
         level = [(node.get(d) or {}, ds + (d,), c if coeff is None else coeff * c)
                  for node, ds, coeff in level for d, c in x.combo.items()]
     last = inputs[-1].combo.items() if inputs else ((None, ring.one()),)
-    lists = tuple([] for _ in family)
+    lists, loops = lists or tuple([] for _ in family.members), family.loops
     for node, ds, coeff in level:
         for d, c in last:
             for terms, (output, closed) in zip(
@@ -228,14 +241,14 @@ def _nonzero(combo: dict) -> dict:
 
 def _trace(family, diagrams: tuple) -> tuple:
     """Trace one diagram per box (`(None,)` for no boxes) on each member of
-    a family and keep the `(output, closed loops)` of each in `_TRACED`; a
-    crossing output raises `InternalError` and is never kept."""
+    a family and keep the `(output, closed loops)` of each in its trie, kept
+    in `_TRACED`; a crossing output raises `InternalError` and is never kept."""
     leaf = []
-    for colour, wiring, offsets in family:
+    for colour, wiring, offsets in family.members:
         inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
         pairs, closed = trace_strands(wiring, inner, colour.points)
         leaf.append((traced_diagram(colour, pairs), closed))
-    node = _TRACED.setdefault(family, {})
+    node = family.root = _TRACED.setdefault(family.members, family.root)
     for d in diagrams[:-1]:
         node = node.setdefault(d, {})
     leaf = tuple(leaf)
@@ -290,16 +303,16 @@ def placed_pairing(diagram: Diagram, offset: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _product_wiring(n: int) -> tuple:
-    """The multiplication tangle on P_n: box 1 (ids 2n..4n-1) below box 2
-    (ids 4n..6n-1); external points 1..n on box 2, n+1..2n on box 1."""
-    wiring = [0] * (6 * n)
+def _product_family(colour: Colour) -> Family:
+    """The multiplication tangle on P_n, compiled: box 1 (ids 2n..4n-1) below
+    box 2 (ids 4n..6n-1); external points 1..n on box 2, n+1..2n on box 1."""
+    n, wiring = colour.n, [0] * (6 * colour.n)
     for i in range(n):
         for p, q in ((i, 4 * n + i),                        # top row
                      (6 * n - 1 - i, 2 * n + i),            # box 2 onto box 1
                      (n + i, 3 * n + i)):                   # bottom row
             wiring[p], wiring[q] = q, p
-    return tuple(wiring)
+    return Family(((colour, tuple(wiring), (2 * n, 4 * n)),), (colour, colour))
 
 
 @lru_cache(maxsize=None)

@@ -145,9 +145,13 @@ class Laurent(Scalar):
                 for e2, c2 in b.terms.items():
                     e, c = e1 + e2, c1 * c2
                     poly[e] = poly[e] + c if e in poly else c
-        polys = ((key, {e: c for e, c in poly.items() if c} if 0 in poly.values()
-                  else poly) for key, poly in sums.items())
-        return {key: Laurent(poly) for key, poly in polys if poly}
+        out = {}
+        for key, poly in sums.items():
+            if 0 in poly.values():
+                poly = {e: c for e, c in poly.items() if c}
+            if poly:
+                out[key] = Laurent(poly)
+        return out
 
     def delta_pow(self, m: int):
         """Multiply by delta**m (the only division this ring ever needs)."""

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .diagrams import Colour
-from .elements import Element, contract_terms, trace_strands
+from .elements import Element, Family, contract_terms, trace_strands
 from .errors import (ColourMismatchError, ParseError, PreconditionError,
                      ValidationError)
 from .scalars import Ring
@@ -33,11 +33,11 @@ EXT = 0
 class Tangle:
     """An immutable planar tangle value, wired when it is built.
 
-    `offsets[b]` is the first id of boundary b (0 the external one) and
-    `wiring[p]` the partner of id p under the tangle's strands.
+    `offsets[b]` is the first id of boundary b (0 the external one),
+    `wiring[p]` the strand partner of id p and `family` the compiled fill.
     """
 
-    __slots__ = ("ext", "boxes", "pairs", "loops", "offsets", "wiring")
+    __slots__ = ("ext", "boxes", "pairs", "loops", "offsets", "wiring", "family")
 
     def __init__(self, ext, boxes, pairs, loops=0):
         self.ext = Colour.of(ext)
@@ -70,6 +70,7 @@ class Tangle:
             point = (b, a - offsets[b] + 1)
             raise ValidationError(f"marked point {point} is unmatched", strand=point)
         self.wiring = tuple(wiring)
+        self.family = Family([(self.ext, self.wiring, offsets[1:])], self.boxes, loops)
 
     def _colour_of_box(self, b: int) -> Colour:
         return self.ext if b == EXT else self.boxes[b - 1]
@@ -165,19 +166,19 @@ def evaluate(t: Tangle, inputs) -> Element:
     """Z_T applied to one Element per internal box."""
     inputs = list(inputs)
     ring = inputs[0].ring if inputs else Ring.symbolic()
-    return Element._sum(t.ext, ring, filling_terms((t,), inputs, ring)[0])
+    return Element._sum(t.ext, ring, filling_terms(t.family, inputs, ring)[0])
 
 
 def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
     """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
-    return Element._sum(t.ext, ring, filling_terms((t,), list(inputs), ring)[0])
+    return Element._sum(t.ext, ring, filling_terms(t.family, list(inputs), ring)[0])
 
 
-def filling_terms(family: tuple, inputs: list, ring: Ring) -> tuple:
-    """The kernel terms of Z_T(inputs) for each T of a family of tangles with
-    the same boxes and free loops, from one `contract_terms` walk, after the
+def filling_terms(family: Family, inputs: list, ring: Ring, lists=None) -> tuple:
+    """The kernel terms of Z_T(inputs) for each T of a compiled family, from
+    one `contract_terms` walk (appended to `lists` if given), after the
     checks of evaluation: one input per box, of its colour and of `ring`."""
-    boxes = family[0].boxes
+    boxes = family.boxes
     if len(inputs) != len(boxes):
         raise PreconditionError(
             f"tangle has {len(boxes)} boxes but got {len(inputs)} inputs")
@@ -188,8 +189,7 @@ def filling_terms(family: tuple, inputs: list, ring: Ring) -> tuple:
     for x in inputs:
         if x.ring is not ring and x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    return contract_terms(tuple((t.ext, t.wiring, t.offsets[1:]) for t in family),
-                          ring, inputs, family[0].loops)
+    return contract_terms(family, ring, inputs, lists)
 
 
 # -- operadic substitution --------------------------------------------------------

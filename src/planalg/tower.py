@@ -14,8 +14,8 @@ from itertools import chain
 
 from .annular import enumerate_good, transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
-from .elements import (Element, jones_projection, placed_pairing, random_element,
-                       tl_sum, trace_strands)
+from .elements import (Element, Family, jones_projection, placed_pairing,
+                       random_element, tl_sum, trace_strands)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
 from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
@@ -59,23 +59,19 @@ class GradedElement:
     @classmethod
     def from_parts(cls, level, ring: Ring, parts):
         """Sum Elements of `ring` into their colour components in one pass."""
-        parts = list(parts)
+        sums = {}
         for el in parts:
             ring.check(el.ring)
-        return cls._from_terms(level, ring, ((el.colour, el._terms()) for el in parts))
+            sums.setdefault(el.colour, []).extend(el._terms())
+        if len({colour.n for colour in sums}) < len(sums):
+            raise ColourMismatchError("colour mismatch: 0+ vs 0-")
+        return cls._from_terms(level, ring, sums)
 
     @classmethod
-    def _from_terms(cls, level, ring: Ring, pieces):
-        """Sum `(colour, kernel terms)` pieces of `ring`: one `Element._sum`
-        per colour over its pieces' terms, in piece order."""
-        sums = {}       # colour n -> (Colour of the first piece, its terms)
-        for colour, terms in pieces:
-            first, acc = sums.setdefault(colour.n, (colour, []))
-            if colour is not first:
-                raise ColourMismatchError(f"colour mismatch: {first} vs {colour}")
-            acc.extend(terms)
-        return cls(level, ring, {n: Element._sum(colour, ring, acc)
-                                 for n, (colour, acc) in sums.items()})
+    def _from_terms(cls, level, ring: Ring, sums: dict):
+        """One `Element._sum` per colour of `{Colour: kernel terms of ring}`."""
+        return cls(level, ring, {colour.n: Element._sum(colour, ring, terms)
+                                 for colour, terms in sums.items()})
 
     def component(self, n: int) -> Element:
         if n in self.components:
@@ -179,20 +175,22 @@ def sharp_range(m: int, n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _family(make, m: int, n: int, k: int, ts: range) -> tuple:
-    """The tangles make(m, n, k, t), t in ts, of one (m, n) product block."""
-    return tuple(make(m, n, k, t) for t in ts)
+def _family(make, m: int, n: int, k: int, ts: range) -> Family:
+    """The tangles make(m, n, k, t), t in ts, of one (m, n) block, as one family."""
+    return Family([make(m, n, k, t).family.members[0] for t in ts], (Colour(m), Colour(n)))
 
 
 def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
-    """The sum over component pairs (m, n) of Z_T(a_m, b_n) for T in the
-    family make(m, n, k, t), t in ts(m, n, k): one walk per block feeds
-    every output colour, and each colour is summed once, in block order."""
-    return GradedElement._from_terms(k, ring, (
-        (t.ext, terms)
-        for m, am in a.components.items() for n, bn in b.components.items()
-        for family in (_family(make, m, n, k, ts(m, n, k)),)
-        for t, terms in zip(family, filling_terms(family, [am, bn], ring))))
+    """The sum over component pairs (m, n) of Z_T(a_m, b_n), T in the family
+    make(m, n, k, t), t in ts(m, n, k): one walk per block appends to each
+    output colour's terms, and each colour is summed once, in block order."""
+    sums = {}
+    for m, am in a.components.items():
+        for n, bn in b.components.items():
+            family = _family(make, m, n, k, ts(m, n, k))
+            filling_terms(family, [am, bn], ring,
+                          [sums.setdefault(colour, []) for colour, _, _ in family.members])
+    return GradedElement._from_terms(k, ring, sums)
 
 
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -328,23 +326,27 @@ def _good_tangles(k: int, j: int, i: int, excellent: bool):
 
 
 @lru_cache(maxsize=None)
-def _column(k, j, i, excellent, diagram, ring) -> Element:
-    """Colour i of phi (psi, signed, if excellent) on one P_j basis diagram."""
-    colour, one = Colour.of(i), ring.one()
-    sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
-    box = (None,) * colour.points + placed_pairing(diagram, colour.points)
-    traced = (trace_strands(t.wiring, box, colour.points, t.loops)
-              for t in _good_tangles(k, j, i, excellent))
-    return Element._sum(colour, ring, [
-        (traced_diagram(colour, pairs), sign, one, loops) for pairs, loops in traced])
+def _column(k, j, excellent, diagram, ring) -> tuple:
+    """Colours k..j of phi (psi, signed, if excellent) on one P_j basis diagram."""
+    one, columns = ring.one(), []
+    for colour in map(Colour, range(k, j + 1)):
+        sign = ring.fraction(-1) if excellent and (colour.n + j) % 2 == 1 else None
+        box = (None,) * colour.points + placed_pairing(diagram, colour.points)
+        traced = (trace_strands(t.wiring, box, colour.points, t.loops)
+                  for t in _good_tangles(k, j, colour.n, excellent))
+        columns.append(Element._sum(colour, ring, [
+            (traced_diagram(colour, pairs), sign, one, loops) for pairs, loops in traced]))
+    return tuple(columns)
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
-    """Each coefficient times its kept columns, summed by the ring's kernel."""
-    return GradedElement._from_terms(k, a.ring, (
-        (Colour.of(i), _column(k, j, i, excellent, d, a.ring)._terms(c))
-        for j, el in a.components.items() for d, c in el.combo.items()
-        for i in range(k, j + 1)))
+    """Each coefficient times its diagram's columns, summed by the ring's kernel."""
+    sums = {}
+    for j, el in a.components.items():
+        for d, c in el.combo.items():
+            for column in _column(k, j, excellent, d, a.ring):
+                sums.setdefault(column.colour, []).extend(column._terms(c))
+    return GradedElement._from_terms(k, a.ring, sums)
 
 
 def phi(k: int, a: GradedElement) -> GradedElement:

@@ -35,6 +35,24 @@ def test_gram_small_cases():
         == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
 
 
+def test_each_float_gram_matrix_is_built_once_and_shared(monkeypatch):
+    # the eigenvalue check and the GNS frame read one read-only matrix per
+    # (n, ring), with the bits of a fresh build; an equal ring finds it too
+    ring, builds, gram = Ring.float_(2.3751), [], an.gram
+    monkeypatch.setattr(an, "gram", lambda n, r: builds.append(n) or gram(n, r))
+    for n in range(5):
+        an.gram_min_eigenvalue(n, ring)
+        an.GnsGeometry(n, ring)
+        mat = an.gram_float(n, ring)
+        assert mat is an.gram_float(n, Ring.float_(2.3751))
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+        fresh = np.array([[s.to_float() for s in row] for row in gram(n, ring)])
+        assert mat.tobytes() == fresh.tobytes()
+    assert builds == list(range(5))
+
+
 def test_gram_positive_definite():
     for n in range(7):
         assert an.gram_min_eigenvalue(n, FL2) > 0
@@ -358,6 +376,21 @@ def test_membership_caps_x_once(monkeypatch, rng):
         or evaluate(t, inputs))
     rep = an.cnk_membership(random_element(3, RR, rng), 1)
     assert rep["status"] == "pass" and len(caps) == 1
+
+
+def test_perp_projection_builds_its_tangles_once(monkeypatch, rng):
+    # X^n_k and its transpose come from one cache entry per (n, k): once
+    # it is filled, a projection builds no tangle
+    for n, k in ((3, 1), (4, 2)):
+        x_tangle, cap = an._perp_tangles(n, k)
+        assert x_tangle is annular_X(n, k) and an._perp_tangles(n, k)[1] is cap
+        assert cap == transpose_annular(annular_X(n, k))
+    monkeypatch.setattr(an, "annular_X", None)
+    monkeypatch.setattr(an, "transpose_annular", None)
+    for n, k in ((3, 1), (4, 2)):
+        x = random_element(n, RR, rng)
+        member, perp = an.perp_projection(x, k)
+        assert member + perp == x
 
 
 def test_membership_by_construction(rng):

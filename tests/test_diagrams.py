@@ -102,6 +102,18 @@ def test_reflection_involution(n, pick):
     assert d.reflect().colour == d.colour
 
 
+def test_reflection_is_the_interned_mirror_kept_on_the_diagram():
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            m = 2 * n + 1
+            mirror = Diagram(n, [(m - b, m - a) for a, b in d.pairs])
+            assert d.reflect() is mirror and d.reflect() is d.reflect()
+            assert d.reflect().reflect() is d
+    for colour in (ZERO_PLUS, ZERO_MINUS):
+        (empty,) = enumerate_diagrams(colour)
+        assert empty.reflect() is empty
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 10 ** 6), st.integers(-5, 5))
 def test_rotation_by_strand_pairs_stays_noncrossing(n, pick, r):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
-from planalg.elements import Element, contract_terms, jones_projection, tl_sum
+from planalg.elements import Element, Family, contract_terms, jones_projection, tl_sum
 from planalg.config import COLOUR_CAP
 from planalg.errors import (ColourMismatchError, ModeMismatchError, ParseError,
                             ValidationError)
@@ -299,5 +299,5 @@ def test_contract_and_evaluate_match_per_term_route(ring, rng):
         expected = per_term_evaluate(t, inputs, ring)
         assert same_terms(evaluate_in(t, inputs, ring), expected)
         assert same_terms(Element._sum(t.ext, ring, contract_terms(
-            ((t.ext, t.wiring, t.offsets[1:]),), ring, inputs, t.loops)[0]), expected)
+            Family(t.family.members, t.boxes, t.loops), ring, inputs)[0]), expected)
         checked += 1

@@ -14,7 +14,8 @@ from planalg.errors import (ColourMismatchError, InternalError, ParseError,
                             PreconditionError, ValidationError)
 from planalg.scalars import Ring
 from planalg.tangles import (EXT, Tangle, _check_planarity, evaluate,
-                             evaluate_in, identity_tangle, inclusion_tangle, jones_tangle,
+                             evaluate_in, filling_terms, identity_tangle,
+                             inclusion_tangle, jones_tangle,
                              left_expectation_tangle, multiplication_tangle,
                              parse, partial_cap_tangle, right_expectation_tangle,
                              rotation_tangle, standard_tangle, substitute,
@@ -496,6 +497,53 @@ def test_the_tangles_own_loops_stay_out_of_the_table(sym, rng, traces):
     assert traces == []         # t and t.with_loops(2) share one wiring
     looped = evaluate(t.with_loops(1), [y, x])
     assert evaluate(t, [y, x]).scale(sym.delta_power(1)) == looped
+
+
+# -- compiled fills ------------------------------------------------------------
+
+
+def test_equal_tangles_built_apart_share_one_trie(sym, rng, traces):
+    # each tangle compiles its own fill, keyed by value in the one table:
+    # the second tangle finds the first one's trie and traces nothing
+    first, second = (Tangle.from_json(multiplication_tangle(3).to_json())
+                     for _ in range(2))
+    assert first is not second and first.family is not second.family
+    x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
+    product = evaluate(first, [x, y])
+    assert traces != []
+    traces.clear()
+    assert evaluate(second, [x, y]) == product
+    assert traces == []
+    assert second.family.root is first.family.root
+    assert list(elements._TRACED) == [first.family.members]
+    assert elements._TRACED[first.family.members] is first.family.root
+
+
+def test_a_swapped_table_is_filled_afresh(sym, rng, traces, monkeypatch):
+    # a fill finds its trie once per table: after `_TRACED` is replaced by
+    # an empty one, the next fill traces again and keeps its trie there
+    t = multiplication_tangle(2)
+    x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
+    product = evaluate(t, [x, y])
+    choices, old = len(traces), elements._TRACED
+    assert choices == len(x.combo) * len(y.combo)
+    fresh = {}
+    monkeypatch.setattr(elements, "_TRACED", fresh)
+    assert evaluate(t, [x, y]) == product
+    assert len(traces) == 2 * choices
+    assert fresh[t.family.members] is t.family.root is not old[t.family.members]
+    monkeypatch.setattr(elements, "_TRACED", old)     # back: nothing to trace
+    assert evaluate(t, [x, y]) == product
+    assert len(traces) == 2 * choices and t.family.root is old[t.family.members]
+
+
+def test_a_fill_appends_to_the_given_lists(sym, rng):
+    t = multiplication_tangle(2)
+    x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
+    (own,) = filling_terms(t.family, [x, y], sym)
+    lists = ([("kept", None, sym.one(), 0)],)
+    assert filling_terms(t.family, [x, y], sym, lists) is lists
+    assert lists[0] == [("kept", None, sym.one(), 0)] + own
 
 
 # -- the colour cap on user input ----------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -416,22 +417,25 @@ def test_phi_psi_columns_are_kept_per_ring(sym):
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
 def test_traced_columns_match_the_evaluate_route(ring, monkeypatch):
     # same diagrams in the same order with the same float bits: the traced
-    # terms (output, sign, 1, loops) sum as the evaluated ones did
+    # terms (output, sign, 1, loops) sum as the evaluated ones did; one
+    # lookup holds the columns of every colour i = k..j, in order
     monkeypatch.setattr(elements, "_TRACED", {})        # the oracle's table
     for k in (0, 1, 2):
         for j in range(k, k + 4):
             for d in enumerate_diagrams(j):
-                for i in range(k, j + 1):
-                    for excellent in (False, True):
-                        assert same_terms(_column(k, j, i, excellent, d, ring),
-                                          column_oracle(k, j, i, excellent, d, ring))
+                for excellent in (False, True):
+                    columns = _column(k, j, excellent, d, ring)
+                    assert [col.colour.n for col in columns] == list(range(k, j + 1))
+                    assert all(same_terms(col, column_oracle(k, j, i, excellent, d, ring))
+                               for i, col in enumerate(columns, k))
 
 
 def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
     monkeypatch.setattr(elements, "_TRACED", {})
     for d in enumerate_diagrams(3):
         for excellent in (False, True):
-            assert not _column.__wrapped__(1, 3, 2, excellent, d, sym).is_zero()
+            assert not any(col.is_zero()
+                           for col in _column.__wrapped__(1, 3, excellent, d, sym))
     assert elements._TRACED == {}
 
 
@@ -447,8 +451,7 @@ def test_phi_psi_match_per_term_route(ring, rng):
                 terms = {}
                 for j, el in a.components.items():
                     for d, c in el.combo.items():
-                        for i in range(k, j + 1):
-                            col = _column(k, j, i, excellent, d, ring)
+                        for i, col in enumerate(_column(k, j, excellent, d, ring), k):
                             terms.setdefault(i, []).extend(
                                 (out, cc, c, 0) for out, cc in col.combo.items())
                 expected = {i: per_term_sum(i, ring, ts) for i, ts in terms.items()}
@@ -475,25 +478,30 @@ def test_fused_products_match_per_term_route(ring, rng):
         return [(m, xm, n, yn) for m, xm in x.components.items()
                 for n, yn in y.components.items()]
 
+    widest = {}         # product -> the most members of one block's family
     for k in (0, 1, 2):
         for _ in range(2):
             a, b, up = draw(k), draw(k), draw(k + 1)
             cases = [
-                (sharp(a, b), [(sharp_tangle(m, n, k, t), (am, bn))
-                               for m, am, n, bn in pairs(a, b)
-                               for t in sharp_range(m, n, k)]),
-                (bullet(a, b), [(sharp_tangle(m, n, k, m + n - k), (am, bn))
-                                for m, am, n, bn in pairs(a, b)])]
+                ("sharp", sharp(a, b), [(sharp_tangle(m, n, k, t), (am, bn))
+                                        for m, am, n, bn in pairs(a, b)
+                                        for t in sharp_range(m, n, k)]),
+                ("bullet", bullet(a, b), [(sharp_tangle(m, n, k, m + n - k), (am, bn))
+                                          for m, am, n, bn in pairs(a, b)])]
             if k:
-                cases.append((dot_action(up, b), [
+                cases.append(("dot", dot_action(up, b), [
                     (dot_tangle(m, n, k, t), (am, bn))
                     for m, am, n, bn in pairs(up, b) for t in dot_range(m, n, k)]))
-            for product, fillings in cases:
+            for name, product, fillings in cases:
                 expected = oracle(fillings)
                 assert list(product.components) == [
                     n for n, e in expected.items() if not e.is_zero()]
                 assert all(same_terms(el, expected[n])
                            for n, el in product.components.items())
+                blocks = Counter((x.colour.n, y.colour.n) for _, (x, y) in fillings)
+                widest[name] = max(widest.get(name, 0), *blocks.values())
+    # blocks of 3 or more output colours append to shared colour lists
+    assert widest == {"sharp": 5, "bullet": 1, "dot": 5}
 
 
 def test_a_repeated_product_walks_each_block_once(monkeypatch):
