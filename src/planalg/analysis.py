@@ -3,6 +3,8 @@ the finite-dimensional verification of the estimate and commutant lemmas.
 
 Everything that needs no square root also runs in exact rational mode; float
 appears only where spectra are required (op_norm, psd_sqrt, eigenvalues).
+numpy is imported inside the functions that call it, so a process that runs
+only symbolic work never loads it.
 Falsification flags are hard failures: every inequality checked here is a
 theorem, so a violation beyond tolerance means a convention or library bug.
 """
@@ -12,9 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
-import numpy as np
+from math import isnan, lcm, sqrt
 
 from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
     compose_T, transpose_annular
@@ -141,7 +141,8 @@ def gram(n: int, ring: Ring):
 
 
 @lru_cache(maxsize=None)
-def gram_float(n: int, ring: Ring) -> np.ndarray:
+def gram_float(n: int, ring: Ring):
+    import numpy as np
     mat = np.array([[s.to_float() for s in row] for row in gram(n, ring)])
     mat.flags.writeable = False         # one matrix per (n, ring), shared
     return mat
@@ -149,6 +150,7 @@ def gram_float(n: int, ring: Ring) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_min_eigenvalue(n: int, ring: Ring) -> float:
+    import numpy as np
     return float(np.linalg.eigvalsh(gram_float(n, ring)).min())
 
 
@@ -201,9 +203,10 @@ def integer_rows(mat) -> list:
     return [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(mat, scales)]
 
 
-def gns_matrix(x: Element) -> np.ndarray:
+def gns_matrix(x: Element):
     """Matrix of left multiplication by x on P_n in the diagram basis."""
     _require_float(x.ring)
+    import numpy as np
     mat = np.zeros((len(_basis_tables(x.colour.n)[1]),) * 2)
     for cell, v in _gns_entries(x).items():
         mat[cell] = v.value             # a float already: no to_float call
@@ -226,6 +229,7 @@ class GnsGeometry:
 
     def __init__(self, n: int, ring: Ring):
         _require_float(ring)
+        import numpy as np
         g = gram_float(n, ring)
         self.chol = np.linalg.cholesky(g)      # g = L L^T
         self.inv_lt = np.linalg.inv(self.chol.T)
@@ -236,13 +240,14 @@ class GnsGeometry:
         key = (n, ring.mode, ring.delta)
         return cls._cache.get(key) or cls._cache.setdefault(key, cls(n, ring))
 
-    def operator(self, x: Element) -> np.ndarray:
+    def operator(self, x: Element):
         """Left multiplication by x in orthonormal coordinates."""
         return self.chol.T @ gns_matrix(x) @ self.inv_lt
 
 
 def op_norm(x: Element) -> float:
     """Operator norm of left multiplication in the GNS geometry."""
+    import numpy as np
     geo = GnsGeometry.get(x.colour.n, x.ring)
     return float(np.linalg.norm(geo.operator(x), 2))
 
@@ -251,6 +256,7 @@ def _spectrum(x: Element, vectors: bool = False, psd: bool = False):
     """(frame, asymmetry, eigenvalues, eigenvectors or None) of x's GNS operator
     A, the asymmetry being max|A - A^T| / max(1, max|A|).  Above 1e-7 the spectrum
     is (None, None); with `psd`, that and an x that is not PSD raise instead."""
+    import numpy as np
     geo = GnsGeometry.get(x.colour.n, x.ring)
     op = geo.operator(x)
     skew = np.abs(op - op.T).max() / max(1.0, np.abs(op).max())
@@ -285,6 +291,7 @@ def psd_sqrt(x: Element, spectrum=None) -> Element:
     caller that has x's `_spectrum` with vectors, and has found x PSD,
     passes it as `spectrum`.
     """
+    import numpy as np
     geo, _, lam, vec = spectrum or _spectrum(x, vectors=True, psd=True)
     cutoff = 1e-10 * max(1.0, lam.max())
     lam = np.where(lam < cutoff, 0.0, lam)
@@ -299,7 +306,7 @@ def psd_sqrt(x: Element, spectrum=None) -> Element:
 
 def _norm_float(norm_squared) -> float:
     """The float square root of a squared norm, negative rounding read as 0."""
-    return float(np.sqrt(max(norm_squared.to_float(), 0.0)))
+    return sqrt(max(norm_squared.to_float(), 0.0))
 
 
 def hk_norm_float(a: GradedElement) -> float:
@@ -341,7 +348,7 @@ def estimate_lemma_verify(a: Element, k: int, q: int, i: int) -> dict:
               "psd": psd, "min_eigenvalue": min_eig}
     if not psd:
         # NaN: lhs is not self-adjoint, and its relative asymmetry is the residual
-        residual = spectrum[1] if np.isnan(min_eig) else -min_eig
+        residual = spectrum[1] if isnan(min_eig) else -min_eig
         report.update(status="fail", details="left-hand side not PSD",
                       max_residual=float(residual))
         return report
@@ -382,7 +389,7 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
         if glued.is_zero():
             continue
         lam_max = max(_spectrum(glued, psd=True)[2].max(), 0.0)
-        big_k = max(big_k, ring.delta ** (k / 2.0) * float(np.sqrt(lam_max)))
+        big_k = max(big_k, ring.delta ** (k / 2.0) * sqrt(lam_max))
     bound = big_k * (1 + 2 * (m - k))
     ga = GradedElement.of_element(k, a)
     violations = 0
@@ -407,6 +414,7 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
 
 def sum_norm_inequality(vectors) -> bool:
     """||sum a_i||^2 <= N sum ||a_i||^2 for vectors in any inner-product space."""
+    import numpy as np
     total = sum(vectors)
     return float(np.dot(total, total)) <= len(vectors) * sum(
         float(np.dot(v, v)) for v in vectors) + FLOAT_TOL
@@ -705,22 +713,26 @@ def xnxm_telescope(k: int, n: int, rng) -> dict:
     minus = ring.fraction(-1)
     d = 2
     m = n + 2 * d
+    # (tangle, sign, power of delta) of each composite, seed-free
+    composites = []
+    for t in range(1, n - k + 1):
+        for s in range(1, n + 2 - k + 1):
+            # shifting one interval by one flips the sign
+            for sa, sb in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                ta = TSpec(k, _interval(1, n + 1 - t - k),
+                           _interval(t + 1 + sa, n - k + 1 + sa), n, n + 2)
+                tb = TSpec(k, _interval(1, n + 3 - s - k),
+                           _interval(s + d - 1 + sb, n - k + d + 1 + sb), n + 2, m)
+                expo, spec3 = compose_T(ta, tb)
+                composites.append((annular_T(spec3), minus if sa != sb else None,
+                                   expo - (t + s + d - 2)))
     failures = 0
     trials = 3
     for _ in range(trials):
         _, x_m = perp_projection(random_element(m, ring, rng), k)
         terms = []
-        for t in range(1, n - k + 1):
-            for s in range(1, n + 2 - k + 1):
-                # shifting one interval by one flips the sign
-                for sa, sb in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                    ta = TSpec(k, _interval(1, n + 1 - t - k),
-                               _interval(t + 1 + sa, n - k + 1 + sa), n, n + 2)
-                    tb = TSpec(k, _interval(1, n + 3 - s - k),
-                               _interval(s + d - 1 + sb, n - k + d + 1 + sb), n + 2, m)
-                    expo, spec3 = compose_T(ta, tb)
-                    terms += evaluate(annular_T(spec3), [x_m])._terms(
-                        minus if sa != sb else None, expo - (t + s + d - 2))
+        for tangle, sign, power in composites:
+            terms += evaluate(tangle, [x_m])._terms(sign, power)
         four = Element._sum(Colour.of(n), ring, terms)
         if four != xn_from_xm(x_m, n, k, d):
             failures += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .diagrams import _matchings
 from .errors import ColourMismatchError, PreconditionError
@@ -188,24 +189,38 @@ def _through_maps(k: int, j: int, i: int):
         yield values, gaps
 
 
-def enumerate_good(k: int, j: int, i: int, excellent: bool = False):
-    """All k-good (j,i)-annular tangles; with `excellent`, forbid nested caps.
+@lru_cache(maxsize=None)
+def good_wirings(k: int, j: int, i: int, excellent: bool = False) -> tuple:
+    """The `Tangle.wiring` of every k-good (j,i)-annular tangle, in
+    `enumerate_good`'s order; with `excellent`, forbid nested caps.
 
-    Through strands cover every external point; caps fill the internal gaps
-    between consecutive through attachments with non-crossing matchings
-    (exactly the adjacent pairing when `excellent`).
+    Through strands join external point s to box point g(s) for each map g
+    of `_through_maps`; caps fill the gaps between consecutive through
+    attachments with non-crossing matchings (exactly the adjacent pairing
+    when `excellent`), the first gap varying slowest.  No tangle has a free
+    loop, and none is built: `phi`/`psi` trace these wirings directly.
     """
     if not k <= i <= j:
         raise PreconditionError("need k <= i <= j")
     match = _adjacent_matching if excellent else _matchings
+    box = 2 * i - 1         # box point v has id box + v
     out = []
     for values, gaps in _through_maps(k, j, i):
-        gap_choices = [[]]
-        for gap in gaps:
-            gap_choices = [prev + [m] for prev in gap_choices for m in match(gap)]
-        for choice in gap_choices:
-            pairs = [((EXT, s), (1, v)) for s, v in enumerate(values, start=1)]
+        wiring = [None] * (2 * i + 2 * j)
+        for s, v in enumerate(values):
+            wiring[s], wiring[box + v] = box + v, s
+        for choice in product(*map(match, gaps)):
             for matching in choice:
-                pairs += [((1, a), (1, b)) for a, b in matching]
-            out.append(Tangle(i, [j], pairs))
-    return out
+                for a, b in matching:
+                    wiring[box + a], wiring[box + b] = box + b, box + a
+            out.append(tuple(wiring))
+    return tuple(out)
+
+
+def enumerate_good(k: int, j: int, i: int, excellent: bool = False):
+    """All k-good (j,i)-annular tangles (k-excellent with `excellent`), built
+    from `good_wirings` in its order."""
+    def point(p):
+        return (EXT, p + 1) if p < 2 * i else (1, p - 2 * i + 1)
+    return [Tangle(i, [j], [(point(p), point(q)) for p, q in enumerate(wiring) if p < q])
+            for wiring in good_wirings(k, j, i, excellent)]

@@ -11,8 +11,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import suites
 from .config import Config, set_colour_cap
 from .diagrams import catalan, enumerate_diagrams
@@ -204,13 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _float_errors() -> tuple:
+    """The float failures `pa` reports in one line; numpy's `LinAlgError`
+    only once numpy is loaded, since without numpy none can be raised."""
+    numpy = sys.modules.get("numpy")
+    return (OverflowError, FloatingPointError) + (
+        (numpy.linalg.LinAlgError,) if numpy else ())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         set_colour_cap(args.cap)
-        with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
             ModeMismatchError, ValidationError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except _float_errors() as exc:
         print(f"precondition violation: float arithmetic failed at this delta "
               f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, wraps
 
 from . import analysis
 from .annular import TSpec, annular_T, annular_X, compose_T, enumerate_good, \
@@ -56,6 +54,18 @@ def _clauses(prefix, params, cases, draw, check, tally):
     return [_row(f"{prefix}.{clause}", params, good == len(cases),
                  tally.format(good, len(cases)))
             for clause, good in sorted(passed.items())]
+
+
+def _float_errors_raise(suite):
+    """A numeric suite run with numpy raising `FloatingPointError` on an
+    overflow or invalid value (a float delta too large for float
+    arithmetic) instead of warning; only these suites load numpy."""
+    @wraps(suite)
+    def run(cfg: Config):
+        import numpy as np
+        with np.errstate(over="raise", invalid="raise"):
+            return suite(cfg)
+    return run
 
 
 # -- the filtered-algebra suite ----------------------------------------------------
@@ -288,7 +298,9 @@ def _float_deltas(cfg: Config):
     return (float(value),)
 
 
+@_float_errors_raise
 def suite_estimates(cfg: Config):
+    import numpy as np
     rng = random.Random(cfg.seed)
     rows = []
     for delta in _float_deltas(cfg):
@@ -323,6 +335,7 @@ def suite_estimates(cfg: Config):
 # -- the section-5 replay suite -----------------------------------------------------------------
 
 
+@_float_errors_raise
 def suite_commutant_replay(cfg: Config):
     rng = random.Random(cfg.seed)
     ring = Ring.symbolic()
@@ -419,6 +432,7 @@ def _rank(mat) -> int:
 # -- the positivity suite --------------------------------------------------------------------
 
 
+@_float_errors_raise
 def suite_positivity(cfg: Config):
     rng = random.Random(cfg.seed)
     rows = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .annular import enumerate_good, transpose_annular
+from .annular import good_wirings, transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
 from .elements import (Element, Family, jones_projection, placed_pairing,
                        random_element, tl_sum, trace_strands)
@@ -321,19 +321,14 @@ def trace_Tr(a: GradedElement) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _good_tangles(k: int, j: int, i: int, excellent: bool):
-    return tuple(enumerate_good(k, j, i, excellent))
-
-
-@lru_cache(maxsize=None)
 def _column(k, j, excellent, diagram, ring) -> tuple:
     """Colours k..j of phi (psi, signed, if excellent) on one P_j basis diagram."""
     one, columns = ring.one(), []
     for colour in map(Colour, range(k, j + 1)):
         sign = ring.fraction(-1) if excellent and (colour.n + j) % 2 == 1 else None
         box = (None,) * colour.points + placed_pairing(diagram, colour.points)
-        traced = (trace_strands(t.wiring, box, colour.points, t.loops)
-                  for t in _good_tangles(k, j, colour.n, excellent))
+        traced = (trace_strands(wiring, box, colour.points)
+                  for wiring in good_wirings(k, j, colour.n, excellent))
         columns.append(Element._sum(colour, ring, [
             (traced_diagram(colour, pairs), sign, one, loops) for pairs, loops in traced]))
     return tuple(columns)

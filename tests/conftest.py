@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 
 from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt
+from planalg.annular import enumerate_good
 from planalg.diagrams import Colour, Diagram, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
@@ -14,7 +15,7 @@ from planalg.errors import (ColourMismatchError, InternalError,
                             ValidationError)
 from planalg.scalars import FLOAT, SYMBOLIC, Ring, Scalar
 from planalg.tangles import EXT, Tangle, evaluate
-from planalg.tower import _good_tangles, sharp_tangle
+from planalg.tower import sharp_tangle
 
 
 @pytest.fixture
@@ -238,12 +239,13 @@ def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
 
 def column_oracle(k, j, i, excellent, diagram, ring: Ring) -> Element:
     """A `phi`/`psi` column by the evaluate route, the oracle of
-    `tower._column`'s direct traces: each good tangle evaluated on the basis
-    element of `diagram`, its terms signed and summed in tangle order."""
+    `tower._column`'s direct traces: each `Tangle` of `enumerate_good`
+    evaluated on the basis element of `diagram`, its terms signed and summed
+    in tangle order."""
     x = Element.basis(diagram, ring)
     sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
     return Element._sum(Colour.of(i), ring, [
-        term for tangle in _good_tangles(k, j, i, excellent)
+        term for tangle in enumerate_good(k, j, i, excellent)
         for term in evaluate(tangle, [x])._terms(sign)])
 
 

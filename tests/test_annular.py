@@ -2,7 +2,8 @@ import pytest
 
 from planalg.annular import (TSpec, annular_T, annular_X,
                              annular_Y, annular_Z, annular_double_cup,
-                             compose_T, enumerate_good, transpose_annular)
+                             compose_T, enumerate_good, good_wirings,
+                             transpose_annular)
 from planalg.diagrams import enumerate_diagrams
 from planalg.errors import ColourMismatchError, PreconditionError
 from planalg.scalars import Ring
@@ -170,7 +171,23 @@ def test_good_no_through_case_counts():
 
 
 def test_good_parameter_order():
-    with pytest.raises(PreconditionError):
-        enumerate_good(1, 0, 1)
-    with pytest.raises(PreconditionError):
-        enumerate_good(2, 3, 1)
+    for enumerate_ in (enumerate_good, good_wirings):
+        with pytest.raises(PreconditionError):
+            enumerate_(1, 0, 1)
+        with pytest.raises(PreconditionError):
+            enumerate_(2, 3, 1)
+
+
+def test_good_wirings_are_the_wirings_of_the_good_tangles():
+    # in order, loop-free, and each wiring an involution without fixed point
+    for k in (0, 1, 2):
+        for j in range(k, 7):
+            for i in range(k, j + 1):
+                for excellent in (False, True):
+                    wirings = good_wirings(k, j, i, excellent)
+                    tangles = enumerate_good(k, j, i, excellent)
+                    assert wirings == tuple(t.wiring for t in tangles)
+                    assert all(t.loops == 0 and t.ext.n == i and t.boxes[0].n == j
+                               for t in tangles)
+                    assert all(w[w[p]] == p != w[p] for w in wirings
+                               for p in range(len(w)))

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,23 @@ def test_verify_huge_float_delta_is_a_precondition_violation(capsys, recwarn, su
     assert err.count("\n") == 1 and not recwarn.list
 
 
+def test_library_path_raises_on_a_float_overflow(recwarn):
+    # the float policy lives in the numeric suites, so run_suites raises
+    # as `pa` does, and leaves numpy's error state as it found it
+    with pytest.raises(FloatingPointError):
+        suites.run_suites(["estimates"], Config(delta="1e154", trials=1))
+    assert not recwarn.list
+    assert np.geterr()["over"] == "warn" and np.geterr()["invalid"] == "warn"
+
+
+def test_verify_all_float_overflow_in_a_worker_exits_2(capsys, recwarn):
+    assert main(["verify", "all", "--delta", "1e154", "--trials", "1",
+                 "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: float arithmetic failed")
+    assert err.count("\n") == 1 and not recwarn.list
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(suites.SUITES, "annular",
                         lambda cfg: [suites._row("annular.fake", {}, False)])
@@ -337,6 +356,33 @@ def test_verify_delta_guard(capsys):
     # positivity suites require delta >= 2 in numeric mode
     assert main(["verify", "positivity", "--delta", "3/2"]) == 2
     capsys.readouterr()
+
+
+_SYMBOLIC_ONLY = """
+import sys
+import planalg.cli, planalg.suites
+from planalg.config import Config
+loaded = ["numpy" in sys.modules]
+planalg.suites.run_suites(("filtalg", "annular", "gjs-iso", "jones"),
+                          Config(seed=42, trials=1, max_colour=3))
+loaded.append("numpy" in sys.modules)
+assert planalg.cli.main(["dims"]) == 0
+loaded.append("numpy" in sys.modules)
+planalg.suites.run_suites(("positivity",), Config(seed=42, trials=1))
+loaded.append("numpy" in sys.modules)
+sys.stderr.write(repr(loaded))
+"""
+
+
+def test_only_the_numeric_suites_load_numpy():
+    # after the imports, the symbolic suites and `pa dims`; then one numeric suite
+    src = str(Path(analysis.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _SYMBOLIC_ONLY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[False, False, False, True]"
 
 
 def test_installed_script_runs():

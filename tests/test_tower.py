@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from planalg.diagrams import ZERO_MINUS, Diagram, enumerate_diagrams, identity_diagram
-from planalg import elements, tangles
+from planalg import annular, elements, tangles, tower
 from planalg.analysis import cnk_membership
 from planalg.elements import Element, jones_projection
 from planalg.errors import (ColourMismatchError, LevelMismatchError,
@@ -20,8 +20,9 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
                            include, inner_product, jones_e, phi,
                            psi, sharp, sharp_range,
                            sharp_tangle, trace_Tr, trace_tk, hk_norm_squared,
-                           _column, _good_tangles)
+                           _column)
 from planalg import random_element, random_graded
+from planalg.annular import enumerate_good
 
 from conftest import (KERNEL_RINGS, column_oracle, dagger_oracle, expect_oracle,
                       include_oracle, per_term_fillings, per_term_sum, random_combo,
@@ -387,7 +388,7 @@ def tangle_sum_oracle(k, a, excellent):
     for j, el in a.components.items():
         for i in range(k, j + 1):
             sign = a.ring.fraction(-1 if excellent and (i + j) % 2 else 1)
-            for tangle in _good_tangles(k, j, i, excellent):
+            for tangle in enumerate_good(k, j, i, excellent):
                 out = out + graded(k, evaluate(tangle, [el]).scale(sign))
     return out
 
@@ -437,6 +438,19 @@ def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
             assert not any(col.is_zero()
                            for col in _column.__wrapped__(1, 3, excellent, d, sym))
     assert elements._TRACED == {}
+
+
+def test_a_column_builds_no_tangle(sym, monkeypatch):
+    # the good wirings enumerated afresh, with every Tangle constructor refused
+    monkeypatch.setattr(tower, "good_wirings", annular.good_wirings.__wrapped__)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column built a Tangle")
+    monkeypatch.setattr(tangles.Tangle, "__init__", refuse)
+    for k in (0, 1):
+        for d in enumerate_diagrams(k + 2):
+            for excellent in (False, True):
+                assert _column.__wrapped__(k, k + 2, excellent, d, sym)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
