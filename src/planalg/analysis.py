@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isnan, lcm, sqrt
 
-from .annular import TSpec, _interval, annular_T, annular_X, annular_double_cup, \
+from .annular import TSpec, _interval, annular_T, annular_X, annular_Y, annular_Z, \
     compose_T, transpose_annular
 from .config import FLOAT_TOL
 from .diagrams import Colour, enumerate_diagrams, identity_diagram
@@ -271,16 +271,16 @@ def _spectrum(x: Element, vectors: bool = False, psd: bool = False):
     return geo, skew, lam, vec
 
 
-def is_psd(x: Element, tol: float = FLOAT_TOL):
+def is_psd(x: Element):
     """Whether x acts as a PSD operator: (flag, min eigenvalue or NaN if x* != x)."""
-    return _psd(_spectrum(x)[2], tol)
+    return _psd(_spectrum(x)[2])
 
 
-def _psd(lam, tol: float = FLOAT_TOL):
+def _psd(lam):
     """`is_psd` from the eigenvalues of a `_spectrum` (None: x* != x)."""
     if lam is None:
         return False, float("nan")
-    return bool(lam.min() >= -tol), float(lam.min())
+    return bool(lam.min() >= -FLOAT_TOL), float(lam.min())
 
 
 def psd_sqrt(x: Element, spectrum=None) -> Element:
@@ -568,8 +568,9 @@ def annular_norm_bound(spec: TSpec, x: Element, k: int):
     return lhs <= rhs + 1e-7, lhs, rhs
 
 
-def _cup(t: int, k: int, mode: str) -> Tangle:
-    return annular_double_cup(t, k, 1 if mode == "first" else t - k - 1)
+# dcomm's cup placements: the double cup in the first slot, as in Y^t_k, or
+# in the last, as in Z^t_k
+_CUPS = {"first": annular_Y, "last": annular_Z}
 
 
 @lru_cache(maxsize=None)
@@ -579,15 +580,15 @@ def _capping_ok(k: int, y_mode: str, z_mode: str):
     for t in (k + 4, k + 5):
         cap = partial_cap_tangle(t, [(4, 5)])
         for name, mode in (("Y", y_mode), ("Z", z_mode)):
-            if substitute(cap, {1: _cup(t, k, mode)}) != _cup(t - 1, k, mode):
+            if substitute(cap, {1: _CUPS[mode](t, k)}) != _CUPS[mode](t - 1, k):
                 return False, f"(i) {name}"
     # (ii) triple capping: delta I for Y, delta^3 I for Z
     t0 = k + 3
     cap3 = partial_cap_tangle(t0, [(1, 2), (3, 6), (4, 5)])
     ident = identity_tangle(k)
-    if substitute(cap3, {1: _cup(t0, k, y_mode)}) != ident.with_loops(1):
+    if substitute(cap3, {1: _CUPS[y_mode](t0, k)}) != ident.with_loops(1):
         return False, "(ii) Y"
-    if substitute(cap3, {1: _cup(t0, k, z_mode)}) != ident.with_loops(3):
+    if substitute(cap3, {1: _CUPS[z_mode](t0, k)}) != ident.with_loops(3):
         return False, "(ii) Z"
     return True, ""
 
@@ -618,8 +619,8 @@ def dcomm_replay(k: int, rng=None) -> dict:
                     k, evaluate(annular_X(src, k), [y1]))
                 both = both + sharp(d_el, xi) - sharp(xi, d_el)
             ysum = y1 + y1
-            rhs = evaluate(_cup(t, k, y_mode), [ysum]) \
-                - evaluate(_cup(t, k, z_mode), [ysum])
+            rhs = evaluate(_CUPS[y_mode](t, k), [ysum]) \
+                - evaluate(_CUPS[z_mode](t, k), [ysum])
             if both.component(t) != rhs:
                 return False, "(iii)"
         return True, ""

@@ -3,7 +3,7 @@
 All constructors produce combinatorially explicit tangles (planar by
 construction, still checked by `validate` in the tests).  T(k,A,B)^m_n maps
 P_n to P_m; X^n_k = T(k,{},{})^n_k; Y^t_k and Z^t_k carry one nested double
-cup whose slot position is exposed so the replay suite can pin it.
+cup, in the first and the last slot; `annular_double_cup` takes any slot.
 """
 
 from __future__ import annotations
@@ -125,15 +125,14 @@ def annular_double_cup(t: int, k: int, double_slot: int) -> Tangle:
     return Tangle(t, [k], pairs)
 
 
-def annular_Y(t: int, k: int, double_slot: int | None = None) -> Tangle:
+def annular_Y(t: int, k: int) -> Tangle:
     """Y^t_k: double cup in the first slot (the placement the replay pins)."""
-    return annular_double_cup(t, k, 1 if double_slot is None else double_slot)
+    return annular_double_cup(t, k, 1)
 
 
-def annular_Z(t: int, k: int, double_slot: int | None = None) -> Tangle:
+def annular_Z(t: int, k: int) -> Tangle:
     """Z^t_k: double cup in the last slot."""
-    slot = (t - k - 1) if double_slot is None else double_slot
-    return annular_double_cup(t, k, slot)
+    return annular_double_cup(t, k, t - k - 1)
 
 
 def transpose_annular(t: Tangle) -> Tangle:

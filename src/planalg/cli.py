@@ -79,32 +79,43 @@ GRADED_UNARY = {"dagger": dagger, "include": include, "expect": cond_expect}
 GRADED_SCALAR = {"trace-tk": trace_tk, "trace-gr": trace_Tr}
 
 
+def _inputs(args, loader, count: int) -> list:
+    """The operation's `count` input files, read by `loader`; a wrong count
+    is refused before any file is read."""
+    if len(args.inputs) != count:
+        raise PreconditionError(
+            f"{args.op} takes {count} input file(s), got {len(args.inputs)}")
+    return [loader(path) for path in args.inputs]
+
+
 def cmd_compute(args) -> int:
     op = args.op
     if op in GRADED_BINARY:
-        a, b = _load_graded(args.inputs[0]), _load_graded(args.inputs[1])
+        a, b = _inputs(args, _load_graded, 2)
         _emit(GRADED_BINARY[op](a, b).to_json(), args.out)
     elif op in GRADED_UNARY:
-        a = _load_graded(args.inputs[0])
+        [a] = _inputs(args, _load_graded, 1)
         _emit(GRADED_UNARY[op](a).to_json(), args.out)
     elif op in GRADED_SCALAR:
-        a = _load_graded(args.inputs[0])
+        [a] = _inputs(args, _load_graded, 1)
         print(repr(GRADED_SCALAR[op](a)))
     elif op == "inner":
-        a, b = _load_graded(args.inputs[0]), _load_graded(args.inputs[1])
+        a, b = _inputs(args, _load_graded, 2)
         print(repr(inner_product(a, b)))
     elif op in ("phi", "psi"):
-        a = _load_graded(args.inputs[0])
+        [a] = _inputs(args, _load_graded, 1)
         fn = phi if op == "phi" else psi
         _emit(fn(a.level if args.level is None else args.level, a).to_json(),
               args.out)
     elif op == "multiply":
-        x, y = _load_element(args.inputs[0]), _load_element(args.inputs[1])
+        x, y = _inputs(args, _load_element, 2)
         _emit(x.multiply(y).to_json(), args.out)
     elif op == "star":
-        _emit(_load_element(args.inputs[0]).star().to_json(), args.out)
+        [x] = _inputs(args, _load_element, 1)
+        _emit(x.star().to_json(), args.out)
     elif op == "tau":
-        print(repr(_load_element(args.inputs[0]).tau()))
+        [x] = _inputs(args, _load_element, 1)
+        print(repr(x.tau()))
     else:
         raise PreconditionError(f"unknown operation {op!r}")
     return 0
@@ -190,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
-    ver.add_argument("--delta", default="sym")
-    ver.add_argument("--level", type=int, default=2)
-    ver.add_argument("--max-colour", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--trials", type=int, default=20)
+    ver.add_argument("--delta", default=Config.delta)
+    ver.add_argument("--level", type=int, default=Config.level)
+    ver.add_argument("--max-colour", type=int, default=Config.max_colour)
+    ver.add_argument("--seed", type=int, default=Config.seed)
+    ver.add_argument("--trials", type=int, default=Config.trials)
     ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--out", default=None)
     ver.add_argument("--json", action="store_true")

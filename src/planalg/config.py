@@ -16,7 +16,7 @@ FLOAT_TOL = 1e-9
 
 DEFAULT_SEED = 42
 
-POSITIVITY_SUITES = frozenset({"positivity", "estimates", "all"})
+POSITIVITY_SUITES = frozenset({"positivity", "estimates"})
 
 
 def set_colour_cap(cap: int) -> None:

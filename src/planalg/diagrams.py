@@ -16,7 +16,7 @@ class Colour:
 
     An unqualified 0 always resolves to 0_+; that rule lives here and
     nowhere else.  There is one instance per colour, validated when first
-    built, so colours compare by identity.
+    built, so colours compare and hash by identity.
     """
 
     __slots__ = ("n", "minus")
@@ -69,9 +69,6 @@ class Colour:
         if self.n == 0:
             return "0-" if self.minus else "0+"
         return self.n
-
-    def __hash__(self):
-        return hash((self.n, self.minus))
 
     def __repr__(self):
         if self.n == 0:

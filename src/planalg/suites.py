@@ -30,9 +30,9 @@ from .scalars import Ring
 from .tangles import Tangle, evaluate, identity_tangle, left_expectation_tangle, \
     rotation_tangle, substitute, validate
 from .tower import GradedElement, bullet, cond_expect, dagger, dot_action, \
-    dot_action_via_expectation, dot_index_I, dot_index_J, element_c, element_d, \
-    include, index_bijection, jones_e, phi, psi, random_graded, sharp, \
-    sharp_index_I, sharp_index_J, trace_Tr, trace_tk
+    dot_action_via_expectation, element_c, element_d, include, \
+    index_bijection, index_sets, jones_e, phi, psi, random_graded, sharp, \
+    trace_Tr, trace_tk
 
 SUITE_NAMES = ("filtalg", "annular", "gjs-iso", "jones", "estimates",
                "commutant-replay", "positivity")
@@ -112,34 +112,25 @@ def suite_filtalg(cfg: Config):
 
 @lru_cache(maxsize=None)
 def _index_bijection_ok(top: int) -> bool:
-    for k in (0, 1, 2):
-        for m in range(k, top + 1):
-            for n in range(k, top + 1):
-                for p in range(k, top + 1):
-                    i_set = sharp_index_I(m, n, p, k)
-                    j_set = sharp_index_J(m, n, p, k)
-                    if i_set != sharp_index_J(p, n, m, k):
-                        return False
-                    t_map = index_bijection(m, n, p)
-                    image = {t_map(ts) for ts in i_set}
-                    if image != j_set or len(image) != len(i_set):
-                        return False
-                    inv = index_bijection(p, n, m)
-                    if any(inv(t_map(ts)) != ts for ts in i_set):
-                        return False
-    for k in (1, 2):        # the dot action lives at level k >= 1
-        for m in range(k + 1, top + 1):
-            for n in range(k + 1, top + 1):
-                for p in range(k, top + 1):
-                    i_set = dot_index_I(m, n, p, k)
-                    j_set = dot_index_J(m, n, p, k)
-                    t_map = index_bijection(m, n, p)
-                    image = {t_map(ts) for ts in i_set}
-                    if image != j_set or len(image) != len(i_set):
-                        return False
-                    inv = index_bijection(p + 1, n, m - 1)
-                    if any(inv(t_map(ts)) != ts for ts in i_set):
-                        return False
+    """The reindexing (t, s) -> (max(m+p, n+s) - t, s) of both associativity
+    proofs, exhaustively for colours up to `top`: it maps the index set I of
+    (xy)z onto the set J of x(yz), one to one, and the map with m and p
+    exchanged (for the dot action, (p+1, n, m-1)) sends it back.  For `#` at
+    level k, I(m, n, p) is also J(p, n, m).  `index_sets` reads the sets off
+    the ranges `sharp` and `dot_action` compute with; the dot action's m and
+    n are colours of F_{k+1}, so they start a level higher."""
+    for k, dot in ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1)):
+        low = range(k + dot, top + 1)
+        sets = {(m, n, p): index_sets(m, n, p, k, dot)
+                for m in low for n in low for p in range(k, top + 1)}
+        for (m, n, p), (i_set, j_set) in sets.items():
+            if not dot and i_set != sets[p, n, m][1]:
+                return False
+            image = list(map(index_bijection(m, n, p), i_set))
+            back = list(map(index_bijection(p + dot, n, m - dot), image))
+            if set(image) != j_set or len(set(image)) != len(i_set) \
+                    or back != list(i_set):
+                return False
     return True
 
 

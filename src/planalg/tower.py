@@ -153,8 +153,9 @@ def sharp_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     """The P_t component tangle of the level-k product on P_m x P_n."""
     if m < k or n < k:
         raise PreconditionError("factor colours must be at least the level")
-    if not abs(m - n) + k <= t <= m + n - k:
-        raise PreconditionError(f"t={t} outside [{abs(m-n)+k}, {m+n-k}]")
+    ts = sharp_range(m, n, k)
+    if t not in ts:
+        raise PreconditionError(f"t={t} outside [{ts[0]}, {ts[-1]}]")
     j = m + n - k - t
     pairs = []
     for i in range(1, m + t - n - k + 1):
@@ -170,7 +171,8 @@ def sharp_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     return Tangle(t, [m, n], pairs)
 
 
-def sharp_range(m: int, n: int, k: int):
+def sharp_range(m: int, n: int, k: int) -> range:
+    """The colours t of the level-k product's components on P_m x P_n."""
     return range(abs(m - n) + k, m + n - k + 1)
 
 
@@ -202,7 +204,7 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    return _blocks(sharp_tangle, lambda m, n, k: range(m + n - k, m + n - k + 1),
+    return _blocks(sharp_tangle, lambda m, n, k: sharp_range(m, n, k)[-1:],
                    a.level, a, b, a.ring)
 
 
@@ -368,9 +370,9 @@ def dot_tangle(m: int, n: int, k: int, t: int) -> Tangle:
         raise PreconditionError("the dot action is defined for k >= 1")
     if m < k + 1 or n < k:
         raise PreconditionError("dot action colour/level mismatch")
-    if not abs(m - n - 1) + k <= t <= m + n - k - 1:
-        raise PreconditionError(
-            f"t={t} outside [{abs(m-n-1)+k}, {m+n-k-1}]")
+    ts = dot_range(m, n, k)
+    if t not in ts:
+        raise PreconditionError(f"t={t} outside [{ts[0]}, {ts[-1]}]")
     pairs = []
     for i in range(1, m + t - n - k):
         pairs.append(((1, i), (EXT, i)))
@@ -386,7 +388,8 @@ def dot_tangle(m: int, n: int, k: int, t: int) -> Tangle:
     return Tangle(t, [m, n], pairs)
 
 
-def dot_range(m: int, n: int, k: int):
+def dot_range(m: int, n: int, k: int) -> range:
+    """The colours t of the level-k dot action's components on P_m x P_n."""
     return range(abs(m - n - 1) + k, m + n - k)
 
 
@@ -410,28 +413,17 @@ def dot_action_via_expectation(a: GradedElement, b: GradedElement) -> GradedElem
 # -- index sets of the associativity proofs ---------------------------------------------
 
 
-def sharp_index_I(m, n, p, k):
-    return {(t, s)
-            for t in range(abs(m - n) + k, m + n - k + 1)
-            for s in range(abs(t - p) + k, t + p - k + 1)}
-
-
-def sharp_index_J(m, n, p, k):
-    return {(v, u)
-            for v in range(abs(n - p) + k, n + p - k + 1)
-            for u in range(abs(m - v) + k, m + v - k + 1)}
-
-
-def dot_index_I(m, n, p, k):
-    return {(t, s)
-            for t in range(abs(m - n) + k + 1, m + n - k)
-            for s in range(abs(t - p - 1) + k, t + p - k)}
-
-
-def dot_index_J(m, n, p, k):
-    return {(v, u)
-            for v in range(abs(n - p - 1) + k, n + p - k)
-            for u in range(abs(m - v - 1) + k, m + v - k)}
+def index_sets(m, n, p, k, dot=False):
+    """The index sets of the two bracketings in an associativity proof, read
+    off the products' output ranges: I = {(t, s): t in outer(m, n), s in
+    inner(t, p)} for (xy)z and J = {(v, u): v in inner(n, p), u in
+    inner(m, v)} for x(yz).  For `#` both ranges are `sharp_range` at level
+    k; for the dot action (a # a2).b, a, a2 in F_{k+1}, b in F_k, the outer
+    one is `sharp_range` at level k+1 and the inner one `dot_range` at k."""
+    inner = dot_range if dot else sharp_range
+    return ({(t, s) for t in sharp_range(m, n, k + 1 if dot else k)
+             for s in inner(t, p, k)},
+            {(v, u) for v in inner(n, p, k) for u in inner(m, v, k)})
 
 
 def index_bijection(m, n, p):

@@ -22,8 +22,7 @@ from planalg.scalars import Ring
 from planalg.suites import (suite_annular, suite_filtalg, suite_gjs_iso,
                             suite_jones, _index_bijection_ok)
 from planalg.tangles import Tangle, evaluate, left_expectation_tangle, validate
-from planalg.tower import (GradedElement, dot_index_I, dot_index_J, element_c,
-                           element_d, sharp)
+from planalg.tower import GradedElement, element_c, element_d, index_sets, sharp
 from planalg import random_element
 
 BUDGETS = {1: 300, 2: 60, 3: 120, 4: 600, 5: 300, 6: 300, 7: 300, 8: 120}
@@ -53,8 +52,7 @@ def test_criterion_2_index_bijections():
     assert _index_bijection_ok(6)
     # the printed shifted-range set identity for the dot action is wrong;
     # the regression below pins the counterexample (see the decisions ledger)
-    assert dot_index_I(2, 2, 1, 1) == {(2, 1)}
-    assert dot_index_J(2, 2, 1, 1) == {(1, 1)}
+    assert index_sets(2, 2, 1, 1, dot=True) == ({(2, 1)}, {(1, 1)})
     report(2, "index bijections exhaustive to 6",
            time.perf_counter() - start, BUDGETS[2])
 

@@ -158,6 +158,23 @@ def test_malformed_pair_endpoints_are_a_precondition_violation(tmp_path, capsys,
     assert err.startswith("precondition violation: pair ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau"], ["tau", "f", "f"],                         # unary
+    ["multiply", "f"], ["multiply", "f", "f", "f"],     # binary
+    ["sharp"], ["sharp", "f", "f", "f"],
+    ["phi"], ["phi", "f", "f"],
+], ids="-".join)
+def test_compute_with_the_wrong_number_of_inputs_is_a_precondition_violation(
+        tmp_path, capsys, argv):
+    # the count is checked before any file is read: a missing one is not met
+    missing = str(tmp_path / "missing.json")
+    assert main(["compute"] + [missing if a == "f" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"precondition violation: {argv[0]} takes "
+                   f"{2 if argv[0] in ('multiply', 'sharp') else 1} input file(s), "
+                   f"got {len(argv) - 1}\n")
+
+
 @pytest.mark.parametrize("suite", ["positivity", "filtalg"])
 def test_verify_bad_delta_is_a_parse_error(capsys, suite):
     assert main(["verify", suite, "--delta", "abc"]) == 1

@@ -22,8 +22,6 @@ SRC = ROOT / "src" / "planalg"
 # name -> why it stays in src/ without a caller there
 ALLOWED = {
     "annular_norm_bound": "the paper's annular norm lemma, checked by the tests",
-    "annular_Y": "the paper's Y^t_k; tests pin its default cup slot",
-    "annular_Z": "the paper's Z^t_k; tests pin its default cup slot",
     "op_norm": "perfbench's tracer and the tests call it",
 }
 

@@ -171,9 +171,11 @@ def test_sharp_level_mismatch(sym):
         sharp(GradedElement.unit(0, sym), GradedElement.unit(1, sym))
 
 
-def test_sharp_t_out_of_range(sym):
-    with pytest.raises(PreconditionError):
+def test_sharp_t_out_of_range():
+    with pytest.raises(PreconditionError, match=r"^t=10 outside \[1, 3\]$"):
         sharp_tangle(2, 2, 1, 10)
+    with pytest.raises(PreconditionError, match=r"^t=0 outside \[1, 3\]$"):
+        dot_tangle(3, 2, 1, 0)
 
 
 def test_associativity_small(sym, rng):
@@ -317,6 +319,19 @@ def test_dot_action_examples(sym, rng):
 def test_dot_range():
     assert list(dot_range(2, 2, 1)) == [2]
     assert list(dot_range(3, 2, 1)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name, start, stop", [
+    ("sharp_range", 0, -1), ("sharp_range", 1, 0),
+    ("dot_range", 0, 1), ("dot_range", 1, 0),
+])
+def test_index_bijection_check_reads_the_product_ranges(monkeypatch, name, start, stop):
+    from planalg.suites import _index_bijection_ok
+    assert _index_bijection_ok.__wrapped__(6)
+    ts = getattr(tower, name)          # one bound moved by one
+    monkeypatch.setattr(tower, name, lambda m, n, k: range(
+        ts(m, n, k).start + start, ts(m, n, k).stop + stop))
+    assert not _index_bijection_ok.__wrapped__(6)
 
 
 # -- phi and psi -----------------------------------------------------------------
