@@ -18,7 +18,7 @@ from math import isnan, lcm, sqrt
 
 from .annular import TSpec, _interval, annular_T, annular_X, annular_Y, annular_Z, \
     compose_T, transpose_annular
-from .config import FLOAT_TOL
+from .config import FLOAT_TOL, POSITIVE_DELTA
 from .diagrams import Colour, enumerate_diagrams, identity_diagram
 from .elements import Element, _tau_loops, random_element, trace_strands
 from .errors import ModeMismatchError, PreconditionError
@@ -378,14 +378,19 @@ def _max_coeff(x: Element) -> float:
 def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
     """Check ||a#b|| <= K(1+2(m-k)) ||b|| over random b with mixed colours, where
     K = max_u delta^(k/2) ||psd_sqrt(glued_u)||; by the C*-identity that norm is
-    lambda_max(glued_u)^(1/2), so one eigenvalue solve per u gives it."""
+    lambda_max(glued_u)^(1/2), so one eigenvalue solve per u gives it.  glued_u
+    is X X*, X being a with u points on top; for u > m the solve reads X* X,
+    the same gluing of a* at colour 2m-u, so none runs above colour m.  The
+    identity needs a positive trace, so delta >= 2."""
     _require_float(a.ring)
     ring = a.ring
+    if ring.delta < 2:
+        raise PreconditionError(POSITIVE_DELTA)
     m = a.colour.n
     big_k = 0.0
     for u in range(2 * k, 2 * m + 1):
-        q = 2 * m - u
-        glued = evaluate(glue_tangle(m, q, 0), [a, a.star()])
+        x, v = (a, u) if u <= m else (a.star(), 2 * m - u)
+        glued = evaluate(glue_tangle(m, 2 * m - v, 0), [x, x.star()])
         if glued.is_zero():
             continue
         lam_max = max(_spectrum(glued, psd=True)[2].max(), 0.0)

@@ -90,6 +90,8 @@ def _inputs(args, loader, count: int) -> list:
 
 def cmd_compute(args) -> int:
     op = args.op
+    if args.level is not None and op not in ("phi", "psi"):
+        raise PreconditionError(f"{op} takes no --level")
     if op in GRADED_BINARY:
         a, b = _inputs(args, _load_graded, 2)
         _emit(GRADED_BINARY[op](a, b).to_json(), args.out)

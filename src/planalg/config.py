@@ -17,6 +17,7 @@ FLOAT_TOL = 1e-9
 DEFAULT_SEED = 42
 
 POSITIVITY_SUITES = frozenset({"positivity", "estimates"})
+POSITIVE_DELTA = "positivity suites require delta >= 2 in rational/float mode"
 
 
 def set_colour_cap(cap: int) -> None:
@@ -74,5 +75,4 @@ class Config:
                                     f"below the level {max(levels)} a suite runs")
         if any(s in POSITIVITY_SUITES for s in self.suites):
             if value is not None and value < 2:
-                raise PreconditionError(
-                    "positivity suites require delta >= 2 in rational/float mode")
+                raise PreconditionError(POSITIVE_DELTA)

@@ -305,6 +305,60 @@ def test_boundedness_constant_is_the_square_root_route():
                 assert big_k == pytest.approx(oracle, rel=1e-12, abs=0), (delta, m, k)
 
 
+def _glued_top(x, m, u, spectrum=an._spectrum):
+    """lambda_max of glued_u(x), x in P_m glued to x* over 2m-u strands, solved
+    at colour u (by the unpatched `_spectrum`)."""
+    glued = evaluate(an.glue_tangle(m, 2 * m - u, 0), [x, x.star()])
+    return spectrum(glued, psd=True)[2].max()
+
+
+def test_glued_top_eigenvalue_is_that_of_the_dual_gluing():
+    # ||X X*|| = ||X* X||: glued_u(a) in P_u and glued_{2m-u}(a*) in P_{2m-u},
+    # each solved at its own colour, share their top eigenvalue
+    rng = random.Random(23)
+    for delta in (2.0, 2.2, 2.5):
+        ring = Ring.float_(delta)
+        for m in (1, 2, 3):
+            a = random_element(m, ring, rng)
+            for u in range(2 * m + 1):
+                assert _glued_top(a.star(), m, 2 * m - u) == pytest.approx(
+                    _glued_top(a, m, u), rel=1e-12, abs=0), (delta, m, u)
+
+
+def test_boundedness_constant_solves_no_colour_above_m(monkeypatch):
+    # u is solved at colour min(u, 2m-u), and each solve's top eigenvalue is
+    # that of glued_u itself, solved here at colour u
+    rng = random.Random(29)
+    solves, spectrum = [], an._spectrum
+
+    def recorded(x, **kw):
+        found = spectrum(x, **kw)
+        solves.append((x.colour.n, found[2].max()))
+        return found
+
+    monkeypatch.setattr(an, "_spectrum", recorded)
+    for ring in (FL, FL2):
+        for m in (1, 2, 3):
+            for k in range(m + 1):
+                a = random_element(m, ring, rng)
+                if a.is_zero():
+                    continue
+                solves.clear()
+                an.boundedness_verify(a, k, 1, rng)
+                us = range(2 * k, 2 * m + 1)
+                assert [c for c, _ in solves] == [min(u, 2 * m - u) for u in us]
+                assert [lam for _, lam in solves] == pytest.approx(
+                    [_glued_top(a, m, u) for u in us], rel=1e-12, abs=0), (m, k)
+
+
+@pytest.mark.parametrize("delta", [1.5, 1.9])
+def test_boundedness_constant_needs_delta_at_least_two(rng, delta):
+    # the dual-side solve rests on a positive trace
+    a = random_element(3, Ring.float_(delta), rng)
+    with pytest.raises(PreconditionError, match="require delta >= 2"):
+        an.boundedness_verify(a, 0, 1, rng)
+
+
 # a diagram that is not its own reflection, so its basis element is not self-adjoint
 SKEW3 = Diagram(3, [(1, 2), (3, 6), (4, 5)])
 

@@ -14,7 +14,7 @@ from planalg.config import Config
 from planalg.diagrams import Diagram
 from planalg.elements import Element
 from planalg.scalars import Ring
-from planalg.tower import GradedElement, sharp, trace_Tr
+from planalg.tower import GradedElement, phi, sharp, trace_Tr
 
 
 def write_json(path, data):
@@ -173,6 +173,25 @@ def test_compute_with_the_wrong_number_of_inputs_is_a_precondition_violation(
     assert err == (f"precondition violation: {argv[0]} takes "
                    f"{2 if argv[0] in ('multiply', 'sharp') else 1} input file(s), "
                    f"got {len(argv) - 1}\n")
+
+
+@pytest.mark.parametrize("argv", [["tau", "f"], ["sharp", "f", "f"]], ids="-".join)
+def test_compute_refuses_a_level_it_would_ignore(tmp_path, capsys, argv):
+    # only phi/psi read --level; it is refused before any file is read
+    missing = str(tmp_path / "missing.json")
+    argv = ["compute"] + [missing if a == "f" else a for a in argv] + ["--level", "7"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"precondition violation: {argv[1]} takes no --level\n")
+
+
+def test_compute_phi_reads_the_level(tmp_path, sym_elements, capsys):
+    a, _b, pa, _pb = sym_elements
+    out = tmp_path / "phi.json"
+    assert main(["compute", "phi", str(pa), "--level", "1", "--out", str(out)]) == 0
+    assert GradedElement.from_json(json.loads(out.read_text())) == phi(1, a)
+    assert main(["compute", "phi", str(pa), "--level", "2"]) == 2
+    assert "phi level must match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["positivity", "filtalg"])
