@@ -252,22 +252,18 @@ def op_norm(x: Element) -> float:
     return float(np.linalg.norm(geo.operator(x), 2))
 
 
-def _spectrum(x: Element, vectors: bool = False, psd: bool = False):
+def _spectrum(x: Element, vectors: bool = False):
     """(frame, asymmetry, eigenvalues, eigenvectors or None) of x's GNS operator
     A, the asymmetry being max|A - A^T| / max(1, max|A|).  Above 1e-7 the spectrum
-    is (None, None); with `psd`, that and an x that is not PSD raise instead."""
+    is (None, None)."""
     import numpy as np
     geo = GnsGeometry.get(x.colour.n, x.ring)
     op = geo.operator(x)
     skew = np.abs(op - op.T).max() / max(1.0, np.abs(op).max())
     if skew > 1e-7:
-        if psd:
-            raise PreconditionError("element is not self-adjoint")
         return geo, skew, None, None
     sym = (op + op.T) / 2
     lam, vec = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
-    if psd and lam.min() < -FLOAT_TOL:
-        raise PreconditionError(f"element is not PSD (min eigenvalue {lam.min():.3e})")
     return geo, skew, lam, vec
 
 
@@ -288,11 +284,14 @@ def psd_sqrt(x: Element, spectrum=None) -> Element:
 
     Eigenvalues below a relative cutoff are flushed to zero first; without
     that, +-1e-15 kernel noise turns into +-3e-8 square-root noise.  A
-    caller that has x's `_spectrum` with vectors, and has found x PSD,
-    passes it as `spectrum`.
+    caller that has x's `_spectrum` with vectors passes it as `spectrum`.
     """
     import numpy as np
-    geo, _, lam, vec = spectrum or _spectrum(x, vectors=True, psd=True)
+    geo, _, lam, vec = spectrum or _spectrum(x, vectors=True)
+    psd, min_eig = _psd(lam)
+    if not psd:
+        raise PreconditionError("element is not self-adjoint" if lam is None
+                                else f"element is not PSD (min eigenvalue {min_eig:.3e})")
     cutoff = 1e-10 * max(1.0, lam.max())
     lam = np.where(lam < cutoff, 0.0, lam)
     root = vec @ np.diag(np.sqrt(lam)) @ vec.T
@@ -376,25 +375,19 @@ def _max_coeff(x: Element) -> float:
 
 
 def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
-    """Check ||a#b|| <= K(1+2(m-k)) ||b|| over random b with mixed colours, where
-    K = max_u delta^(k/2) ||psd_sqrt(glued_u)||; by the C*-identity that norm is
-    lambda_max(glued_u)^(1/2), so one eigenvalue solve per u gives it.  glued_u
-    is X X*, X being a with u points on top; for u > m the solve reads X* X,
-    the same gluing of a* at colour 2m-u, so none runs above colour m.  The
-    identity needs a positive trace, so delta >= 2."""
+    """Check ||a#b|| <= K(1+2(m-k)) ||b|| over random b with mixed colours.
+
+    K = max_u delta^(k/2) lambda_max(glued_u)^(1/2), glued_u = X X* being a
+    read with u points on top, is delta^k ||a||_{H_k} in closed form: at
+    delta >= 2 every minimal projection of TL has trace >= 1, so
+    lambda_max(y) <= Tr(y) for y >= 0; Tr(X X*) = delta^m tau(a a*) for every
+    u; and glued_{2m} = |a><a| is rank one, so it attains that bound."""
     _require_float(a.ring)
     ring = a.ring
     if ring.delta < 2:
         raise PreconditionError(POSITIVE_DELTA)
     m = a.colour.n
-    big_k = 0.0
-    for u in range(2 * k, 2 * m + 1):
-        x, v = (a, u) if u <= m else (a.star(), 2 * m - u)
-        glued = evaluate(glue_tangle(m, 2 * m - v, 0), [x, x.star()])
-        if glued.is_zero():
-            continue
-        lam_max = max(_spectrum(glued, psd=True)[2].max(), 0.0)
-        big_k = max(big_k, ring.delta ** (k / 2.0) * sqrt(lam_max))
+    big_k = ring.delta ** k * _norm_float(hk_norm_squared_element(a, k))
     bound = big_k * (1 + 2 * (m - k))
     ga = GradedElement.of_element(k, a)
     violations = 0

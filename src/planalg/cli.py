@@ -171,8 +171,10 @@ def cmd_verify(args) -> int:
             params = " ".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
             detail = f"  [{row['details']}]" if row["details"] else ""
             print(f"{mark} {row['check']} {params}{detail}")
-        print(f"{'all passed' if report['status'] == 'pass' else 'FAILURES'} "
-              f"({len(report['checks'])} checks, seed {cfg.seed})")
+        total = len(report["checks"])
+        failed = sum(row["status"] != "pass" for row in report["checks"])
+        counted = f"{failed} of {total} checks failed" if failed else f"{total} checks"
+        print(f"{'FAILURES' if failed else 'all passed'} ({counted}, seed {cfg.seed})")
     return 0 if report["status"] == "pass" else EXIT_VERIFY_FAILED
 
 

@@ -13,7 +13,7 @@ from planalg.elements import Element, jones_projection
 from planalg.errors import ModeMismatchError, PreconditionError
 from planalg.scalars import Ring, Scalar
 from planalg.tangles import evaluate
-from planalg.tower import GradedElement, element_c, sharp
+from planalg.tower import GradedElement, element_c, hk_norm_squared_element, sharp
 from planalg import random_element, random_graded
 from planalg.suites import _rank
 from conftest import (_closure_loops, _stack, boundedness_constant_oracle,
@@ -291,11 +291,11 @@ def test_boundedness_sweep(rng):
 
 
 def test_boundedness_constant_is_the_square_root_route():
-    # K = delta^(k/2) lambda_max(glued)^(1/2) against the norm of psd_sqrt(glued)
+    # K = delta^k ||a||_{H_k} against the norm of psd_sqrt(glued) over every u
     rng = random.Random(17)
     for delta in (2.0, 2.2, 2.5):
         ring = Ring.float_(delta)
-        for m in (2, 3):
+        for m in (1, 2, 3):
             for k in range(m + 1):
                 a = random_element(m, ring, rng)
                 if a.is_zero():
@@ -305,11 +305,14 @@ def test_boundedness_constant_is_the_square_root_route():
                 assert big_k == pytest.approx(oracle, rel=1e-12, abs=0), (delta, m, k)
 
 
-def _glued_top(x, m, u, spectrum=an._spectrum):
-    """lambda_max of glued_u(x), x in P_m glued to x* over 2m-u strands, solved
-    at colour u (by the unpatched `_spectrum`)."""
-    glued = evaluate(an.glue_tangle(m, 2 * m - u, 0), [x, x.star()])
-    return spectrum(glued, psd=True)[2].max()
+def _glued(x, m, u):
+    """glued_u(x) in P_u: x in P_m glued to x* over 2m-u strands."""
+    return evaluate(an.glue_tangle(m, 2 * m - u, 0), [x, x.star()])
+
+
+def _glued_top(x, m, u):
+    """lambda_max of glued_u(x), solved at colour u."""
+    return an._spectrum(_glued(x, m, u))[2].max()
 
 
 def test_glued_top_eigenvalue_is_that_of_the_dual_gluing():
@@ -325,35 +328,46 @@ def test_glued_top_eigenvalue_is_that_of_the_dual_gluing():
                     _glued_top(a, m, u), rel=1e-12, abs=0), (delta, m, u)
 
 
-def test_boundedness_constant_solves_no_colour_above_m(monkeypatch):
-    # u is solved at colour min(u, 2m-u), and each solve's top eigenvalue is
-    # that of glued_u itself, solved here at colour u
+def test_glued_top_eigenvalue_is_at_most_the_trace():
+    # the theorem behind K's closed form: at delta >= 2, lambda_max(glued_u) <=
+    # Tr(glued_u) = glued_0 = Tr(a a*) = delta^m tau(a a*) for every u, with
+    # equality at u = 2m, where glued_u = |a><a| is rank one
+    rng = random.Random(31)
+    for delta in (2.0, 2.2, 2.5):
+        ring = Ring.float_(delta)
+        for m in (1, 2, 3):
+            a = random_element(m, ring, rng)
+            trace = _glued(a, m, 0).tau().to_float()
+            assert trace == pytest.approx(
+                hk_norm_squared_element(a, 0).to_float(), rel=1e-12), (delta, m)
+            for u in range(2 * m + 1):
+                assert _glued(a, m, u).tau().to_float() * delta ** u == pytest.approx(
+                    trace, rel=1e-12), (delta, m, u)
+                assert _glued_top(a, m, u) <= trace * (1 + 1e-12), (delta, m, u)
+            assert _glued_top(a, m, 2 * m) == pytest.approx(
+                trace, rel=1e-12, abs=0), (delta, m)
+
+
+def test_boundedness_constant_makes_no_solve(monkeypatch):
+    # K is read off ||a||_{H_k}: no gluing is evaluated and no spectrum solved
     rng = random.Random(29)
-    solves, spectrum = [], an._spectrum
 
-    def recorded(x, **kw):
-        found = spectrum(x, **kw)
-        solves.append((x.colour.n, found[2].max()))
-        return found
+    def refused(*args, **kw):
+        raise AssertionError("boundedness_verify glued or solved")
 
-    monkeypatch.setattr(an, "_spectrum", recorded)
+    monkeypatch.setattr(an, "_spectrum", refused)
+    monkeypatch.setattr(an, "evaluate", refused)
     for ring in (FL, FL2):
         for m in (1, 2, 3):
             for k in range(m + 1):
-                a = random_element(m, ring, rng)
-                if a.is_zero():
-                    continue
-                solves.clear()
-                an.boundedness_verify(a, k, 1, rng)
-                us = range(2 * k, 2 * m + 1)
-                assert [c for c, _ in solves] == [min(u, 2 * m - u) for u in us]
-                assert [lam for _, lam in solves] == pytest.approx(
-                    [_glued_top(a, m, u) for u in us], rel=1e-12, abs=0), (m, k)
+                rep = an.boundedness_verify(random_element(m, ring, rng), k, 1, rng)
+                assert rep["status"] == "pass", (m, k)
 
 
 @pytest.mark.parametrize("delta", [1.5, 1.9])
 def test_boundedness_constant_needs_delta_at_least_two(rng, delta):
-    # the dual-side solve rests on a positive trace
+    # the closed form rests on lambda_max(y) <= Tr(y) for y >= 0, which needs
+    # every minimal projection of TL to have trace >= 1, that is delta >= 2
     a = random_element(3, Ring.float_(delta), rng)
     with pytest.raises(PreconditionError, match="require delta >= 2"):
         an.boundedness_verify(a, 0, 1, rng)
@@ -363,15 +377,15 @@ def test_boundedness_constant_needs_delta_at_least_two(rng, delta):
 SKEW3 = Diagram(3, [(1, 2), (3, 6), (4, 5)])
 
 
-def test_boundedness_constant_keeps_the_psd_preconditions(monkeypatch, rng):
-    a = random_element(2, FL, rng)
-    monkeypatch.setattr(an, "evaluate", lambda t, inputs: -evaluate(t, inputs))
-    with pytest.raises(PreconditionError, match="not PSD"):
-        an.boundedness_verify(a, 1, 1, rng)
-    # a glued to a instead of a*
-    monkeypatch.setattr(an, "evaluate", lambda t, inputs: evaluate(t, [inputs[0]] * 2))
-    with pytest.raises(PreconditionError, match="not self-adjoint"):
-        an.boundedness_verify(Element.basis(SKEW3, FL), 1, 1, rng)
+def test_psd_sqrt_keeps_the_psd_preconditions(rng):
+    # each refusal holds whether psd_sqrt solves x itself or is handed x's spectrum
+    negated = -_glued(random_element(2, FL, rng), 2, 2)
+    skew = Element.basis(SKEW3, FL)
+    skewed = evaluate(an.glue_tangle(3, 3, 0), [skew, skew])     # glued to itself, not skew*
+    for x, message in ((negated, "not PSD"), (skewed, "not self-adjoint")):
+        for spectrum in (None, an._spectrum(x, vectors=True)):
+            with pytest.raises(PreconditionError, match=message):
+                an.psd_sqrt(x, spectrum)
 
 
 def test_estimate_lemma_reports_the_asymmetry_of_its_left_hand_side(monkeypatch):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from planalg.annular import (TSpec, annular_T, annular_X,
@@ -168,6 +170,16 @@ def test_good_no_through_case_counts():
     for j in (1, 2, 3, 4):
         assert len(enumerate_good(0, j, 0)) == catalan(j)
         assert len(enumerate_good(0, j, 0, excellent=True)) == 1
+    # in general, with n = j - k and r = i - k, the k-good count is the ballot
+    # number C(2n, n-r)(2r+1)/(n+r+1) (catalan(n) at r = 0) and the k-excellent
+    # count is C(n+r, 2r)
+    for k in (0, 1, 2):
+        for j in range(k, k + 7):
+            for i in range(k, j + 1):
+                n, r = j - k, i - k
+                assert len(good_wirings(k, j, i)) * (n + r + 1) == \
+                    comb(2 * n, n - r) * (2 * r + 1), (k, j, i)
+                assert len(good_wirings(k, j, i, True)) == comb(n + r, 2 * r), (k, j, i)
 
 
 def test_good_parameter_order():

@@ -235,10 +235,13 @@ def test_verify_all_float_overflow_in_a_worker_exits_2(capsys, recwarn):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setitem(suites.SUITES, "annular",
-                        lambda cfg: [suites._row("annular.fake", {}, False)])
+    # the failing footer counts the failing rows, not every row
+    monkeypatch.setitem(suites.SUITES, "annular", lambda cfg: [
+        suites._row("annular.fake", {}, False), suites._row("annular.fake_pass", {}, True),
+        suites._row("annular.fake_fail", {}, False)])
     assert main(["verify", "annular"]) == 4
-    assert "FAILURES" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.endswith("\nFAILURES (2 of 3 checks failed, seed 42)\n")
 
 
 def test_verify_rejects_zero_jobs(capsys):
