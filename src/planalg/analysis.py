@@ -215,11 +215,12 @@ def gns_matrix(x: Element):
 
 def _gns_entries(x: Element) -> dict:
     """{(r, j): entry} of x.multiply(d_j), read off the basis tables; one
-    kernel call sums every entry and drops the zero ones."""
+    kernel call, one term per diagram of x with its row's cells as outputs,
+    sums every entry and drops the zero ones."""
     index, prod, _ = _basis_tables(x.colour.n)
-    return x.ring.scalar._sum_products(
-        [((r, j), None, c, loops) for d, c in x.combo.items()
-         for j, (r, loops) in enumerate(prod[index[d]])], x.ring.delta)
+    return x.ring.scalar._sum_products([
+        (None, c, tuple(((r, j), loops) for j, (r, loops) in enumerate(prod[index[d]])), 0)
+        for d, c in x.combo.items()], x.ring.delta)
 
 
 class GnsGeometry:

@@ -130,13 +130,16 @@ class Diagram(metaclass=_Interned):
 
     Points are numbered 1..2n clockwise.  Stored as a sorted tuple of pairs,
     each pair with the smaller endpoint first; diagrams compare by identity.
+    `outs` is `((self, 0),)`, the diagram as the one output of a scalar
+    kernel term, built once.
     """
 
-    __slots__ = ("colour", "pairs", "_partner", "_mirror")
+    __slots__ = ("colour", "pairs", "outs", "_partner", "_mirror")
 
     def __init__(self, colour: Colour, pairs: tuple):
         self.colour = colour
         self.pairs = pairs
+        self.outs = ((self, 0),)
         partner = {}
         for a, b in pairs:
             partner[a] = b

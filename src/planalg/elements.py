@@ -5,8 +5,9 @@ every filling of a tangle's boxes through `contract_terms`: the product is
 the multiplication tangle (box 2 above box 1) and the trace the full
 closure, each wired once per colour; tangle evaluation, and with it the
 tower's products, dagger, inclusion and expectation, feeds `contract_terms`
-the tangle's own wiring.  The direct stacking and closure-loop routes live
-in the tests as the independent oracle.
+the tangle's own wiring.  A filling is one scalar kernel term for every
+tangle of a family that shares its boxes.  The direct stacking and
+closure-loop routes live in the tests as the independent oracle.
 """
 
 from __future__ import annotations
@@ -57,17 +58,18 @@ class Element:
         """Sum (diagram, coefficient) pairs, each checked first, with `_sum`."""
         colour, terms = Colour.of(colour), list(terms)
         _check(colour, ring, terms)
-        return cls._sum(colour, ring, [(d, None, c, 0) for d, c in terms])
+        return cls._sum(colour, ring, [(None, c, d.outs, 0) for d, c in terms])
 
     @classmethod
     def _sum(cls, colour: Colour, ring: Ring, terms) -> "Element":
-        """Sum a*b*delta**m per diagram over `(diagram, a, b, m)` terms checked
-        against colour and ring, with the ring's kernel (`a` None counts as 1)."""
+        """Sum a*b*delta**(m+x) per diagram over `(a, b, outs, m)` terms,
+        `outs` holding `(diagram, x)` pairs, checked against colour and ring,
+        with the ring's kernel (`a` None counts as 1)."""
         return cls._of(colour, ring, ring.scalar._sum_products(terms, ring.delta))
 
     def _terms(self, a=None, m: int = 0) -> list:
         """This element times a * delta**m as terms for `_sum`."""
-        return [(d, a, c, m) for d, c in self.combo.items()]
+        return [(a, c, d.outs, m) for d, c in self.combo.items()]
 
     # -- linear structure -----------------------------------------------------
 
@@ -132,7 +134,7 @@ class Element:
         """
         self._check_join(other)
         return Element._sum(self.colour, self.ring, contract_terms(
-            _product_family(self.colour), self.ring, (self, other))[0])
+            _product_family(self.colour), self.ring, (self, other), []))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -194,20 +196,21 @@ class Family:
         self.table = self.root = None
 
 
-def contract_terms(family: Family, ring: Ring, inputs, lists=None) -> tuple:
-    """Fill the boxes of a family of wired tangles with one set of inputs and
-    trace their strands: one term list per member, appended to `lists` if given.
+def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
+    """Fill the boxes of a family of wired tangles with one set of inputs,
+    trace their strands, and append one kernel term per filling to `terms`.
 
     A member is `(colour, wiring, offsets)`: `wiring` numbers the external
     points of `colour` first, box b's from `offsets[b]` on (see
     `trace_strands`).  Each choice of one diagram per box (the last box
-    varying fastest) is one term of each member: its traced output diagram,
-    with coefficient (c1 * c2 * ...) in box order times delta to the power
-    of the family's loops plus the closed loops (`ring.one()` with no boxes).
-    A crossing output pairing raises `InternalError`.  One walk over the
-    choices serves every member, and each choice is traced once per process
-    for all of them (`_trace`): outputs and loops depend on no coefficient.
-    The inputs must be of `ring`.
+    varying fastest) is one term `(a, c, leaf, loops)`: its coefficient is
+    (c1 * c2 * ...) in box order, the prefix `a` times the last box's `c`
+    (`ring.one()` with no boxes), and `leaf` holds each member's traced
+    `(output diagram, closed loops)`, in member order, on top of the
+    family's free `loops`.  So a*b is formed once for all members.  A
+    crossing output pairing raises `InternalError`.  Each choice is traced
+    once per process for every member (`_trace`): outputs and loops depend
+    on no coefficient.  The inputs must be of `ring`.
     """
     if family.table is not _TRACED:     # a detached root until `_trace` keeps one
         family.table, family.root = _TRACED, _TRACED.get(family.members, {})
@@ -216,13 +219,11 @@ def contract_terms(family: Family, ring: Ring, inputs, lists=None) -> tuple:
         level = [(node.get(d) or {}, ds + (d,), c if coeff is None else coeff * c)
                  for node, ds, coeff in level for d, c in x.combo.items()]
     last = inputs[-1].combo.items() if inputs else ((None, ring.one()),)
-    lists, loops = lists or tuple([] for _ in family.members), family.loops
+    loops = family.loops
     for node, ds, coeff in level:
         for d, c in last:
-            for terms, (output, closed) in zip(
-                    lists, node.get(d) or _trace(family, ds + (d,))):
-                terms.append((output, coeff, c, closed + loops))
-    return lists
+            terms.append((coeff, c, node.get(d) or _trace(family, ds + (d,)), loops))
+    return terms
 
 
 def _check(colour: Colour, ring: Ring, terms) -> None:
@@ -334,8 +335,8 @@ def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
 
     def draw():
         d = basis[rng.randrange(len(basis))]
-        if ring.scalar is Laurent:
-            return d, Scalar.symbolic({rng.randint(-1, 1): rng.randint(1, 3)})
+        if ring.scalar is Laurent:      # a nonzero int: no normalising
+            return d, Laurent({rng.randint(-1, 1): rng.randint(1, 3)})
         return d, ring.fraction(rng.randint(-3, 3))
 
     return Element.from_terms(n, ring, (draw() for _ in range(terms)))

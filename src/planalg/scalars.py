@@ -130,20 +130,47 @@ class Laurent(Scalar):
 
     @staticmethod
     def _sum_products(terms, delta):
-        """{key: sum of a*b*delta**m} over `(key, a, b, m)` terms (`a` None
-        counting as 1) on the raw exponent maps, zero sums dropped."""
+        """{key: sum of a*b*delta**(m+x)} over `(a, b, outs, m)` terms and
+        each `(key, x)` of their `outs` (`a` None counting as 1), on the raw
+        exponent maps, zero sums dropped.  a*b is formed once per term: a
+        monomial as one (exponent, coefficient) pair, and a longer product
+        multiplies straight into the sum of a term with one output."""
         sums = {}
-        for key, a, b, m in terms:
-            poly = sums.setdefault(key, {})
-            if a is None:
-                for e, c in b.terms.items():
-                    e += m
-                    poly[e] = poly[e] + c if e in poly else c
+        for a, b, outs, m in terms:
+            b = b.terms
+            if len(b) == 1 and (a is None or len(a.terms) == 1):   # a monomial
+                (e, c), = b.items()
+                if a is not None:
+                    (e1, c1), = a.terms.items()
+                    e, c = e + e1, c1 * c
+                e += m
+                for key, x in outs:
+                    x += e
+                    poly = sums.setdefault(key, {})
+                    poly[x] = poly[x] + c if x in poly else c
                 continue
-            for e1, c1 in a.terms.items():
-                e1 += m
-                for e2, c2 in b.terms.items():
-                    e, c = e1 + e2, c1 * c2
+            if a is not None:
+                a = a.terms
+                if len(outs) == 1:      # no product map to build
+                    (key, x), = outs
+                    poly = sums.setdefault(key, {})
+                    for e1, c1 in a.items():
+                        e1 += m + x
+                        for e2, c2 in b.items():
+                            e, c = e1 + e2, c1 * c2
+                            poly[e] = poly[e] + c if e in poly else c
+                    continue
+                prod = {}
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        e, c = e1 + e2, c1 * c2
+                        prod[e] = prod[e] + c if e in prod else c
+                b = prod
+            for key, x in outs:
+                poly = sums.setdefault(key, {})
+                x += m
+                for e, c in b.items():
+                    e += x
                     poly[e] = poly[e] + c if e in poly else c
         out = {}
         for key, poly in sums.items():
@@ -206,14 +233,16 @@ class _Valued(Scalar):
 
     @classmethod
     def _sum_products(cls, terms, delta):
-        """The same on the values, as the operators would: `(a*b) * delta**m`
-        (for m != 0) added in term order, so floats keep their bits."""
+        """The same on the values, as the operators would: `(a*b) *
+        delta**(m+x)` (for m+x != 0) added in term order, so floats keep
+        their bits."""
         sums = {}
-        for key, a, b, m in terms:
+        for a, b, outs, m in terms:
             v = b.value if a is None else a.value * b.value
-            if m:
-                v = v * delta ** m
-            sums[key] = sums[key] + v if key in sums else v
+            for key, x in outs:
+                x += m
+                w = v * delta ** x if x else v
+                sums[key] = sums[key] + w if key in sums else w
         return {key: cls(v, delta) for key, v in sums.items() if not cls._negligible(v)}
 
     def delta_pow(self, m: int):

@@ -166,17 +166,17 @@ def evaluate(t: Tangle, inputs) -> Element:
     """Z_T applied to one Element per internal box."""
     inputs = list(inputs)
     ring = inputs[0].ring if inputs else Ring.symbolic()
-    return Element._sum(t.ext, ring, filling_terms(t.family, inputs, ring)[0])
+    return Element._sum(t.ext, ring, filling_terms(t.family, inputs, ring, []))
 
 
 def evaluate_in(t: Tangle, inputs, ring: Ring) -> Element:
     """Like :func:`evaluate` but with the ring given (needed for 0 boxes)."""
-    return Element._sum(t.ext, ring, filling_terms(t.family, list(inputs), ring)[0])
+    return Element._sum(t.ext, ring, filling_terms(t.family, list(inputs), ring, []))
 
 
-def filling_terms(family: Family, inputs: list, ring: Ring, lists=None) -> tuple:
-    """The kernel terms of Z_T(inputs) for each T of a compiled family, from
-    one `contract_terms` walk (appended to `lists` if given), after the
+def filling_terms(family: Family, inputs: list, ring: Ring, terms: list) -> list:
+    """The kernel terms of Z_T(inputs) for every T of a compiled family, one
+    per filling, appended to `terms` by one `contract_terms` walk after the
     checks of evaluation: one input per box, of its colour and of `ring`."""
     boxes = family.boxes
     if len(inputs) != len(boxes):
@@ -189,7 +189,7 @@ def filling_terms(family: Family, inputs: list, ring: Ring, lists=None) -> tuple
     for x in inputs:
         if x.ring is not ring and x.ring != ring:
             raise PreconditionError("all inputs must share one scalar ring")
-    return contract_terms(family, ring, inputs, lists)
+    return contract_terms(family, ring, inputs, terms)
 
 
 # -- operadic substitution --------------------------------------------------------

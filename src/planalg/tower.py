@@ -59,19 +59,25 @@ class GradedElement:
     @classmethod
     def from_parts(cls, level, ring: Ring, parts):
         """Sum Elements of `ring` into their colour components in one pass."""
-        sums = {}
+        colours, terms = {}, []
         for el in parts:
             ring.check(el.ring)
-            sums.setdefault(el.colour, []).extend(el._terms())
-        if len({colour.n for colour in sums}) < len(sums):
+            colours[el.colour] = None
+            terms += el._terms()
+        if len({colour.n for colour in colours}) < len(colours):
             raise ColourMismatchError("colour mismatch: 0+ vs 0-")
-        return cls._from_terms(level, ring, sums)
+        return cls._from_terms(level, ring, colours, terms)
 
     @classmethod
-    def _from_terms(cls, level, ring: Ring, sums: dict):
-        """One `Element._sum` per colour of `{Colour: kernel terms of ring}`."""
-        return cls(level, ring, {colour.n: Element._sum(colour, ring, terms)
-                                 for colour, terms in sums.items()})
+    def _from_terms(cls, level, ring: Ring, colours, terms: list):
+        """Kernel terms of `ring` summed by one kernel call, split by colour
+        in the producers' order of `colours`, not in that of the surviving
+        keys: a colour whose first key cancels keeps its place."""
+        combos = {colour: {} for colour in colours}
+        for d, c in ring.scalar._sum_products(terms, ring.delta).items():
+            combos[d.colour][d] = c
+        return cls(level, ring, {colour.n: Element._of(colour, ring, combo)
+                                 for colour, combo in combos.items()})
 
     def component(self, n: int) -> Element:
         if n in self.components:
@@ -184,15 +190,16 @@ def _family(make, m: int, n: int, k: int, ts: range) -> Family:
 
 def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
     """The sum over component pairs (m, n) of Z_T(a_m, b_n), T in the family
-    make(m, n, k, t), t in ts(m, n, k): one walk per block appends to each
-    output colour's terms, and each colour is summed once, in block order."""
-    sums = {}
+    make(m, n, k, t), t in ts(m, n, k): one walk per block appends one term
+    per filling for all its output colours, and one kernel call sums every
+    block's terms; the colours come in block order, each block's in t order."""
+    colours, terms = {}, []
     for m, am in a.components.items():
         for n, bn in b.components.items():
             family = _family(make, m, n, k, ts(m, n, k))
-            filling_terms(family, [am, bn], ring,
-                          [sums.setdefault(colour, []) for colour, _, _ in family.members])
-    return GradedElement._from_terms(k, ring, sums)
+            colours.update((colour, None) for colour, _, _ in family.members)
+            filling_terms(family, [am, bn], ring, terms)
+    return GradedElement._from_terms(k, ring, colours, terms)
 
 
 def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -332,18 +339,19 @@ def _column(k, j, excellent, diagram, ring) -> tuple:
         traced = (trace_strands(wiring, box, colour.points)
                   for wiring in good_wirings(k, j, colour.n, excellent))
         columns.append(Element._sum(colour, ring, [
-            (traced_diagram(colour, pairs), sign, one, loops) for pairs, loops in traced]))
+            (sign, one, traced_diagram(colour, pairs).outs, loops) for pairs, loops in traced]))
     return tuple(columns)
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
     """Each coefficient times its diagram's columns, summed by the ring's kernel."""
-    sums = {}
+    colours, terms = {}, []
     for j, el in a.components.items():
         for d, c in el.combo.items():
             for column in _column(k, j, excellent, d, a.ring):
-                sums.setdefault(column.colour, []).extend(column._terms(c))
-    return GradedElement._from_terms(k, a.ring, sums)
+                colours[column.colour] = None
+                terms += column._terms(c)
+    return GradedElement._from_terms(k, a.ring, colours, terms)
 
 
 def phi(k: int, a: GradedElement) -> GradedElement:

@@ -99,6 +99,26 @@ def test_every_method_has_a_caller_in_src():
     assert unused == []
 
 
+def test_the_scalar_kernels_are_the_only_sums_of_products():
+    # one kernel per scalar mode: a `_sum_products` defined or bound
+    # anywhere else in src/ would be a second route for every sum
+    found = []
+    for module, tree in _modules():
+        owner = {id(stmt): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(t, "id", getattr(t, "attr", None)) for t in targets]
+            else:
+                continue
+            found += [(module, owner.get(id(node))) for name in names
+                      if name == "_sum_products"]
+    assert sorted(found) == [("scalars", "Laurent"), ("scalars", "_Valued")]
+
+
 def _empty_dict_names(body) -> list:
     """Names bound to an empty dict literal by the statements of `body`."""
     names = []

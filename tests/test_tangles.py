@@ -537,13 +537,13 @@ def test_a_swapped_table_is_filled_afresh(sym, rng, traces, monkeypatch):
     assert len(traces) == 2 * choices and t.family.root is old[t.family.members]
 
 
-def test_a_fill_appends_to_the_given_lists(sym, rng):
+def test_a_fill_appends_to_the_given_term_list(sym, rng):
     t = multiplication_tangle(2)
     x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
-    (own,) = filling_terms(t.family, [x, y], sym)
-    lists = ([("kept", None, sym.one(), 0)],)
-    assert filling_terms(t.family, [x, y], sym, lists) is lists
-    assert lists[0] == [("kept", None, sym.one(), 0)] + own
+    own = filling_terms(t.family, [x, y], sym, [])
+    terms = [(None, sym.one(), (("kept", 0),), 0)]
+    assert filling_terms(t.family, [x, y], sym, terms) is terms
+    assert terms == [(None, sym.one(), (("kept", 0),), 0)] + own
 
 
 # -- the colour cap on user input ----------------------------------------------

@@ -529,8 +529,61 @@ def test_fused_products_match_per_term_route(ring, rng):
                            for n, el in product.components.items())
                 blocks = Counter((x.colour.n, y.colour.n) for _, (x, y) in fillings)
                 widest[name] = max(widest.get(name, 0), *blocks.values())
-    # blocks of 3 or more output colours append to shared colour lists
+    # blocks of 3 or more output colours share one kernel term per filling
     assert widest == {"sharp": 5, "bullet": 1, "dot": 5}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_products_hand_the_kernel_one_term_per_filling(ring, rng, monkeypatch):
+    # a filling, one diagram of a_m and one of b_n, is one kernel term for
+    # all of its block's output colours: sum |a_m| |b_n| terms in one call
+    sizes, kernel = [], ring.scalar._sum_products
+    monkeypatch.setattr(ring.scalar, "_sum_products", staticmethod(
+        lambda terms, delta: sizes.append(len(terms)) or kernel(terms, delta)))
+
+    def draw(level):
+        return GradedElement.from_parts(level, ring, (
+            random_combo(n, ring, rng, terms=3) for n in range(level, level + 3)))
+
+    for k in (1, 2):
+        a, b, up = draw(k), draw(k), draw(k + 1)
+        for product, x, y, ts in ((sharp, a, b, sharp_range),
+                                  (dot_action, up, b, dot_range)):
+            sizes.clear()
+            product(x, y)
+            assert sizes == [sum(len(xm.combo) * len(yn.combo)
+                                 for xm in x.components.values()
+                                 for yn in y.components.values())]
+            # some block has more than one output colour
+            assert max(len(ts(m, n, k)) for m in x.components for n in y.components) > 1
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_a_colour_whose_first_key_cancels_keeps_its_place(ring):
+    # a_2 # b_3 at level 1 has colours 2, 3, 4 in t order.  Colour 2's key
+    # of the first filling cancels against the second filling's, and its
+    # first surviving key comes from the third filling, after colour 3's
+    # key of the first: the components still come in t order
+    a = GradedElement.of_element(1, Element.basis(CUP2, ring))
+    fill = [Diagram(3, pairs) for pairs in ([(1, 4), (2, 3), (5, 6)],
+                                            [(1, 6), (2, 5), (3, 4)],
+                                            [(1, 2), (3, 6), (4, 5)])]
+    b = GradedElement.of_element(1, Element.from_terms(3, ring, zip(
+        fill, (ring.one(), ring.fraction(-1), ring.one()))))
+    inputs = [a.component(2), b.component(3)]
+    terms = {t: per_term_fillings(sharp_tangle(2, 3, 1, t), inputs, ring)
+             for t in sharp_range(2, 3, 1)}
+    expected = {t: per_term_sum(t, ring, ts) for t, ts in terms.items()}
+    survivors = []      # the colours in the order their first surviving key comes
+    for filling in range(3):
+        for t, ts in terms.items():
+            if ts[filling][0] in expected[t].combo and t not in survivors:
+                survivors.append(t)
+    assert terms[2][0][0] is terms[2][1][0] and terms[2][0][0] not in expected[2].combo
+    assert survivors == [3, 4, 2]
+    product = sharp(a, b)
+    assert list(product.components) == [2, 3, 4]
+    assert all(same_terms(el, expected[t]) for t, el in product.components.items())
 
 
 def test_a_repeated_product_walks_each_block_once(monkeypatch):
