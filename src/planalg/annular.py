@@ -4,13 +4,16 @@ All constructors produce combinatorially explicit tangles (planar by
 construction, still checked by `validate` in the tests).  T(k,A,B)^m_n maps
 P_n to P_m; X^n_k = T(k,{},{})^n_k; Y^t_k and Z^t_k carry one nested double
 cup, in the first and the last slot; `annular_double_cup` takes any slot.
+A k-good (j,i) tangle is an increasing choice of free box points for its
+through strands, every gap even, with a non-crossing matching in each gap
+(adjacent if k-excellent): in lexicographic order, the first gap slowest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .diagrams import _matchings
 from .errors import ColourMismatchError, PreconditionError
@@ -103,24 +106,15 @@ def _cup_layout(t: int, k: int, double_slot: int):
     slots = t - k - 1
     if not 1 <= double_slot <= slots:
         raise PreconditionError(f"double cup slot must lie in 1..{slots}")
-    caps = []
-    pos = 1
-    for slot in range(1, slots + 1):
-        if slot == double_slot:
-            caps.append((pos, pos + 3))
-            caps.append((pos + 1, pos + 2))
-            pos += 4
-        else:
-            caps.append((pos, pos + 1))
-            pos += 2
-    return caps
+    p = 2 * double_slot - 1
+    return [(p, p + 3), (p + 1, p + 2)] + [(q, q + 1) for q in range(1, 2 * (t - k), 2)
+                                           if not p <= q <= p + 2]
 
 
 @lru_cache(maxsize=None)
 def annular_double_cup(t: int, k: int, double_slot: int) -> Tangle:
     """The annular P_k -> P_t tangle with one nested double cup."""
-    caps = _cup_layout(t, k, double_slot)
-    pairs = [((EXT, a), (EXT, b)) for a, b in caps]
+    pairs = [((EXT, a), (EXT, b)) for a, b in _cup_layout(t, k, double_slot)]
     pairs += [((EXT, 2 * (t - k) + j), (1, j)) for j in range(1, 2 * k + 1)]
     return Tangle(t, [k], pairs)
 
@@ -156,59 +150,33 @@ def transpose_annular(t: Tangle) -> Tangle:
 # -- good and excellent annular tangles -------------------------------------------
 
 
-def _adjacent_matching(points):
-    return [[(points[r], points[r + 1]) for r in range(0, len(points), 2)]]
-
-
-def _through_maps(k: int, j: int, i: int):
-    """Strictly increasing maps {1..2i} -> {1..2j} with even gaps and the
-    last 2k points pinned; yields (values, gap intervals)."""
-    free_targets = 2 * (j - k)
-    free_sources = 2 * (i - k)
-    pinned = [2 * j - r for r in range(2 * k - 1, -1, -1)]
-
-    def rec(s, lo):
-        # choose g(s), g(s+1), ... from lo.. with parity matching s
-        if s > free_sources:
-            yield []
-            return
-        start = lo if (lo - s) % 2 == 0 else lo + 1
-        for v in range(start, free_targets + 1, 2):
-            for rest in rec(s + 1, v + 1):
-                yield [v] + rest
-
-    for head in rec(1, 1):
-        values = head + pinned
-        gaps = []
-        prev = 0
-        for v in head:
-            gaps.append(list(range(prev + 1, v)))
-            prev = v
-        gaps.append(list(range(prev + 1, free_targets + 1)))
-        yield values, gaps
-
-
 @lru_cache(maxsize=None)
 def good_wirings(k: int, j: int, i: int, excellent: bool = False) -> tuple:
     """The `Tangle.wiring` of every k-good (j,i)-annular tangle, in
     `enumerate_good`'s order; with `excellent`, forbid nested caps.
 
-    Through strands join external point s to box point g(s) for each map g
-    of `_through_maps`; caps fill the gaps between consecutive through
-    attachments with non-crossing matchings (exactly the adjacent pairing
-    when `excellent`), the first gap varying slowest.  No tangle has a free
-    loop, and none is built: `phi`/`psi` trace these wirings directly.
+    The first 2(i-k) external points go through to an increasing choice of
+    the 2(j-k) free box points with every gap even, the last 2k to the last
+    2k; caps fill each gap with a non-crossing matching (the adjacent pairing
+    when `excellent`).  The choices run in lexicographic order, the first
+    gap's matching varying slowest.  No tangle has a free loop, and none is
+    built: `phi`/`psi` trace these wirings directly.
     """
     if not k <= i <= j:
         raise PreconditionError("need k <= i <= j")
-    match = _adjacent_matching if excellent else _matchings
+    free = 2 * (j - k)
     box = 2 * i - 1         # box point v has id box + v
     out = []
-    for values, gaps in _through_maps(k, j, i):
+    for head in combinations(range(1, free + 1), 2 * (i - k)):
+        if any((v - s) % 2 for s, v in enumerate(head, 1)):
+            continue                                    # an odd gap
         wiring = [None] * (2 * i + 2 * j)
-        for s, v in enumerate(values):
+        for s, v in enumerate(head + tuple(range(free + 1, 2 * j + 1))):
             wiring[s], wiring[box + v] = box + v, s
-        for choice in product(*map(match, gaps)):
+        ends = (0,) + head + (free + 1,)
+        gaps = [tuple(range(a + 1, b)) for a, b in zip(ends, ends[1:])]
+        for choice in product(*([list(zip(gap[::2], gap[1::2]))] if excellent
+                                else _matchings(gap) for gap in gaps)):
             for matching in choice:
                 for a, b in matching:
                     wiring[box + a], wiring[box + b] = box + b, box + a

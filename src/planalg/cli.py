@@ -18,6 +18,7 @@ from .elements import Element
 from .errors import (ColourMismatchError, InternalError, LevelMismatchError,
                      ModeMismatchError, ParseError, PreconditionError,
                      ValidationError)
+from .scalars import Scalar
 from .tangles import evaluate, parse, validate
 from .tower import (GradedElement, bullet, cond_expect, dagger, dot_action,
                     include, inner_product, phi, psi, sharp, trace_Tr, trace_tk)
@@ -74,52 +75,43 @@ def _emit(data, out: str | None):
 # -- compute -------------------------------------------------------------------
 
 
-GRADED_BINARY = {"sharp": sharp, "bullet": bullet, "dot": dot_action}
-GRADED_UNARY = {"dagger": dagger, "include": include, "expect": cond_expect}
-GRADED_SCALAR = {"trace-tk": trace_tk, "trace-gr": trace_Tr}
-
-
-def _inputs(args, loader, count: int) -> list:
-    """The operation's `count` input files, read by `loader`; a wrong count
-    is refused before any file is read."""
-    if len(args.inputs) != count:
-        raise PreconditionError(
-            f"{args.op} takes {count} input file(s), got {len(args.inputs)}")
-    return [loader(path) for path in args.inputs]
+# op -> (input loader, input count, function); phi/psi take their level first
+OPS = {
+    "sharp": (_load_graded, 2, sharp),
+    "bullet": (_load_graded, 2, bullet),
+    "dot": (_load_graded, 2, dot_action),
+    "inner": (_load_graded, 2, inner_product),
+    "dagger": (_load_graded, 1, dagger),
+    "include": (_load_graded, 1, include),
+    "expect": (_load_graded, 1, cond_expect),
+    "trace-tk": (_load_graded, 1, trace_tk),
+    "trace-gr": (_load_graded, 1, trace_Tr),
+    "phi": (_load_graded, 1, phi),
+    "psi": (_load_graded, 1, psi),
+    "multiply": (_load_element, 2, Element.multiply),
+    "star": (_load_element, 1, Element.star),
+    "tau": (_load_element, 1, Element.tau),
+}
 
 
 def cmd_compute(args) -> int:
     op = args.op
     if args.level is not None and op not in ("phi", "psi"):
         raise PreconditionError(f"{op} takes no --level")
-    if op in GRADED_BINARY:
-        a, b = _inputs(args, _load_graded, 2)
-        _emit(GRADED_BINARY[op](a, b).to_json(), args.out)
-    elif op in GRADED_UNARY:
-        [a] = _inputs(args, _load_graded, 1)
-        _emit(GRADED_UNARY[op](a).to_json(), args.out)
-    elif op in GRADED_SCALAR:
-        [a] = _inputs(args, _load_graded, 1)
-        print(repr(GRADED_SCALAR[op](a)))
-    elif op == "inner":
-        a, b = _inputs(args, _load_graded, 2)
-        print(repr(inner_product(a, b)))
-    elif op in ("phi", "psi"):
-        [a] = _inputs(args, _load_graded, 1)
-        fn = phi if op == "phi" else psi
-        _emit(fn(a.level if args.level is None else args.level, a).to_json(),
-              args.out)
-    elif op == "multiply":
-        x, y = _inputs(args, _load_element, 2)
-        _emit(x.multiply(y).to_json(), args.out)
-    elif op == "star":
-        [x] = _inputs(args, _load_element, 1)
-        _emit(x.star().to_json(), args.out)
-    elif op == "tau":
-        [x] = _inputs(args, _load_element, 1)
-        print(repr(x.tau()))
-    else:
+    if op not in OPS:
         raise PreconditionError(f"unknown operation {op!r}")
+    loader, count, fn = OPS[op]
+    if len(args.inputs) != count:                   # before any file is read
+        raise PreconditionError(
+            f"{op} takes {count} input file(s), got {len(args.inputs)}")
+    inputs = [loader(path) for path in args.inputs]
+    if op in ("phi", "psi"):
+        inputs.insert(0, inputs[0].level if args.level is None else args.level)
+    result = fn(*inputs)
+    if isinstance(result, Scalar):
+        print(repr(result))
+    else:
+        _emit(result.to_json(), args.out)
     return 0
 
 
@@ -186,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="apply one operation to JSON inputs")
-    comp.add_argument("op")
+    comp.add_argument("op", help="one of: " + ", ".join(OPS))
     comp.add_argument("inputs", nargs="*")
     comp.add_argument("--level", type=int, default=None)
     comp.add_argument("--out", default=None)

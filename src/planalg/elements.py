@@ -317,15 +317,10 @@ def _product_family(colour: Colour) -> Family:
 
 
 @lru_cache(maxsize=None)
-def _closure_wiring(n: int) -> tuple:
-    """The trace closure of an n-box: point i joined to 2n+1-i around it."""
-    return tuple(2 * n - 1 - p for p in range(2 * n))
-
-
-@lru_cache(maxsize=None)
 def _tau_loops(d: Diagram) -> int:
-    """The loops of d's trace closure, traced once per diagram."""
-    return trace_strands(_closure_wiring(d.colour.n), placed_pairing(d, 0), 0)[1]
+    """The loops of d's trace closure (point i joined to 2n+1-i), once per diagram."""
+    closure = tuple(reversed(range(d.colour.points)))
+    return trace_strands(closure, placed_pairing(d, 0), 0)[1]
 
 
 def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:

@@ -8,7 +8,7 @@ import pytest
 
 from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt
 from planalg.annular import enumerate_good
-from planalg.diagrams import Colour, Diagram, enumerate_diagrams
+from planalg.diagrams import Colour, Diagram, _matchings, enumerate_diagrams
 from planalg.elements import Element
 from planalg.errors import (ColourMismatchError, InternalError,
                             ModeMismatchError, PreconditionError,
@@ -377,6 +377,73 @@ def gauss_solve_in_place(cols, target):
     for ri, c in enumerate(piv_cols):
         sol[c] = aug[ri][ncols]
     return sol
+
+
+# -- the through-map recursion: the oracle of the good annular wirings' order ------
+
+
+def _through_maps(k: int, j: int, i: int):
+    """Strictly increasing maps {1..2i} -> {1..2j} with even gaps and the
+    last 2k points pinned; yields (values, gap intervals)."""
+    free_targets = 2 * (j - k)
+    free_sources = 2 * (i - k)
+    pinned = [2 * j - r for r in range(2 * k - 1, -1, -1)]
+
+    def rec(s, lo):
+        # choose g(s), g(s+1), ... from lo.. with parity matching s
+        if s > free_sources:
+            yield []
+            return
+        start = lo if (lo - s) % 2 == 0 else lo + 1
+        for v in range(start, free_targets + 1, 2):
+            for rest in rec(s + 1, v + 1):
+                yield [v] + rest
+
+    for head in rec(1, 1):
+        values = head + pinned
+        gaps = []
+        prev = 0
+        for v in head:
+            gaps.append(list(range(prev + 1, v)))
+            prev = v
+        gaps.append(list(range(prev + 1, free_targets + 1)))
+        yield values, gaps
+
+
+def good_wirings_oracle(k: int, j: int, i: int, excellent: bool) -> tuple:
+    """`annular.good_wirings` by recursion over the through maps, each map's
+    gap matchings in product order (the first gap slowest)."""
+    def adjacent(points):
+        return [[(points[r], points[r + 1]) for r in range(0, len(points), 2)]]
+    match = adjacent if excellent else _matchings
+    box = 2 * i - 1
+    out = []
+    for values, gaps in _through_maps(k, j, i):
+        wiring = [None] * (2 * i + 2 * j)
+        for s, v in enumerate(values):
+            wiring[s], wiring[box + v] = box + v, s
+        for choice in product(*map(match, gaps)):
+            for matching in choice:
+                for a, b in matching:
+                    wiring[box + a], wiring[box + b] = box + b, box + a
+            out.append(tuple(wiring))
+    return tuple(out)
+
+
+def double_cup_oracle(t: int, k: int, double_slot: int) -> Tangle:
+    """`annular.annular_double_cup` with its caps laid out by walking the
+    slots: two points per single cup, four for the double cup."""
+    pairs = []
+    pos = 1
+    for slot in range(1, t - k):
+        if slot == double_slot:
+            pairs += [((EXT, pos), (EXT, pos + 3)), ((EXT, pos + 1), (EXT, pos + 2))]
+            pos += 4
+        else:
+            pairs.append(((EXT, pos), (EXT, pos + 1)))
+            pos += 2
+    pairs += [((EXT, 2 * (t - k) + j), (1, j)) for j in range(1, 2 * k + 1)]
+    return Tangle(t, [k], pairs)
 
 
 # -- random tangles for the property tests ------------------------------------------

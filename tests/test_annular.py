@@ -13,6 +13,8 @@ from planalg.tangles import (EXT, Tangle, evaluate, identity_tangle,
                              partial_cap_tangle, substitute, validate)
 from planalg import random_element
 
+from conftest import double_cup_oracle, good_wirings_oracle
+
 
 def interval(lo, hi):
     return frozenset(range(lo, hi + 1))
@@ -132,6 +134,16 @@ def test_double_cup_layouts():
         annular_double_cup(5, 1, 9)
 
 
+def test_double_cup_matches_the_slot_walk():
+    for t in range(10):
+        for k in range(t - 1):
+            for slot in range(1, t - k):
+                assert annular_double_cup(t, k, slot) == double_cup_oracle(t, k, slot)
+            for slot in (0, t - k):
+                with pytest.raises(PreconditionError):
+                    annular_double_cup(t, k, slot)
+
+
 def test_annular_T_all_through_is_identity():
     spec = TSpec(1, interval(1, 2), interval(1, 2), 3, 3)
     assert annular_T(spec) == identity_tangle(3)
@@ -203,3 +215,13 @@ def test_good_wirings_are_the_wirings_of_the_good_tangles():
                                for t in tangles)
                     assert all(w[w[p]] == p != w[p] for w in wirings
                                for p in range(len(w)))
+
+
+def test_good_wirings_match_the_through_map_recursion_in_order():
+    # the order fixes phi/psi's key order and their float bits
+    for k in (0, 1, 2):
+        for j in range(k, k + 7):
+            for i in range(k, j + 1):
+                for excellent in (False, True):
+                    assert good_wirings(k, j, i, excellent) == \
+                        good_wirings_oracle(k, j, i, excellent), (k, j, i, excellent)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from planalg import analysis, config, suites
-from planalg.cli import main
+from planalg.cli import OPS, main
 from planalg.config import Config
 from planalg.diagrams import Diagram
 from planalg.elements import Element
@@ -183,6 +183,17 @@ def test_compute_refuses_a_level_it_would_ignore(tmp_path, capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"precondition violation: {argv[1]} takes no --level\n")
+
+
+def test_compute_help_lists_the_operations_of_the_table(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compute", "--help"])
+    assert exit_.value.code == 0
+    # argparse may wrap the list, even at a hyphen
+    assert "oneof:" + ",".join(OPS) in "".join(capsys.readouterr().out.split())
+    assert set(OPS) == {"sharp", "bullet", "dot", "inner", "dagger", "include",
+                        "expect", "trace-tk", "trace-gr", "phi", "psi",
+                        "multiply", "star", "tau"}
 
 
 def test_compute_phi_reads_the_level(tmp_path, sym_elements, capsys):
