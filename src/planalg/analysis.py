@@ -3,8 +3,8 @@ the finite-dimensional verification of the estimate and commutant lemmas.
 
 Everything that needs no square root also runs in exact rational mode; float
 appears only where spectra are required (op_norm, psd_sqrt, eigenvalues).
-numpy is imported inside the functions that call it, so a process that runs
-only symbolic work never loads it.
+Only the numeric suites load this module, and with it numpy, so a process
+that runs only symbolic work loads neither.
 Falsification flags are hard failures: every inequality checked here is a
 theorem, so a violation beyond tolerance means a convention or library bug.
 """
@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isnan, lcm, sqrt
+
+import numpy as np
 
 from .annular import TSpec, _interval, annular_T, annular_X, annular_Y, annular_Z, \
     compose_T, transpose_annular
@@ -142,7 +144,6 @@ def gram(n: int, ring: Ring):
 
 @lru_cache(maxsize=None)
 def gram_float(n: int, ring: Ring):
-    import numpy as np
     mat = np.array([[s.to_float() for s in row] for row in gram(n, ring)])
     mat.flags.writeable = False         # one matrix per (n, ring), shared
     return mat
@@ -150,7 +151,6 @@ def gram_float(n: int, ring: Ring):
 
 @lru_cache(maxsize=None)
 def gram_min_eigenvalue(n: int, ring: Ring) -> float:
-    import numpy as np
     return float(np.linalg.eigvalsh(gram_float(n, ring)).min())
 
 
@@ -206,7 +206,6 @@ def integer_rows(mat) -> list:
 def gns_matrix(x: Element):
     """Matrix of left multiplication by x on P_n in the diagram basis."""
     _require_float(x.ring)
-    import numpy as np
     mat = np.zeros((len(_basis_tables(x.colour.n)[1]),) * 2)
     for cell, v in _gns_entries(x).items():
         mat[cell] = v.value             # a float already: no to_float call
@@ -230,7 +229,6 @@ class GnsGeometry:
 
     def __init__(self, n: int, ring: Ring):
         _require_float(ring)
-        import numpy as np
         g = gram_float(n, ring)
         self.chol = np.linalg.cholesky(g)      # g = L L^T
         self.inv_lt = np.linalg.inv(self.chol.T)
@@ -248,7 +246,6 @@ class GnsGeometry:
 
 def op_norm(x: Element) -> float:
     """Operator norm of left multiplication in the GNS geometry."""
-    import numpy as np
     geo = GnsGeometry.get(x.colour.n, x.ring)
     return float(np.linalg.norm(geo.operator(x), 2))
 
@@ -257,7 +254,6 @@ def _spectrum(x: Element, vectors: bool = False):
     """(frame, asymmetry, eigenvalues, eigenvectors or None) of x's GNS operator
     A, the asymmetry being max|A - A^T| / max(1, max|A|).  Above 1e-7 the spectrum
     is (None, None)."""
-    import numpy as np
     geo = GnsGeometry.get(x.colour.n, x.ring)
     op = geo.operator(x)
     skew = np.abs(op - op.T).max() / max(1.0, np.abs(op).max())
@@ -287,7 +283,6 @@ def psd_sqrt(x: Element, spectrum=None) -> Element:
     that, +-1e-15 kernel noise turns into +-3e-8 square-root noise.  A
     caller that has x's `_spectrum` with vectors passes it as `spectrum`.
     """
-    import numpy as np
     geo, _, lam, vec = spectrum or _spectrum(x, vectors=True)
     psd, min_eig = _psd(lam)
     if not psd:
@@ -413,7 +408,6 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
 
 def sum_norm_inequality(vectors) -> bool:
     """||sum a_i||^2 <= N sum ||a_i||^2 for vectors in any inner-product space."""
-    import numpy as np
     total = sum(vectors)
     return float(np.dot(total, total)) <= len(vectors) * sum(
         float(np.dot(v, v)) for v in vectors) + FLOAT_TOL

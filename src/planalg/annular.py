@@ -160,7 +160,7 @@ def good_wirings(k: int, j: int, i: int, excellent: bool = False) -> tuple:
     2k; caps fill each gap with a non-crossing matching (the adjacent pairing
     when `excellent`).  The choices run in lexicographic order, the first
     gap's matching varying slowest.  No tangle has a free loop, and none is
-    built: `phi`/`psi` trace these wirings directly.
+    built; `phi`/`psi` enumerate none of them (see `tower._column`).
     """
     if not k <= i <= j:
         raise PreconditionError("need k <= i <= j")

@@ -1,13 +1,13 @@
 """Vectors in the Temperley-Lieb spaces P_n, with the C*-algebra operations.
 
-Every strand contraction in the package goes through `trace_strands`, and
-every filling of a tangle's boxes through `contract_terms`: the product is
-the multiplication tangle (box 2 above box 1) and the trace the full
-closure, each wired once per colour; tangle evaluation, and with it the
-tower's products, dagger, inclusion and expectation, feeds `contract_terms`
-the tangle's own wiring.  A filling is one scalar kernel term for every
-tangle of a family that shares its boxes.  The direct stacking and
-closure-loop routes live in the tests as the independent oracle.
+Every strand contraction but the `phi`/`psi` columns' capping walk goes
+through `trace_strands`, and every filling of a tangle's boxes through
+`contract_terms`: the product is the multiplication tangle (box 2 above
+box 1) and the trace the full closure, each wired once per colour; tangle
+evaluation, and with it the tower's products, dagger, inclusion and
+expectation, feeds `contract_terms` the tangle's own wiring.  A filling is
+one scalar kernel term for every tangle of a family sharing its boxes.  The
+direct stacking and closure-loop routes are the tests' independent oracle.
 """
 
 from __future__ import annotations

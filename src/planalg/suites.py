@@ -19,7 +19,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from . import analysis
 from .annular import TSpec, annular_T, annular_X, compose_T, enumerate_good, \
     transpose_annular
 from .config import Config
@@ -58,10 +57,12 @@ def _clauses(prefix, params, cases, draw, check, tally):
 
 def _float_errors_raise(suite):
     """A numeric suite run with numpy raising `FloatingPointError` on an
-    overflow or invalid value (a float delta too large for float
-    arithmetic) instead of warning; only these suites load numpy."""
+    overflow or invalid value (a float delta too large for float arithmetic)
+    instead of warning.  Only these suites load `analysis`, which loads
+    numpy; it comes first, as compiling it after numpy raised peak RSS 2 MB."""
     @wraps(suite)
     def run(cfg: Config):
+        from . import analysis  # noqa: F401
         import numpy as np
         with np.errstate(over="raise", invalid="raise"):
             return suite(cfg)
@@ -126,10 +127,10 @@ def _index_bijection_ok(top: int) -> bool:
         for (m, n, p), (i_set, j_set) in sets.items():
             if not dot and i_set != sets[p, n, m][1]:
                 return False
-            image = list(map(index_bijection(m, n, p), i_set))
-            back = list(map(index_bijection(p + dot, n, m - dot), image))
-            if set(image) != j_set or len(set(image)) != len(i_set) \
-                    or back != list(i_set):
+            image = index_bijection(m, n, p, i_set)
+            back = index_bijection(p + dot, n, m - dot, image)
+            if set(image) != j_set or len(j_set) != len(i_set) \
+                    or back != list(i_set):         # onto J, one to one, inverse
                 return False
     return True
 
@@ -292,6 +293,7 @@ def _float_deltas(cfg: Config):
 @_float_errors_raise
 def suite_estimates(cfg: Config):
     import numpy as np
+    from . import analysis
     rng = random.Random(cfg.seed)
     rows = []
     for delta in _float_deltas(cfg):
@@ -328,6 +330,7 @@ def suite_estimates(cfg: Config):
 
 @_float_errors_raise
 def suite_commutant_replay(cfg: Config):
+    from . import analysis
     rng = random.Random(cfg.seed)
     ring = Ring.symbolic()
     rows = []
@@ -398,6 +401,7 @@ def _pk_commutes_cd_ok(max_k: int) -> bool:
 @lru_cache(maxsize=None)
 def _el_fixed_point_ok(k: int, i: int) -> bool:
     """delta^i-eigenspace of EL(i) equals its image: rank comparison, exact."""
+    from . import analysis
     ring = Ring.rational(Fraction(7, 2))
     basis = enumerate_diagrams(k)
     el = left_expectation_tangle(k, i)
@@ -416,6 +420,7 @@ def _el_fixed_point_ok(k: int, i: int) -> bool:
 
 
 def _rank(mat) -> int:
+    from . import analysis
     ncols = len(mat[0]) if mat else 0
     return len(analysis.eliminate(analysis.integer_rows(mat), ncols))
 
@@ -425,6 +430,7 @@ def _rank(mat) -> int:
 
 @_float_errors_raise
 def suite_positivity(cfg: Config):
+    from . import analysis
     rng = random.Random(cfg.seed)
     rows = []
     top = min(6, cfg.resolved_max_colour() + 2)

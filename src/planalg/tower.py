@@ -12,10 +12,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .annular import good_wirings, transpose_annular
+from .annular import transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
 from .elements import (Element, Family, jones_projection, placed_pairing,
-                       random_element, tl_sum, trace_strands)
+                       random_element, tl_sum)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
 from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
@@ -28,21 +28,24 @@ class GradedElement:
     __slots__ = ("level", "ring", "components")
 
     def __init__(self, level: int, ring: Ring, components=None):
-        if level < 0:
-            raise PreconditionError("level must be non-negative")
-        self.level = level
-        self.ring = ring
+        self._check_colours(level, components or ())
+        self.level, self.ring = level, ring
         clean = {}
         for n, el in (components or {}).items():
-            if n < level:
-                raise PreconditionError(
-                    f"component colour {n} below level {level}")
             if el.colour.n != n:
                 raise PreconditionError("component colour does not match key")
             ring.check(el.ring)
             if not el.is_zero():
                 clean[n] = el
         self.components = clean
+
+    @staticmethod
+    def _check_colours(level: int, colours):
+        if level < 0:
+            raise PreconditionError("level must be non-negative")
+        for n in colours:
+            if n < level:
+                raise PreconditionError(f"component colour {n} below level {level}")
 
     @classmethod
     def zero(cls, level, ring):
@@ -72,12 +75,17 @@ class GradedElement:
     def _from_terms(cls, level, ring: Ring, colours, terms: list):
         """Kernel terms of `ring` summed by one kernel call, split by colour
         in the producers' order of `colours`, not in that of the surviving
-        keys: a colour whose first key cancels keeps its place."""
+        keys: a colour whose first key cancels keeps its place.  A colour below
+        the level raises, even empty; empty ones are dropped, none re-checked."""
+        cls._check_colours(level, [colour.n for colour in colours])
         combos = {colour: {} for colour in colours}
         for d, c in ring.scalar._sum_products(terms, ring.delta).items():
             combos[d.colour][d] = c
-        return cls(level, ring, {colour.n: Element._of(colour, ring, combo)
-                                 for colour, combo in combos.items()})
+        g = object.__new__(cls)
+        g.level, g.ring = level, ring
+        g.components = {colour.n: Element._of(colour, ring, combo)
+                        for colour, combo in combos.items() if combo}
+        return g
 
     def component(self, n: int) -> Element:
         if n in self.components:
@@ -331,16 +339,44 @@ def trace_Tr(a: GradedElement) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _column(k, j, excellent, diagram, ring) -> tuple:
-    """Colours k..j of phi (psi, signed, if excellent) on one P_j basis diagram."""
-    one, columns = ring.one(), []
-    for colour in map(Colour, range(k, j + 1)):
-        sign = ring.fraction(-1) if excellent and (colour.n + j) % 2 == 1 else None
-        box = (None,) * colour.points + placed_pairing(diagram, colour.points)
-        traced = (trace_strands(wiring, box, colour.points)
-                  for wiring in good_wirings(k, j, colour.n, excellent))
-        columns.append(Element._sum(colour, ring, [
-            (sign, one, traced_diagram(colour, pairs).outs, loops) for pairs, loops in traced]))
-    return tuple(columns)
+    """Colours k..j of phi (psi, signed, if excellent) on one P_j basis diagram.
+
+    A good tangle caps the 2(j-k) free points in turn: each goes through (no
+    cap open), opens a cap or closes the innermost (excellent: no cap inside
+    another).  A walk counts tangles per state `(partner, c, s, loops)`: the
+    partner tuple, capped points removed, the cursor, the caps open and the
+    loops closed.  An end state's `partner` is an output of colour len/2.
+    """
+    cap = 1 if excellent else j                 # most caps open at once
+    states = {(placed_pairing(diagram, 0), 0, 0, 0): 1}
+    for left in reversed(range(2 * (j - k))):   # free points after this one
+        walked = {}
+        for (partner, c, s, loops), n in states.items():
+            if s == 0:                          # through
+                state = partner, c + 1, 0, loops
+                walked[state] = walked.get(state, 0) + n
+            if s < cap and s < left:            # open a cap it can still close
+                state = partner, c + 1, s + 1, loops
+                walked[state] = walked.get(state, 0) + n
+            if s:                               # close the innermost cap
+                x, y = partner[c - 1], partner[c]
+                p = list(partner)
+                p[x], p[y] = y, x               # join their partners (no-op on a loop)
+                del p[c - 1:c + 1]
+                state = (tuple([v - 2 if v > c else v for v in p]), c - 1, s - 1,
+                         loops + (x == c))
+                walked[state] = walked.get(state, 0) + n
+        states = walked
+    colours = [Colour(i) for i in range(k, j + 1)]
+    terms, coeffs = [[] for _ in colours], {}
+    for (partner, _, _, loops), n in states.items():
+        i = len(partner) // 2
+        n = -n if excellent and (i + j) % 2 else n
+        coeff = coeffs.get(n) or coeffs.setdefault(n, ring.fraction(n))
+        out = traced_diagram(colours[i - k], tuple(
+            [(p + 1, q + 1) for p, q in enumerate(partner) if p < q]))
+        terms[i - k].append((None, coeff, out.outs, loops))
+    return tuple(map(Element._sum, colours, [ring] * len(colours), terms))
 
 
 def _triangular_map(k: int, a: GradedElement, excellent: bool) -> GradedElement:
@@ -434,6 +470,7 @@ def index_sets(m, n, p, k, dot=False):
             {(v, u) for v in inner(n, p, k) for u in inner(m, v, k)})
 
 
-def index_bijection(m, n, p):
-    """(t,s) -> (max(m+p, n+s) - t, s), shared by both associativity proofs."""
-    return lambda ts: (max(m + p, n + ts[1]) - ts[0], ts[1])
+def index_bijection(m, n, p, pairs) -> list:
+    """(t,s) -> (max(m+p, n+s) - t, s) on each of `pairs`, for both proofs."""
+    mp = m + p
+    return [((mp if mp > n + s else n + s) - t, s) for t, s in pairs]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
 
@@ -237,15 +237,18 @@ def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
     return evaluate(sharp_tangle(a.colour.n, b.colour.n, k, t), [a, b])
 
 
+_good_tangles = lru_cache(maxsize=None)(enumerate_good)    # built once per test session
+
+
 def column_oracle(k, j, i, excellent, diagram, ring: Ring) -> Element:
     """A `phi`/`psi` column by the evaluate route, the oracle of
-    `tower._column`'s direct traces: each `Tangle` of `enumerate_good`
+    `tower._column`'s capping walk: each `Tangle` of `enumerate_good`
     evaluated on the basis element of `diagram`, its terms signed and summed
     in tangle order."""
     x = Element.basis(diagram, ring)
     sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
     return Element._sum(Colour.of(i), ring, [
-        term for tangle in enumerate_good(k, j, i, excellent)
+        term for tangle in _good_tangles(k, j, i, excellent)
         for term in evaluate(tangle, [x])._terms(sign)])
 
 

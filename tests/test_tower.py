@@ -431,19 +431,27 @@ def test_phi_psi_columns_are_kept_per_ring(sym):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
-def test_traced_columns_match_the_evaluate_route(ring, monkeypatch):
-    # same diagrams in the same order with the same float bits: the traced
-    # terms (output, sign, 1, loops) sum as the evaluated ones did; one
-    # lookup holds the columns of every colour i = k..j, in order
+def test_columns_equal_the_evaluate_route(ring, monkeypatch):
+    # every good (excellent) tangle evaluated on the diagram, against the
+    # capping walk's counts: equal in the exact modes, and in float mode equal
+    # supports with coefficients equal up to rounding (the walk forms
+    # count * d**loops where the tangles add d**loops count times); one
+    # call gives the columns of every colour i = k..j, in order
     monkeypatch.setattr(elements, "_TRACED", {})        # the oracle's table
     for k in (0, 1, 2):
-        for j in range(k, k + 4):
+        for j in range(k, k + 6):
             for d in enumerate_diagrams(j):
                 for excellent in (False, True):
-                    columns = _column(k, j, excellent, d, ring)
+                    columns = _column.__wrapped__(k, j, excellent, d, ring)
                     assert [col.colour.n for col in columns] == list(range(k, j + 1))
-                    assert all(same_terms(col, column_oracle(k, j, i, excellent, d, ring))
-                               for i, col in enumerate(columns, k))
+                    for i, col in enumerate(columns, k):
+                        oracle = column_oracle(k, j, i, excellent, d, ring)
+                        if ring.mode != "float":
+                            assert col == oracle, (k, j, i, excellent, d)
+                            continue
+                        assert col.combo.keys() == oracle.combo.keys()
+                        assert all(abs(c.value - oracle.combo[e].value)
+                                   <= 1e-12 * abs(c.value) for e, c in col.combo.items())
 
 
 def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
@@ -456,12 +464,12 @@ def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
 
 
 def test_a_column_builds_no_tangle(sym, monkeypatch):
-    # the good wirings enumerated afresh, with every Tangle constructor refused
-    monkeypatch.setattr(tower, "good_wirings", annular.good_wirings.__wrapped__)
-
+    # with every Tangle constructor and every good-wiring enumeration refused
     def refuse(*args, **kwargs):
-        raise AssertionError("a column built a Tangle")
+        raise AssertionError("a column built a Tangle or enumerated its wirings")
     monkeypatch.setattr(tangles.Tangle, "__init__", refuse)
+    monkeypatch.setattr(annular, "good_wirings", refuse)
+    monkeypatch.setattr(tower, "good_wirings", refuse, raising=False)
     for k in (0, 1):
         for d in enumerate_diagrams(k + 2):
             for excellent in (False, True):
