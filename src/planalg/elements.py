@@ -84,7 +84,9 @@ class Element:
         return Element._sum(self.colour, self.ring, self._terms() + other._terms())
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_join(other)         # a + (-1*b) is a - b, also in floats
+        return Element._sum(self.colour, self.ring, self._terms()
+                            + other._terms(self.ring.fraction(-1)))
 
     def __neg__(self):
         return Element._of(self.colour, self.ring,
@@ -324,17 +326,20 @@ def _tau_loops(d: Diagram) -> int:
 
 
 def random_element(n: int, ring: Ring, rng, terms: int = 2) -> Element:
-    """A sum of `terms` random basis diagrams of P_n with small coefficients:
-    short Laurent polynomials in symbolic mode, integers in -3..3 otherwise."""
+    """The sum of `terms` draws of `random_terms`, which `tower.random_graded` shares."""
+    return Element._sum(Colour.of(n), ring, random_terms(n, ring, rng, terms, []))
+
+
+def random_terms(n: int, ring: Ring, rng, count: int, terms: list) -> list:
+    """Append `count` random basis diagrams of P_n to `terms`: per draw, `rng.randrange`
+    picks one, then `rng.randint` its Laurent monomial (exponent, 1..3) or int in -3..3."""
     basis = enumerate_diagrams(n)
-
-    def draw():
+    for _ in range(count):
         d = basis[rng.randrange(len(basis))]
-        if ring.scalar is Laurent:      # a nonzero int: no normalising
-            return d, Laurent({rng.randint(-1, 1): rng.randint(1, 3)})
-        return d, ring.fraction(rng.randint(-3, 3))
-
-    return Element.from_terms(n, ring, (draw() for _ in range(terms)))
+        c = (Laurent({rng.randint(-1, 1): rng.randint(1, 3)}) if ring.scalar is Laurent
+             else ring.fraction(rng.randint(-3, 3)))    # a nonzero int: no normalising
+        terms.append((None, c, d.outs, 0))
+    return terms
 
 
 def jones_projection(colour, ring: Ring) -> Element:

@@ -10,16 +10,16 @@ convention, and the tests check them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .annular import transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
 from .elements import (Element, Family, jones_projection, placed_pairing,
-                       random_element, tl_sum)
+                       random_terms, tl_sum)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
-from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,
-                      partial_cap_tangle, rotation_tangle)
+from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,  # noqa: F401
+                      partial_cap_tangle, rotation_tangle)  # perfbench reads tower.evaluate
 
 
 class GradedElement:
@@ -28,16 +28,14 @@ class GradedElement:
     __slots__ = ("level", "ring", "components")
 
     def __init__(self, level: int, ring: Ring, components=None):
-        self._check_colours(level, components or ())
-        self.level, self.ring = level, ring
-        clean = {}
-        for n, el in (components or {}).items():
+        components = components or {}
+        self._check_colours(level, components)
+        for n, el in components.items():
             if el.colour.n != n:
                 raise PreconditionError("component colour does not match key")
             ring.check(el.ring)
-            if not el.is_zero():
-                clean[n] = el
-        self.components = clean
+        self.level, self.ring = level, ring
+        self.components = {n: el for n, el in components.items() if not el.is_zero()}
 
     @staticmethod
     def _check_colours(level: int, colours):
@@ -62,22 +60,26 @@ class GradedElement:
     @classmethod
     def from_parts(cls, level, ring: Ring, parts):
         """Sum Elements of `ring` into their colour components in one pass."""
+        return cls._sum_parts(level, ring, zip(parts, repeat(None)))
+
+    @classmethod
+    def _sum_parts(cls, level, ring: Ring, parts):
+        """Sum each `(element, prefix)`'s terms (prefix None as 1) in one pass."""
         colours, terms = {}, []
-        for el in parts:
+        for el, a in parts:
             ring.check(el.ring)
             colours[el.colour] = None
-            terms += el._terms()
+            terms += el._terms(a)
         if len({colour.n for colour in colours}) < len(colours):
             raise ColourMismatchError("colour mismatch: 0+ vs 0-")
+        cls._check_colours(level, [colour.n for colour in colours])
         return cls._from_terms(level, ring, colours, terms)
 
     @classmethod
     def _from_terms(cls, level, ring: Ring, colours, terms: list):
-        """Kernel terms of `ring` summed by one kernel call, split by colour
-        in the producers' order of `colours`, not in that of the surviving
-        keys: a colour whose first key cancels keeps its place.  A colour below
-        the level raises, even empty; empty ones are dropped, none re-checked."""
-        cls._check_colours(level, [colour.n for colour in colours])
+        """Kernel terms of `ring` summed by one kernel call, split by colour in
+        the producers' order of `colours` (none below the level), not that of the
+        surviving keys: a colour whose first key cancels keeps its place."""
         combos = {colour: {} for colour in colours}
         for d, c in ring.scalar._sum_products(terms, ring.delta).items():
             combos[d.colour][d] = c
@@ -87,10 +89,15 @@ class GradedElement:
                         for colour, combo in combos.items() if combo}
         return g
 
+    def _map(self, f):
+        """f applied to each component, zero results dropped, none re-checked."""
+        g = object.__new__(GradedElement)
+        g.level, g.ring, g.components = self.level, self.ring, {
+            n: x for n, el in self.components.items() if not (x := f(el)).is_zero()}
+        return g
+
     def component(self, n: int) -> Element:
-        if n in self.components:
-            return self.components[n]
-        return Element.zero(n, self.ring)
+        return self.components.get(n) or Element.zero(n, self.ring)
 
     def _check_level(self, other):
         if self.level != other.level:
@@ -104,15 +111,16 @@ class GradedElement:
             chain(self.components.values(), other.components.values()))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_level(other)        # a + (-1*b) is a - b, also in floats
+        return GradedElement._sum_parts(self.level, self.ring, chain(
+            zip(self.components.values(), repeat(None)),
+            zip(other.components.values(), repeat(self.ring.fraction(-1)))))
 
     def __neg__(self):
-        return GradedElement(self.level, self.ring,
-                             {n: -el for n, el in self.components.items()})
+        return self._map(Element.__neg__)
 
     def scale(self, s: Scalar):
-        return GradedElement(self.level, self.ring,
-                             {n: el.scale(s) for n, el in self.components.items()})
+        return self._map(lambda el: el.scale(s))
 
     def is_zero(self):
         return not self.components
@@ -152,11 +160,15 @@ class GradedElement:
 
 
 def random_graded(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
-    """A random level-k element: each colour k..max_colour present with
-    probability 0.7, holding a `random_element`."""
-    return GradedElement.from_parts(k, ring, (
-        random_element(n, ring, rng) for n in range(k, max_colour + 1)
-        if rng.random() < 0.7))
+    """A random level-k element: for n = k..max_colour, if `rng.random() < 0.7`,
+    the two `random_terms` draws of a `random_element(n)`; one kernel call sums all."""
+    GradedElement._check_colours(k, ())
+    colours, terms = {}, []
+    for n in range(k, max_colour + 1):
+        if rng.random() < 0.7:
+            colours[Colour(n)] = None
+            random_terms(n, ring, rng, 2, terms)
+    return GradedElement._from_terms(k, ring, colours, terms)
 
 
 # -- the two-box product tangle -------------------------------------------------
@@ -228,11 +240,9 @@ def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
 
 def dagger(a: GradedElement) -> GradedElement:
     """The involution: on colour m > 0, the level-fold rotation (point i to
-    i - 2k) of the adjoint; colour 0 is fixed."""
-    k = a.level
-    return GradedElement(k, a.ring, {
-        m: evaluate(rotation_tangle(m, -k), [el.star()]) if m else el
-        for m, el in a.components.items()})
+    i - 2k) of the adjoint; colour 0 is fixed.  One kernel call (`_one_box`)."""
+    return _one_box(a.level, a, lambda m, k: rotation_tangle(m, -k) if m else None,
+                    Element.star)
 
 
 def trace_tk(a: GradedElement) -> Scalar:
@@ -280,22 +290,33 @@ def _trace_closure(m: int, k: int) -> Tangle:
     return Tangle(0, [m, m - k], top + side)
 
 
+def _one_box(level: int, a: GradedElement, tangle, prepare=None) -> GradedElement:
+    """Z_T(a_m), T = tangle(m, a.level), on each component a_m, `prepare`d first
+    (a_m itself where T is None): every fill appends its terms to one list,
+    one kernel call sums them, and the colours come in component order."""
+    colours, terms = {}, []
+    for m, el in a.components.items():
+        t = tangle(m, a.level)
+        colours[el.colour if t is None else t.ext] = None
+        if t is None:
+            terms += el._terms()
+        else:
+            filling_terms(t.family, [prepare(el) if prepare else el], a.ring, terms)
+    return GradedElement._from_terms(level, a.ring, colours, terms)
+
+
 def include(a: GradedElement) -> GradedElement:
-    """The unital trace-preserving embedding of F_k(P) into F_{k+1}(P)."""
-    k = a.level + 1
-    return GradedElement(k, a.ring, {
-        n + 1: evaluate(_cap_tangles(n + 1, k)[1], [el])
-        for n, el in a.components.items()})
+    """The unital trace-preserving embedding F_k(P) -> F_{k+1}(P): one kernel call."""
+    return _one_box(a.level + 1, a, lambda n, k: _cap_tangles(n + 1, k + 1)[1])
 
 
 def cond_expect(a: GradedElement) -> GradedElement:
-    """E_{k-1}: the delta^{-1}-scaled capping retraction F_k -> F_{k-1}."""
+    """E_{k-1}: the delta^{-1}-scaled capping retraction F_k -> F_{k-1}: the caps
+    summed by one kernel call (`_one_box`), then delta^{-1} applied to each sum."""
     if a.level < 1:
         raise PreconditionError("conditional expectation needs level >= 1")
-    k = a.level
-    return GradedElement(k - 1, a.ring, {
-        n - 1: evaluate(_cap_tangles(n, k)[0], [el]).delta_pow(-1)
-        for n, el in a.components.items()})
+    return _one_box(a.level - 1, a, lambda n, k: _cap_tangles(n, k)[0])._map(
+        lambda el: el.delta_pow(-1))
 
 
 # -- distinguished elements ------------------------------------------------------------
@@ -448,9 +469,7 @@ def dot_action_via_expectation(a: GradedElement, b: GradedElement) -> GradedElem
     """The same action computed as delta^2 E_k(a # incl(b) # e_{k+1})."""
     if a.level != b.level + 1:
         raise LevelMismatchError("dot action needs levels (k+1, k)")
-    k = b.level
-    e = jones_e(k, b.ring)
-    prod = sharp(sharp(a, include(b)), e)
+    prod = sharp(sharp(a, include(b)), jones_e(b.level, b.ring))
     return cond_expect(prod).scale(b.ring.delta_power(2))
 
 

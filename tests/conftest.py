@@ -9,13 +9,13 @@ import pytest
 from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt
 from planalg.annular import enumerate_good
 from planalg.diagrams import Colour, Diagram, _matchings, enumerate_diagrams
-from planalg.elements import Element
+from planalg.elements import Element, Family
 from planalg.errors import (ColourMismatchError, InternalError,
                             ModeMismatchError, PreconditionError,
                             ValidationError)
-from planalg.scalars import FLOAT, SYMBOLIC, Ring, Scalar
-from planalg.tangles import EXT, Tangle, evaluate
-from planalg.tower import sharp_tangle
+from planalg.scalars import FLOAT, SYMBOLIC, Laurent, Ring, Scalar
+from planalg.tangles import EXT, Tangle, evaluate, filling_terms, rotation_tangle
+from planalg.tower import GradedElement, _cap_tangles, sharp_tangle
 
 
 @pytest.fixture
@@ -237,19 +237,25 @@ def sharp_component(a: Element, b: Element, k: int, t: int) -> Element:
     return evaluate(sharp_tangle(a.colour.n, b.colour.n, k, t), [a, b])
 
 
-_good_tangles = lru_cache(maxsize=None)(enumerate_good)    # built once per test session
+@lru_cache(maxsize=None)      # built once per test session
+def _good_family(k, j, i, excellent) -> Family:
+    """Every `Tangle` of `enumerate_good(k, j, i, excellent)`, in its order,
+    as one family on the one box of colour j."""
+    tangles = enumerate_good(k, j, i, excellent)
+    assert all(t.loops == 0 for t in tangles)
+    return Family([t.family.members[0] for t in tangles], (Colour(j),))
 
 
 def column_oracle(k, j, i, excellent, diagram, ring: Ring) -> Element:
     """A `phi`/`psi` column by the evaluate route, the oracle of
-    `tower._column`'s capping walk: each `Tangle` of `enumerate_good`
-    evaluated on the basis element of `diagram`, its terms signed and summed
-    in tangle order."""
-    x = Element.basis(diagram, ring)
+    `tower._column`'s capping walk: the basis element of `diagram` filled
+    into every good tangle of the (k, j, i) list by one `contract_terms`
+    walk, which traces each tangle on the diagram; the one term's outputs,
+    one per tangle, are signed and summed in tangle order."""
     sign = ring.fraction(-1) if excellent and (i + j) % 2 == 1 else None
-    return Element._sum(Colour.of(i), ring, [
-        term for tangle in _good_tangles(k, j, i, excellent)
-        for term in evaluate(tangle, [x])._terms(sign)])
+    terms = filling_terms(_good_family(k, j, i, excellent),
+                          [Element.basis(diagram, ring)], ring, [])
+    return Element._sum(Colour.of(i), ring, [(sign, b, outs, m) for _, b, outs, m in terms])
 
 
 def same_terms(x: Element, y: Element) -> bool:
@@ -258,6 +264,64 @@ def same_terms(x: Element, y: Element) -> bool:
     return (x.colour == y.colour and list(x.combo) == list(y.combo)
             and all((c.terms, c.value) == (e.terms, e.value)
                     for c, e in zip(x.combo.values(), y.combo.values())))
+
+
+def same_graded(a: GradedElement, b: GradedElement) -> bool:
+    """Equal levels, components in equal order, each `same_terms`."""
+    return (a.level == b.level and list(a.components) == list(b.components)
+            and all(same_terms(x, b.components[n]) for n, x in a.components.items()))
+
+
+# -- the per-component route: the oracle of the fused graded maps -------------------
+
+
+def dagger_per_component(a: GradedElement) -> GradedElement:
+    """`tower.dagger` with one `evaluate` per component: the rotation of
+    each adjoint, colour 0 kept as it is."""
+    k = a.level
+    return GradedElement(k, a.ring, {
+        m: evaluate(rotation_tangle(m, -k), [el.star()]) if m else el
+        for m, el in a.components.items()})
+
+
+def include_per_component(a: GradedElement) -> GradedElement:
+    """`tower.include` with one `evaluate` of the cup per component."""
+    k = a.level + 1
+    return GradedElement(k, a.ring, {
+        n + 1: evaluate(_cap_tangles(n + 1, k)[1], [el])
+        for n, el in a.components.items()})
+
+
+def cond_expect_per_component(a: GradedElement) -> GradedElement:
+    """`tower.cond_expect` with one `evaluate` of the cap per component,
+    each result then scaled by delta^-1."""
+    k = a.level
+    return GradedElement(k - 1, a.ring, {
+        n - 1: evaluate(_cap_tangles(n, k)[0], [el]).delta_pow(-1)
+        for n, el in a.components.items()})
+
+
+def random_element_per_draw(n: int, ring: Ring, rng, terms: int = 2) -> Element:
+    """`random_element` as one `(diagram, coefficient)` pair per draw, summed
+    by `Element.from_terms`: `rng.randrange` for the diagram, then
+    `rng.randint` for a Laurent monomial or an integer in -3..3."""
+    basis = enumerate_diagrams(n)
+
+    def draw():
+        d = basis[rng.randrange(len(basis))]
+        if ring.scalar is Laurent:
+            return d, Laurent({rng.randint(-1, 1): rng.randint(1, 3)})
+        return d, ring.fraction(rng.randint(-3, 3))
+
+    return Element.from_terms(n, ring, (draw() for _ in range(terms)))
+
+
+def random_graded_per_component(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
+    """`random_graded` as one `random_element_per_draw` per colour present
+    (`rng.random() < 0.7`), the elements summed again by `from_parts`."""
+    return GradedElement.from_parts(k, ring, (
+        random_element_per_draw(n, ring, rng) for n in range(k, max_colour + 1)
+        if rng.random() < 0.7))
 
 
 # one ring per mode; at delta 2.2 float powers round, so operation order shows

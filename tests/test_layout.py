@@ -119,6 +119,27 @@ def test_the_scalar_kernels_are_the_only_sums_of_products():
     assert sorted(found) == [("scalars", "Laurent"), ("scalars", "_Valued")]
 
 
+def test_the_graded_maps_sum_their_components_in_one_call():
+    # dagger, include, cond_expect and random_graded hand one term list to one
+    # kernel call: an `evaluate` (an Element per component) or a `from_parts`
+    # (a sum of sums) in them, or in a tower function they reach, would bring
+    # the per-component route back
+    tree = dict(_modules())["tower"]
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    reached, todo = set(), ["dagger", "include", "cond_expect", "random_graded"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_referenced(functions[name]) & set(functions))
+    calls = {name: sorted({getattr(node.func, "id", getattr(node.func, "attr", None))
+                           for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+                          & {"evaluate", "evaluate_in", "from_parts"})
+             for name in reached}
+    assert "_one_box" in reached
+    assert calls == {name: [] for name in reached}
+
+
 def _empty_dict_names(body) -> list:
     """Names bound to an empty dict literal by the statements of `body`."""
     names = []

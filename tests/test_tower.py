@@ -24,9 +24,12 @@ from planalg.tower import (GradedElement, bullet, cond_expect,
 from planalg import random_element, random_graded
 from planalg.annular import enumerate_good
 
-from conftest import (KERNEL_RINGS, column_oracle, dagger_oracle, expect_oracle,
-                      include_oracle, per_term_fillings, per_term_sum, random_combo,
-                      same_terms, sharp_component)
+from conftest import (KERNEL_RINGS, column_oracle, cond_expect_per_component,
+                      dagger_oracle, dagger_per_component, expect_oracle,
+                      include_oracle, include_per_component, per_term_fillings,
+                      per_term_sum, random_combo, random_element_per_draw,
+                      random_graded_per_component, same_graded, same_terms,
+                      sharp_component)
 
 CUP2 = Diagram(2, [(1, 2), (3, 4)])
 
@@ -619,6 +622,147 @@ def test_a_repeated_product_walks_each_block_once(monkeypatch):
                 assert max(len(ts(m, n, k)) for m, n in blocks) > 1
 
 
+# -- the graded maps: one kernel call each -------------------------------------------
+
+
+def _draw_graded(level, ring, rng, top=3, terms=4):
+    """Components level..level+top-1 of `random_combo`s: float sums round."""
+    return GradedElement.from_parts(level, ring, (
+        random_combo(n, ring, rng, terms) for n in range(level, level + top)))
+
+
+def _expect_cancelling(level, ring):
+    """Two level-`level` elements whose expectations cancel, and the colour n
+    they cancel in: two basis diagrams of P_n with one image under
+    `cond_expect`, taken with opposite signs, then (in the first) a diagram
+    with another image, so the first key of colour n - 1 cancels and a later
+    one stays, and (in the second) nothing more, so colour n - 1 vanishes;
+    both have P_{n+1}'s first two diagrams on top."""
+    for n in range(level + 1, level + 4):
+        images = {}
+        for d in enumerate_diagrams(n):
+            (key, c), = cond_expect(graded(level, Element.basis(d, ring))).component(
+                n - 1).combo.items()
+            images.setdefault((key, repr(c)), []).append(d)
+        shared = [ds for ds in images.values() if len(ds) > 1]
+        if shared and len(images) > 1:
+            break
+    d1, d2 = shared[0][:2]
+    d0 = next(ds[0] for ds in images.values() if d1 not in ds)
+    pair = Element.from_terms(n, ring, [(d1, ring.fraction(3)), (d2, ring.fraction(-3))])
+    kept = pair + Element.basis(d0, ring, ring.fraction(2))
+    upper = Element.from_terms(n + 1, ring, [(d, ring.fraction(-1 - i)) for i, d in
+                                             enumerate(enumerate_diagrams(n + 1)[:2])])
+    return (GradedElement(level, ring, {n: kept, n + 1: upper}),
+            GradedElement(level, ring, {n: pair, n + 1: upper}), n)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_graded_maps_equal_the_per_component_route(ring):
+    # dagger, include and cond_expect sum every component's fill by one
+    # kernel call: the components, their order, their keys' order and every
+    # float bit must be those of one evaluate per component
+    rng = random.Random(30)
+    zero_minus = GradedElement(0, ring, {0: Element.unit(ZERO_MINUS, ring),
+                                         2: random_combo(2, ring, rng)})
+    cases = [_draw_graded(k, ring, rng) for k in (0, 1, 2) for _ in range(3)]
+    cases.append(zero_minus)
+    for level in (1, 2):
+        kept, gone, n = _expect_cancelling(level, ring)
+        cases += [kept, gone]
+        # colour n - 1 keeps one key (its first one cancelled), or vanishes
+        assert len(cond_expect(kept).component(n - 1).combo) == 1
+        assert list(cond_expect(kept).components) == [n - 1, n]
+        assert list(cond_expect(gone).components) == [n]
+    for a in cases:
+        assert same_graded(dagger(a), dagger_per_component(a))
+        if a is not zero_minus:
+            assert same_graded(include(a), include_per_component(a))
+        if a.level:
+            assert same_graded(cond_expect(a), cond_expect_per_component(a))
+    for route in (include, include_per_component):     # the cup takes 0+ only
+        with pytest.raises(ColourMismatchError):
+            route(zero_minus)
+    # colour 0 of dagger passes its own terms through, shading included
+    assert list(dagger(zero_minus).components) == [0, 2]
+    assert list(dagger(zero_minus).component(0).combo) == [identity_diagram(ZERO_MINUS)]
+
+
+def test_expectation_scales_the_sums_not_the_terms():
+    # at delta 2.2, delta^-1 times a float sum differs in its last bits from
+    # the sum of each term times delta^-1: the per-component route scales
+    # each component's sum once, and so must the fused one
+    ring, rng = Ring.float_(2.2), random.Random(31)
+    differs = 0
+    for _ in range(20):
+        a = _draw_graded(1, ring, rng, terms=6)
+        fused = cond_expect(a)
+        assert same_graded(fused, cond_expect_per_component(a))
+        for n, el in a.components.items():
+            tangle = tower._cap_tangles(n, 1)[0]
+            per_term = Element._sum(tangle.ext, ring, [
+                (a_, b, outs, m - 1) for a_, b, outs, m in
+                tangles.filling_terms(tangle.family, [el], ring, [])])
+            mine = fused.component(n - 1)
+            differs += any(c.value != per_term.combo[d].value
+                           for d, c in mine.combo.items() if d in per_term.combo)
+    assert differs
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_subtraction_equals_adding_the_negation(ring):
+    # x - y hands y's terms to the kernel with a -1 prefix: a + (-1*b) is
+    # a - b exactly, so the result is x + (-y) term for term, bit for bit
+    rng = random.Random(32)
+    for n in (0, 1, 2, 3):
+        for _ in range(6):
+            x, y = random_combo(n, ring, rng), random_combo(n, ring, rng)
+            assert same_terms(x - y, x + (-y))
+            assert (x - x).is_zero()
+    for k in (0, 1, 2):
+        for _ in range(4):
+            a = _draw_graded(k, ring, rng)      # colour k + 1 is a's alone
+            b = GradedElement.from_parts(k, ring, (
+                random_combo(n, ring, rng) for n in (k, k + 2, k + 3)))
+            for x, y in ((a, b), (b, a)):
+                assert same_graded(x - y, x + (-y))
+            assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_random_draws_equal_the_per_component_route(ring):
+    # random_graded appends each colour's random_element draws to one list:
+    # the same values as one random_element per colour summed again, and the
+    # generator left in the same state
+    for seed in range(40):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for k in (0, 1, 2):
+            assert same_graded(random_graded(k, k + 3, ring, mine),
+                               random_graded_per_component(k, k + 3, ring, theirs))
+            assert mine.getstate() == theirs.getstate()
+            for n, terms in ((k, 1), (k + 1, 2), (k + 2, 4)):
+                assert same_terms(random_element(n, ring, mine, terms),
+                                  random_element_per_draw(n, ring, theirs, terms))
+                assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_graded_maps_make_one_kernel_call(ring, monkeypatch):
+    calls, kernel = [], ring.scalar._sum_products
+    monkeypatch.setattr(ring.scalar, "_sum_products", staticmethod(
+        lambda terms, delta: calls.append(len(terms)) or kernel(terms, delta)))
+    rng = random.Random(33)
+    a, b = _draw_graded(1, ring, rng), _draw_graded(1, ring, rng)
+    x, y = a.component(2), b.component(2)
+    for op in (lambda: dagger(a), lambda: include(a), lambda: cond_expect(a),
+               lambda: random_graded(1, 5, ring, random.Random(4)),
+               lambda: x - y, lambda: a - b):
+        calls.clear()
+        op()
+        assert len(calls) == 1
+    assert len(a.components) == 3
+
+
 # -- joins of outside inputs still check colour and ring -------------------------
 
 SYM, RAT, F2, F25 = (Ring.symbolic(), Ring.rational(2), Ring.float_(2.0),
@@ -636,7 +780,8 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
                 "mul-delta", "mul-colour", "evaluate-delta", "evaluate-colour",
                 "graded-add-mode", "graded-add-delta", "from-parts-shading",
                 "sharp-delta", "phi-mode", "phi-delta", "graded-init-mode",
-                "graded-init-delta", "cnk-float"]
+                "graded-init-delta", "cnk-float", "graded-sub-mode",
+                "graded-sub-delta"]
 
 
 MISMATCHES = [
@@ -668,6 +813,8 @@ MISMATCHES = [
      ModeMismatchError),
     (lambda: GradedElement(1, F2, {2: two_terms(F25)}), ModeMismatchError),
     (lambda: cnk_membership(two_terms(F2), 1), ModeMismatchError),   # exact solve only
+    (lambda: graded(1, two_terms(SYM)) - graded(1, two_terms(RAT)), ModeMismatchError),
+    (lambda: graded(1, two_terms(F2)) - graded(1, two_terms(F25)), ModeMismatchError),
 ]
 
 
