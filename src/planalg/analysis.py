@@ -28,7 +28,7 @@ from .scalars import Float, Laurent, Rational, Ring
 from .tangles import EXT, Tangle, evaluate, identity_tangle, partial_cap_tangle, \
     substitute
 from .tower import GradedElement, element_c, element_d, hk_norm_squared, \
-    hk_norm_squared_element, sharp
+    hk_norm_squared_element, random_graded, sharp
 
 
 def _require_numeric(ring: Ring):
@@ -389,8 +389,7 @@ def boundedness_verify(a: Element, k: int, trials: int, rng) -> dict:
     violations = 0
     worst = 0.0
     for _ in range(trials):
-        b = GradedElement.from_parts(k, ring, [
-            random_element(n, ring, rng) for n in range(k, m + 2) if rng.random() < 0.6])
+        b = random_graded(k, m + 1, ring, rng, presence=0.6)
         norm_b = hk_norm_float(b)
         if norm_b == 0.0:
             continue

@@ -212,19 +212,33 @@ def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
     family's free `loops`.  So a*b is formed once for all members.  A
     crossing output pairing raises `InternalError`.  Each choice is traced
     once per process for every member (`_trace`): outputs and loops depend
-    on no coefficient.  The inputs must be of `ring`.
+    on no coefficient.  The inputs must be of `ring` and of their boxes'
+    colours: the callers check them (`tangles.filling_terms`, or once per
+    graded product in `tower`).
+
+    The walk keeps a list of prefixes, `(trie node, diagrams, coefficient)`,
+    for the boxes before the last two, and runs the last two boxes as two
+    nested loops, so a two-box family (every product block) builds no
+    prefix list; with one box or none, the root is the only prefix.
     """
     if family.table is not _TRACED:     # a detached root until `_trace` keeps one
         family.table, family.root = _TRACED, _TRACED.get(family.members, {})
+    loops, append = family.loops, terms.append
+    if len(inputs) < 2:
+        root = family.root
+        for d, c in inputs[0].combo.items() if inputs else ((None, ring.one()),):
+            append((None, c, root.get(d) or _trace(family, (d,)), loops))
+        return terms
     level = [(family.root, (), None)]
-    for x in inputs[:-1]:
+    for x in inputs[:-2]:
         level = [(node.get(d) or {}, ds + (d,), c if coeff is None else coeff * c)
                  for node, ds, coeff in level for d, c in x.combo.items()]
-    last = inputs[-1].combo.items() if inputs else ((None, ring.one()),)
-    loops = family.loops
-    for node, ds, coeff in level:
-        for d, c in last:
-            terms.append((coeff, c, node.get(d) or _trace(family, ds + (d,)), loops))
+    pen, last = inputs[-2].combo.items(), inputs[-1].combo.items()
+    for top, ds, a in level:
+        for d1, c1 in pen:
+            node, coeff = top.get(d1) or {}, c1 if a is None else a * c1
+            for d, c in last:
+                append((coeff, c, node.get(d) or _trace(family, ds + (d1, d)), loops))
     return terms
 
 

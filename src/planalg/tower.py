@@ -14,11 +14,11 @@ from itertools import chain, repeat
 
 from .annular import transpose_annular
 from .diagrams import Colour, Diagram, identity_diagram, traced_diagram
-from .elements import (Element, Family, jones_projection, placed_pairing,
-                       random_terms, tl_sum)
+from .elements import (Element, Family, contract_terms, jones_projection,
+                       placed_pairing, random_terms, tl_sum)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
-from .tangles import (EXT, Tangle, evaluate, evaluate_in, filling_terms,  # noqa: F401
+from .tangles import (EXT, Tangle, check_boxes, evaluate, evaluate_in,  # noqa: F401
                       partial_cap_tangle, rotation_tangle)  # perfbench reads tower.evaluate
 
 
@@ -78,8 +78,9 @@ class GradedElement:
     @classmethod
     def _from_terms(cls, level, ring: Ring, colours, terms: list):
         """Kernel terms of `ring` summed by one kernel call, split by colour in
-        the producers' order of `colours` (none below the level), not that of the
-        surviving keys: a colour whose first key cancels keeps its place."""
+        the producers' order of `colours` (none below the level; a repeat keeps
+        its first place), not that of the surviving keys: a colour whose first
+        key cancels keeps its place."""
         combos = {colour: {} for colour in colours}
         for d, c in ring.scalar._sum_products(terms, ring.delta).items():
             combos[d.colour][d] = c
@@ -159,13 +160,14 @@ class GradedElement:
         return f"GradedElement(level={self.level}, {{{comps}}})"
 
 
-def random_graded(k: int, max_colour: int, ring: Ring, rng) -> GradedElement:
-    """A random level-k element: for n = k..max_colour, if `rng.random() < 0.7`,
+def random_graded(k: int, max_colour: int, ring: Ring, rng,
+                  presence: float = 0.7) -> GradedElement:
+    """A random level-k element: for n = k..max_colour, if `rng.random() < presence`,
     the two `random_terms` draws of a `random_element(n)`; one kernel call sums all."""
     GradedElement._check_colours(k, ())
     colours, terms = {}, []
     for n in range(k, max_colour + 1):
-        if rng.random() < 0.7:
+        if rng.random() < presence:
             colours[Colour(n)] = None
             random_terms(n, ring, rng, 2, terms)
     return GradedElement._from_terms(k, ring, colours, terms)
@@ -202,23 +204,40 @@ def sharp_range(m: int, n: int, k: int) -> range:
     return range(abs(m - n) + k, m + n - k + 1)
 
 
+def _top_range(m: int, n: int, k: int) -> range:
+    """The top colour of the level-k product on P_m x P_n, `bullet`'s only one."""
+    return sharp_range(m, n, k)[-1:]
+
+
 @lru_cache(maxsize=None)
-def _family(make, m: int, n: int, k: int, ts: range) -> Family:
-    """The tangles make(m, n, k, t), t in ts, of one (m, n) block, as one family."""
-    return Family([make(m, n, k, t).family.members[0] for t in ts], (Colour(m), Colour(n)))
+def _family(make, ts, m: int, n: int, k: int) -> tuple:
+    """The tangles make(m, n, k, t), t in ts(m, n, k), of one (m, n) block, as
+    one family, with the tuple of their output colours in t order."""
+    tangles = [make(m, n, k, t) for t in ts(m, n, k)]
+    return (Family([t.family.members[0] for t in tangles], (Colour(m), Colour(n))),
+            tuple(t.ext for t in tangles))
 
 
 def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
     """The sum over component pairs (m, n) of Z_T(a_m, b_n), T in the family
-    make(m, n, k, t), t in ts(m, n, k): one walk per block appends one term
-    per filling for all its output colours, and one kernel call sums every
-    block's terms; the colours come in block order, each block's in t order."""
-    colours, terms = {}, []
+    make(m, n, k, t), t in ts(m, n, k): one `contract_terms` walk per block
+    appends one term per filling for all its output colours, and one kernel
+    call sums every block's terms; the colours come in block order, each
+    block's in t order.  The inputs are checked per product, not through
+    `filling_terms`: the rings once, and each block's colours by identity
+    with its boxes (a 0- fails), the first block's before the rings."""
+    colours, terms = [], []
+    mixed = a.ring is not b.ring and a.ring != b.ring
     for m, am in a.components.items():
         for n, bn in b.components.items():
-            family = _family(make, m, n, k, ts(m, n, k))
-            colours.update((colour, None) for colour, _, _ in family.members)
-            filling_terms(family, [am, bn], ring, terms)
+            family, outs = _family(make, ts, m, n, k)
+            boxes = family.boxes
+            if am.colour is not boxes[0] or bn.colour is not boxes[1]:
+                check_boxes(boxes, (am, bn))    # raises, naming the first
+            if mixed:
+                raise PreconditionError("all inputs must share one scalar ring")
+            colours += outs
+            contract_terms(family, ring, (am, bn), terms)
     return GradedElement._from_terms(k, ring, colours, terms)
 
 
@@ -231,8 +250,7 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    return _blocks(sharp_tangle, lambda m, n, k: sharp_range(m, n, k)[-1:],
-                   a.level, a, b, a.ring)
+    return _blocks(sharp_tangle, _top_range, a.level, a, b, a.ring)
 
 
 # -- dagger, traces, inner product ------------------------------------------------
@@ -292,16 +310,21 @@ def _trace_closure(m: int, k: int) -> Tangle:
 
 def _one_box(level: int, a: GradedElement, tangle, prepare=None) -> GradedElement:
     """Z_T(a_m), T = tangle(m, a.level), on each component a_m, `prepare`d first
-    (a_m itself where T is None): every fill appends its terms to one list,
-    one kernel call sums them, and the colours come in component order."""
+    (a_m itself where T is None): every fill appends its terms to one list by
+    one `contract_terms` walk, one kernel call sums them, and the colours come
+    in component order.  Each input's colour is compared by identity with its
+    box (a 0- component fails); its ring is `a.ring`, so it is not checked."""
     colours, terms = {}, []
     for m, el in a.components.items():
         t = tangle(m, a.level)
         colours[el.colour if t is None else t.ext] = None
         if t is None:
             terms += el._terms()
-        else:
-            filling_terms(t.family, [prepare(el) if prepare else el], a.ring, terms)
+            continue
+        x = prepare(el) if prepare else el
+        if x.colour is not t.boxes[0]:
+            check_boxes(t.boxes, (x,))      # raises
+        contract_terms(t.family, a.ring, (x,), terms)
     return GradedElement._from_terms(level, a.ring, colours, terms)
 
 

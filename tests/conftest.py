@@ -9,7 +9,7 @@ import pytest
 from planalg.analysis import _gns_entries, glue_tangle, op_norm, psd_sqrt
 from planalg.annular import enumerate_good
 from planalg.diagrams import Colour, Diagram, _matchings, enumerate_diagrams
-from planalg.elements import Element, Family
+from planalg.elements import Element, Family, random_element
 from planalg.errors import (ColourMismatchError, InternalError,
                             ModeMismatchError, PreconditionError,
                             ValidationError)
@@ -322,6 +322,14 @@ def random_graded_per_component(k: int, max_colour: int, ring: Ring, rng) -> Gra
     return GradedElement.from_parts(k, ring, (
         random_element_per_draw(n, ring, rng) for n in range(k, max_colour + 1)
         if rng.random() < 0.7))
+
+
+def boundedness_draw_per_component(k: int, m: int, ring: Ring, rng) -> GradedElement:
+    """The `b` that `analysis.boundedness_verify` drew before it called
+    `random_graded(k, m + 1, ..., presence=0.6)`: one `random_element` per
+    colour k..m+1 present (`rng.random() < 0.6`), summed again by `from_parts`."""
+    return GradedElement.from_parts(k, ring, [
+        random_element(n, ring, rng) for n in range(k, m + 2) if rng.random() < 0.6])
 
 
 # one ring per mode; at delta 2.2 float powers round, so operation order shows

@@ -17,8 +17,9 @@ from planalg.tower import GradedElement, element_c, hk_norm_squared_element, sha
 from planalg import random_element, random_graded
 from planalg.suites import _rank
 from conftest import (_closure_loops, _stack, boundedness_constant_oracle,
-                      gauss_solve_in_place, gns_matrix_exact, gns_oracle, gram_oracle,
-                      ldl_positive_definite, row_reduce)
+                      boundedness_draw_per_component, gauss_solve_in_place,
+                      gns_matrix_exact, gns_oracle, gram_oracle,
+                      ldl_positive_definite, row_reduce, same_graded)
 
 FL = Ring.float_(2.5)
 FL2 = Ring.float_(2.0)
@@ -288,6 +289,30 @@ def test_boundedness_sweep(rng):
     # unit element: the bound is trivially respected
     rep = an.boundedness_verify(Element.unit(1, FL), 1, 10, rng)
     assert rep["status"] == "pass"
+
+
+def test_boundedness_draws_are_the_per_component_route(monkeypatch):
+    # each trial's b is one random_graded call at presence 0.6: the same
+    # generator calls in the same order as one random_element per colour
+    # summed again, so the draws, the generator state and every float of
+    # the report are those of that route
+    for delta in (2.0, 2.2):
+        ring = Ring.float_(delta)
+        for seed in range(30):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for k, m in ((0, 2), (1, 2), (1, 3)):
+                b = random_graded(k, m + 1, ring, mine, presence=0.6)
+                assert same_graded(b, boundedness_draw_per_component(k, m, ring, theirs))
+                assert mine.getstate() == theirs.getstate()
+    reports = []
+    for route in (random_graded, lambda k, top, ring, rng, presence:
+                  boundedness_draw_per_component(k, top - 1, ring, rng)):
+        monkeypatch.setattr(an, "random_graded", route)
+        rng = random.Random(5)
+        reports.append([an.boundedness_verify(random_element(m, FL, rng), k, 25, rng)
+                        for k, m in ((0, 2), (1, 2), (1, 3))])
+    assert reports[0] == reports[1]
+    assert all(rep["worst_ratio"] > 0 for rep in reports[0])
 
 
 def test_boundedness_constant_is_the_square_root_route():

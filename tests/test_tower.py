@@ -599,10 +599,12 @@ def test_a_colour_whose_first_key_cancels_keeps_its_place(ring):
 
 def test_a_repeated_product_walks_each_block_once(monkeypatch):
     # a block (m, n) of sharp/dot_action feeds all its output colours from
-    # one contract_terms walk, and a second product traces nothing
+    # one contract_terms walk, which tower calls straight (no filling_terms),
+    # and a second product traces nothing and adds no block family (a range
+    # function built per call, as a key, would add one every time)
     ring, rng = Ring.symbolic(), random.Random(8)
     walks, traces, trace = [], [], elements._trace
-    monkeypatch.setattr(tangles, "contract_terms", lambda *args: walks.append(
+    monkeypatch.setattr(tower, "contract_terms", lambda *args: walks.append(
         args) or elements.contract_terms(*args))
     monkeypatch.setattr(elements, "_trace", lambda *args: traces.append(
         args) or trace(*args))
@@ -615,7 +617,9 @@ def test_a_repeated_product_walks_each_block_once(monkeypatch):
             first = product(x, y)
             walks.clear()
             traces.clear()
+            families = tower._family.cache_info().currsize
             assert product(x, y) == first and traces == []
+            assert tower._family.cache_info().currsize == families
             blocks = [(m, n) for m in x.components for n in y.components]
             assert len(walks) == len(blocks)
             if ts:      # some block has more than one output colour
@@ -763,6 +767,50 @@ def test_graded_maps_make_one_kernel_call(ring, monkeypatch):
     assert len(a.components) == 3
 
 
+def _per_term_product(make, ts, x, y, ring) -> GradedElement:
+    """A graded product by the per-term route: every filling of every block's
+    tangles make(m, n, k, t), t in ts(m, n, k), in block and then t order."""
+    k, terms = y.level, {}
+    for m, xm in x.components.items():
+        for n, yn in y.components.items():
+            for t in ts(m, n, k):
+                tangle = make(m, n, k, t)
+                terms.setdefault(tangle.ext.n, []).extend(
+                    per_term_fillings(tangle, (xm, yn), ring))
+    return GradedElement(k, ring, {t: per_term_sum(t, ring, part) for t, part in terms.items()})
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
+def test_graded_maps_check_once_not_per_fill(ring, monkeypatch):
+    # the products and the one-box maps check their inputs once per map and
+    # hand each block straight to contract_terms: with filling_terms refused,
+    # where tangles and where tower would look it up, they still equal their
+    # per-term and per-component oracles, which run before the refusal
+    rng = random.Random(34)
+    checks = []         # (a graded map on its inputs, its oracle's value)
+    for k in (0, 1, 2):
+        a, b, up = (_draw_graded(level, ring, rng, terms=3) for level in (k, k, k + 1))
+        checks += [
+            (lambda a=a, b=b: sharp(a, b), _per_term_product(sharp_tangle, sharp_range, a, b, ring)),
+            (lambda a=a, b=b: bullet(a, b), _per_term_product(
+                sharp_tangle, lambda m, n, k: sharp_range(m, n, k)[-1:], a, b, ring)),
+            (lambda a=a: dagger(a), dagger_per_component(a)),
+            (lambda a=a: include(a), include_per_component(a))]
+        if k:
+            checks += [
+                (lambda up=up, b=b: dot_action(up, b),
+                 _per_term_product(dot_tangle, dot_range, up, b, ring)),
+                (lambda a=a: cond_expect(a), cond_expect_per_component(a))]
+
+    def refuse(*args):
+        raise AssertionError("a graded map filled a block through filling_terms")
+    monkeypatch.setattr(tangles, "filling_terms", refuse)
+    monkeypatch.setattr(tower, "filling_terms", refuse, raising=False)
+    for run, expected in checks:
+        assert same_graded(run(), expected)
+    assert len(checks) == 16
+
+
 # -- joins of outside inputs still check colour and ring -------------------------
 
 SYM, RAT, F2, F25 = (Ring.symbolic(), Ring.rational(2), Ring.float_(2.0),
@@ -781,7 +829,8 @@ MISMATCH_IDS = ["element-mode", "element-colour", "from-terms-delta", "add-mode"
                 "graded-add-mode", "graded-add-delta", "from-parts-shading",
                 "sharp-delta", "phi-mode", "phi-delta", "graded-init-mode",
                 "graded-init-delta", "cnk-float", "graded-sub-mode",
-                "graded-sub-delta"]
+                "graded-sub-delta", "bullet-delta", "dot-delta", "sharp-shading",
+                "sharp-shading-and-delta"]
 
 
 MISMATCHES = [
@@ -815,6 +864,15 @@ MISMATCHES = [
     (lambda: cnk_membership(two_terms(F2), 1), ModeMismatchError),   # exact solve only
     (lambda: graded(1, two_terms(SYM)) - graded(1, two_terms(RAT)), ModeMismatchError),
     (lambda: graded(1, two_terms(F2)) - graded(1, two_terms(F25)), ModeMismatchError),
+    (lambda: bullet(graded(1, two_terms(F2)), graded(1, two_terms(F25))),
+     PreconditionError),
+    (lambda: dot_action(graded(2, two_terms(F2, 3)), graded(1, two_terms(F25))),
+     PreconditionError),
+    # a 0- component fails its block's colour check, before the rings' check
+    (lambda: sharp(graded(0, two_terms(F2)), graded(0, Element.unit(ZERO_MINUS, F2))),
+     ColourMismatchError),
+    (lambda: sharp(graded(0, Element.unit(ZERO_MINUS, F2)), graded(0, two_terms(F25))),
+     ColourMismatchError),
 ]
 
 
