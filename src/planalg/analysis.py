@@ -11,7 +11,6 @@ theorem, so a violation beyond tolerance means a convention or library bug.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isnan, lcm, sqrt
@@ -550,16 +549,6 @@ def ccommlem_invert(z: Element, n: int, k: int) -> Element:
     return Element._sum(Colour.of(n), z.ring, terms)
 
 
-def annular_norm_bound(spec: TSpec, x: Element, k: int):
-    """||Z_T(x)||_{H_k} <= delta^((n+m)/2 - |A| - k) ||x||_{H_k}, checked."""
-    _require_float(x.ring)
-    y = evaluate(annular_T(spec), [x])
-    lhs = _norm_float(hk_norm_squared_element(y, k))
-    rhs = (x.ring.delta ** ((spec.n + spec.m) / 2.0 - len(spec.A) - k)
-           * _norm_float(hk_norm_squared_element(x, k)))
-    return lhs <= rhs + 1e-7, lhs, rhs
-
-
 # dcomm's cup placements: the double cup in the first slot, as in Y^t_k, or
 # in the last, as in Z^t_k
 _CUPS = {"first": annular_Y, "last": annular_Z}
@@ -585,16 +574,16 @@ def _capping_ok(k: int, y_mode: str, z_mode: str):
     return True, ""
 
 
-def dcomm_replay(k: int, rng=None) -> dict:
+def dcomm_replay(k: int, rng) -> dict:
     """The three capping sub-checks, with a scan over Y/Z cup placements.
 
     A cup placement puts the double cup in the first or the last slot of
     each family; the default is (Y=first, Z=last).  Any failure of the
     default pinpoints the cup-position convention; the scan reports which
-    of the four placements passes all three sub-checks.
+    of the four placements passes all three sub-checks; sub-check (iii)
+    draws its elements from `rng`.
     """
     ring = Ring.symbolic()
-    rng = rng or random.Random(0)
 
     def subchecks(y_mode: str, z_mode: str):
         held, fail_at = _capping_ok(k, y_mode, z_mode)

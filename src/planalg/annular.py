@@ -6,7 +6,8 @@ P_n to P_m; X^n_k = T(k,{},{})^n_k; Y^t_k and Z^t_k carry one nested double
 cup, in the first and the last slot; `annular_double_cup` takes any slot.
 A k-good (j,i) tangle is an increasing choice of free box points for its
 through strands, every gap even, with a non-crossing matching in each gap
-(adjacent if k-excellent): in lexicographic order, the first gap slowest.
+(adjacent if k-excellent): `enumerate_good` builds each from its strand
+pairs, in lexicographic order, the first gap slowest.
 """
 
 from __future__ import annotations
@@ -150,44 +151,29 @@ def transpose_annular(t: Tangle) -> Tangle:
 # -- good and excellent annular tangles -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def good_wirings(k: int, j: int, i: int, excellent: bool = False) -> tuple:
-    """The `Tangle.wiring` of every k-good (j,i)-annular tangle, in
-    `enumerate_good`'s order; with `excellent`, forbid nested caps.
+def enumerate_good(k: int, j: int, i: int, excellent: bool = False) -> list:
+    """All k-good (j,i)-annular tangles; with `excellent`, forbid nested caps.
 
     The first 2(i-k) external points go through to an increasing choice of
     the 2(j-k) free box points with every gap even, the last 2k to the last
     2k; caps fill each gap with a non-crossing matching (the adjacent pairing
     when `excellent`).  The choices run in lexicographic order, the first
-    gap's matching varying slowest.  No tangle has a free loop, and none is
-    built; `phi`/`psi` enumerate none of them (see `tower._column`).
+    gap's matching varying slowest.  No tangle has a free loop.  `phi`/`psi`
+    enumerate none of them (see `tower._column`).
     """
     if not k <= i <= j:
         raise PreconditionError("need k <= i <= j")
     free = 2 * (j - k)
-    box = 2 * i - 1         # box point v has id box + v
+    cable = [((EXT, 2 * (i - k) + d), (1, free + d)) for d in range(1, 2 * k + 1)]
     out = []
     for head in combinations(range(1, free + 1), 2 * (i - k)):
         if any((v - s) % 2 for s, v in enumerate(head, 1)):
             continue                                    # an odd gap
-        wiring = [None] * (2 * i + 2 * j)
-        for s, v in enumerate(head + tuple(range(free + 1, 2 * j + 1))):
-            wiring[s], wiring[box + v] = box + v, s
+        through = [((EXT, s), (1, v)) for s, v in enumerate(head, 1)] + cable
         ends = (0,) + head + (free + 1,)
         gaps = [tuple(range(a + 1, b)) for a, b in zip(ends, ends[1:])]
         for choice in product(*([list(zip(gap[::2], gap[1::2]))] if excellent
                                 else _matchings(gap) for gap in gaps)):
-            for matching in choice:
-                for a, b in matching:
-                    wiring[box + a], wiring[box + b] = box + b, box + a
-            out.append(tuple(wiring))
-    return tuple(out)
-
-
-def enumerate_good(k: int, j: int, i: int, excellent: bool = False):
-    """All k-good (j,i)-annular tangles (k-excellent with `excellent`), built
-    from `good_wirings` in its order."""
-    def point(p):
-        return (EXT, p + 1) if p < 2 * i else (1, p - 2 * i + 1)
-    return [Tangle(i, [j], [(point(p), point(q)) for p, q in enumerate(wiring) if p < q])
-            for wiring in good_wirings(k, j, i, excellent)]
+            out.append(Tangle(i, [j], through + [((1, a), (1, b)) for matching in choice
+                                                 for a, b in matching]))
+    return out

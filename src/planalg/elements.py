@@ -6,8 +6,10 @@ through `trace_strands`, and every filling of a tangle's boxes through
 box 1) and the trace the full closure, each wired once per colour; tangle
 evaluation, and with it the tower's products, dagger, inclusion and
 expectation, feeds `contract_terms` the tangle's own wiring.  A filling is
-one scalar kernel term for every tangle of a family sharing its boxes.  The
-direct stacking and closure-loop routes are the tests' independent oracle.
+one scalar kernel term for every tangle of a family sharing its boxes.  Box
+colours are checked where a filling is first traced (`_trace`), so a kept
+trace implies matching colours.  The direct stacking and closure-loop routes
+are the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -182,14 +184,15 @@ class Element:
         return " + ".join(parts)
 
 
-_TRACED = {}    # family members -> {d1: ... {dk: ((output, closed) per member)}}
+_TRACED = {}    # (boxes, members) -> {d1: ... {dk: ((output, closed) per member)}}
 _LEAVES = {}    # leaf -> the one leaf tuple every table shares
 
 
 class Family:
     """Wired tangles sharing their boxes and free loops, compiled for
-    `contract_terms`: `members`, one `(colour, wiring, offsets)` per tangle,
-    keys their trie in `_TRACED`; `root` is that trie, found once per `table`."""
+    `contract_terms`: `boxes`, their colours, and `members`, one `(colour,
+    wiring, offsets)` per tangle, key their trie in `_TRACED` (a 0+ box and a
+    0- box wired alike keep two); `root` is that trie, found once per `table`."""
 
     __slots__ = ("members", "boxes", "loops", "table", "root")
 
@@ -212,9 +215,11 @@ def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
     family's free `loops`.  So a*b is formed once for all members.  A
     crossing output pairing raises `InternalError`.  Each choice is traced
     once per process for every member (`_trace`): outputs and loops depend
-    on no coefficient.  The inputs must be of `ring` and of their boxes'
-    colours: the callers check them (`tangles.filling_terms`, or once per
-    graded product in `tower`).
+    on no coefficient.  A diagram not of its box's colour is never in the
+    trie, so it reaches `_trace`, which raises `ColourMismatchError`; an
+    input with no terms traces nothing and is not checked.  The inputs must
+    be of `ring`: the callers check that (`tangles.filling_terms`, or once
+    per graded product in `tower`).
 
     The walk keeps a list of prefixes, `(trie node, diagrams, coefficient)`,
     for the boxes before the last two, and runs the last two boxes as two
@@ -222,7 +227,8 @@ def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
     prefix list; with one box or none, the root is the only prefix.
     """
     if family.table is not _TRACED:     # a detached root until `_trace` keeps one
-        family.table, family.root = _TRACED, _TRACED.get(family.members, {})
+        family.table = _TRACED
+        family.root = _TRACED.get((family.boxes, family.members), {})
     loops, append = family.loops, terms.append
     if len(inputs) < 2:
         root = family.root
@@ -259,13 +265,20 @@ def _nonzero(combo: dict) -> dict:
 def _trace(family, diagrams: tuple) -> tuple:
     """Trace one diagram per box (`(None,)` for no boxes) on each member of
     a family and keep the `(output, closed loops)` of each in its trie, kept
-    in `_TRACED`; a crossing output raises `InternalError` and is never kept."""
+    in `_TRACED`.  A diagram not of its box's colour raises
+    `ColourMismatchError` before any strand is followed, and a crossing
+    output `InternalError`; neither is kept."""
+    for d, colour in zip(diagrams, family.boxes):
+        if d.colour is not colour:
+            raise ColourMismatchError(
+                f"input colour {d.colour} does not match box colour {colour}")
     leaf = []
     for colour, wiring, offsets in family.members:
         inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
         pairs, closed = trace_strands(wiring, inner, colour.points)
         leaf.append((traced_diagram(colour, pairs), closed))
-    node = family.root = _TRACED.setdefault(family.members, family.root)
+    node = family.root = _TRACED.setdefault((family.boxes, family.members),
+                                             family.root)
     for d in diagrams[:-1]:
         node = node.setdefault(d, {})
     leaf = tuple(leaf)

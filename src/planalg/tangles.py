@@ -178,25 +178,21 @@ def filling_terms(family: Family, inputs: list, ring: Ring, terms: list) -> list
     """The kernel terms of Z_T(inputs) for every T of a compiled family, one
     per filling, appended to `terms` by one `contract_terms` walk after the
     checks of evaluation, which takes outside input: one input per box, of
-    its colour and of `ring`.  The tower's graded maps, whose components are
-    of their ring by construction, check colours per block and rings once."""
+    its colour (a zero input traces nothing, so the walk would not check
+    it) and of `ring`.  The tower's graded maps, whose components are
+    nonzero and of their ring by construction, leave colours to the walk."""
     boxes = family.boxes
     if len(inputs) != len(boxes):
         raise PreconditionError(
             f"tangle has {len(boxes)} boxes but got {len(inputs)} inputs")
-    check_boxes(boxes, inputs)
-    for x in inputs:
-        if x.ring is not ring and x.ring != ring:
-            raise PreconditionError("all inputs must share one scalar ring")
-    return contract_terms(family, ring, inputs, terms)
-
-
-def check_boxes(boxes, inputs) -> None:
-    """Raise `ColourMismatchError` at the first input not of its box's colour."""
     for x, colour in zip(inputs, boxes):
         if x.colour is not colour:
             raise ColourMismatchError(
                 f"input colour {x.colour} does not match box colour {colour}")
+    for x in inputs:
+        if x.ring is not ring and x.ring != ring:
+            raise PreconditionError("all inputs must share one scalar ring")
+    return contract_terms(family, ring, inputs, terms)
 
 
 # -- operadic substitution --------------------------------------------------------

@@ -18,7 +18,7 @@ from .elements import (Element, Family, contract_terms, jones_projection,
                        placed_pairing, random_terms, tl_sum)
 from .errors import ColourMismatchError, LevelMismatchError, PreconditionError
 from .scalars import Ring, Scalar
-from .tangles import (EXT, Tangle, check_boxes, evaluate, evaluate_in,  # noqa: F401
+from .tangles import (EXT, Tangle, evaluate, evaluate_in,  # noqa: F401
                       partial_cap_tangle, rotation_tangle)  # perfbench reads tower.evaluate
 
 
@@ -176,9 +176,9 @@ def random_graded(k: int, max_colour: int, ring: Ring, rng,
 # -- the two-box product tangle -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def sharp_tangle(m: int, n: int, k: int, t: int) -> Tangle:
-    """The P_t component tangle of the level-k product on P_m x P_n."""
+    """The P_t component tangle of the level-k product on P_m x P_n, built
+    anew per call: `_family` keeps the compiled product blocks."""
     if m < k or n < k:
         raise PreconditionError("factor colours must be at least the level")
     ts = sharp_range(m, n, k)
@@ -212,7 +212,8 @@ def _top_range(m: int, n: int, k: int) -> range:
 @lru_cache(maxsize=None)
 def _family(make, ts, m: int, n: int, k: int) -> tuple:
     """The tangles make(m, n, k, t), t in ts(m, n, k), of one (m, n) block, as
-    one family, with the tuple of their output colours in t order."""
+    one family, with the tuple of their output colours in t order: the one
+    cache of the product blocks, so each tangle is built once per block."""
     tangles = [make(m, n, k, t) for t in ts(m, n, k)]
     return (Family([t.family.members[0] for t in tangles], (Colour(m), Colour(n))),
             tuple(t.ext for t in tangles))
@@ -224,20 +225,18 @@ def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
     appends one term per filling for all its output colours, and one kernel
     call sums every block's terms; the colours come in block order, each
     block's in t order.  The inputs are checked per product, not through
-    `filling_terms`: the rings once, and each block's colours by identity
-    with its boxes (a 0- fails), the first block's before the rings."""
+    `filling_terms`: each block's colours by its walk (a 0- component
+    fails), and the rings once, after the first block's walk, so its colour
+    error comes first (a two-box walk multiplies no coefficients)."""
     colours, terms = [], []
     mixed = a.ring is not b.ring and a.ring != b.ring
     for m, am in a.components.items():
         for n, bn in b.components.items():
             family, outs = _family(make, ts, m, n, k)
-            boxes = family.boxes
-            if am.colour is not boxes[0] or bn.colour is not boxes[1]:
-                check_boxes(boxes, (am, bn))    # raises, naming the first
-            if mixed:
-                raise PreconditionError("all inputs must share one scalar ring")
             colours += outs
             contract_terms(family, ring, (am, bn), terms)
+            if mixed:
+                raise PreconditionError("all inputs must share one scalar ring")
     return GradedElement._from_terms(k, ring, colours, terms)
 
 
@@ -312,8 +311,8 @@ def _one_box(level: int, a: GradedElement, tangle, prepare=None) -> GradedElemen
     """Z_T(a_m), T = tangle(m, a.level), on each component a_m, `prepare`d first
     (a_m itself where T is None): every fill appends its terms to one list by
     one `contract_terms` walk, one kernel call sums them, and the colours come
-    in component order.  Each input's colour is compared by identity with its
-    box (a 0- component fails); its ring is `a.ring`, so it is not checked."""
+    in component order.  Each input's colour is checked by the walk (a 0-
+    component fails); its ring is `a.ring`, so it is not checked."""
     colours, terms = {}, []
     for m, el in a.components.items():
         t = tangle(m, a.level)
@@ -321,10 +320,7 @@ def _one_box(level: int, a: GradedElement, tangle, prepare=None) -> GradedElemen
         if t is None:
             terms += el._terms()
             continue
-        x = prepare(el) if prepare else el
-        if x.colour is not t.boxes[0]:
-            check_boxes(t.boxes, (x,))      # raises
-        contract_terms(t.family, a.ring, (x,), terms)
+        contract_terms(t.family, a.ring, (prepare(el) if prepare else el,), terms)
     return GradedElement._from_terms(level, a.ring, colours, terms)
 
 
@@ -451,9 +447,9 @@ def psi(k: int, a: GradedElement) -> GradedElement:
 # -- the dot action of F_{k+1} on F_k ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def dot_tangle(m: int, n: int, k: int, t: int) -> Tangle:
-    """The P_t component tangle of a.b for a in P_m <= F_{k+1}, b in P_n <= F_k."""
+    """The P_t component tangle of a.b for a in P_m <= F_{k+1}, b in P_n <= F_k,
+    built anew per call, as `sharp_tangle` is."""
     if k < 1:
         raise PreconditionError("the dot action is defined for k >= 1")
     if m < k + 1 or n < k:

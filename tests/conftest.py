@@ -486,8 +486,9 @@ def _through_maps(k: int, j: int, i: int):
 
 
 def good_wirings_oracle(k: int, j: int, i: int, excellent: bool) -> tuple:
-    """`annular.good_wirings` by recursion over the through maps, each map's
-    gap matchings in product order (the first gap slowest)."""
+    """The wirings of `annular.enumerate_good`'s tangles by recursion over
+    the through maps, each map's gap matchings in product order (the first
+    gap slowest)."""
     def adjacent(points):
         return [[(points[r], points[r + 1]) for r in range(0, len(points), 2)]]
     match = adjacent if excellent else _matchings

@@ -4,8 +4,7 @@ import pytest
 
 from planalg.annular import (TSpec, annular_T, annular_X,
                              annular_Y, annular_Z, annular_double_cup,
-                             compose_T, enumerate_good, good_wirings,
-                             transpose_annular)
+                             compose_T, enumerate_good, transpose_annular)
 from planalg.diagrams import enumerate_diagrams
 from planalg.errors import ColourMismatchError, PreconditionError
 from planalg.scalars import Ring
@@ -14,6 +13,11 @@ from planalg.tangles import (EXT, Tangle, evaluate, identity_tangle,
 from planalg import random_element
 
 from conftest import double_cup_oracle, good_wirings_oracle
+
+
+def good_wirings(k, j, i, excellent=False) -> tuple:
+    """The `Tangle.wiring` of each good tangle, in `enumerate_good`'s order."""
+    return tuple(t.wiring for t in enumerate_good(k, j, i, excellent))
 
 
 def interval(lo, hi):
@@ -203,14 +207,17 @@ def test_good_parameter_order():
 
 
 def test_good_wirings_are_the_wirings_of_the_good_tangles():
-    # in order, loop-free, and each wiring an involution without fixed point
+    # loop-free, pairwise distinct, each wiring an involution without fixed
+    # point and each tangle the one its pairs build
     for k in (0, 1, 2):
         for j in range(k, 7):
             for i in range(k, j + 1):
                 for excellent in (False, True):
                     wirings = good_wirings(k, j, i, excellent)
                     tangles = enumerate_good(k, j, i, excellent)
-                    assert wirings == tuple(t.wiring for t in tangles)
+                    assert len(set(wirings)) == len(wirings)
+                    assert all(Tangle(t.ext, t.boxes, t.pairs).wiring == t.wiring
+                               for t in tangles)
                     assert all(t.loops == 0 and t.ext.n == i and t.boxes[0].n == j
                                for t in tangles)
                     assert all(w[w[p]] == p != w[p] for w in wirings

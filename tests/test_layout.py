@@ -21,7 +21,6 @@ SRC = ROOT / "src" / "planalg"
 
 # name -> why it stays in src/ without a caller there
 ALLOWED = {
-    "annular_norm_bound": "the paper's annular norm lemma, checked by the tests",
     "op_norm": "perfbench's tracer and the tests call it",
 }
 

@@ -424,7 +424,10 @@ def test_structural_defects_raise_one_validation_error(ext, boxes, pairs, messag
     (_trace_closure, (3, 1), (1, 3)),
 ])
 def test_builders_are_compiled_once_and_still_reject(builder, good, bad):
-    assert builder(*good) is builder(*good)
+    # the product builders run only on `tower._family` misses and keep no
+    # cache of their own
+    if builder not in (sharp_tangle, dot_tangle):
+        assert builder(*good) is builder(*good)
     for _ in range(2):
         with pytest.raises(PreconditionError):
             builder(*bad)
@@ -515,8 +518,9 @@ def test_equal_tangles_built_apart_share_one_trie(sym, rng, traces):
     assert evaluate(second, [x, y]) == product
     assert traces == []
     assert second.family.root is first.family.root
-    assert list(elements._TRACED) == [first.family.members]
-    assert elements._TRACED[first.family.members] is first.family.root
+    key = (first.family.boxes, first.family.members)
+    assert list(elements._TRACED) == [key]
+    assert elements._TRACED[key] is first.family.root
 
 
 def test_a_swapped_table_is_filled_afresh(sym, rng, traces, monkeypatch):
@@ -527,14 +531,14 @@ def test_a_swapped_table_is_filled_afresh(sym, rng, traces, monkeypatch):
     product = evaluate(t, [x, y])
     choices, old = len(traces), elements._TRACED
     assert choices == len(x.combo) * len(y.combo)
-    fresh = {}
+    fresh, key = {}, (t.family.boxes, t.family.members)
     monkeypatch.setattr(elements, "_TRACED", fresh)
     assert evaluate(t, [x, y]) == product
     assert len(traces) == 2 * choices
-    assert fresh[t.family.members] is t.family.root is not old[t.family.members]
+    assert fresh[key] is t.family.root is not old[key]
     monkeypatch.setattr(elements, "_TRACED", old)     # back: nothing to trace
     assert evaluate(t, [x, y]) == product
-    assert len(traces) == 2 * choices and t.family.root is old[t.family.members]
+    assert len(traces) == 2 * choices and t.family.root is old[key]
 
 
 def test_a_fill_appends_to_the_given_term_list(sym, rng):

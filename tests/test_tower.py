@@ -1,4 +1,5 @@
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -467,12 +468,12 @@ def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
 
 
 def test_a_column_builds_no_tangle(sym, monkeypatch):
-    # with every Tangle constructor and every good-wiring enumeration refused
+    # with every Tangle constructor and every good-tangle enumeration refused
     def refuse(*args, **kwargs):
-        raise AssertionError("a column built a Tangle or enumerated its wirings")
+        raise AssertionError("a column built a Tangle or enumerated the good tangles")
     monkeypatch.setattr(tangles.Tangle, "__init__", refuse)
-    monkeypatch.setattr(annular, "good_wirings", refuse)
-    monkeypatch.setattr(tower, "good_wirings", refuse, raising=False)
+    monkeypatch.setattr(annular, "enumerate_good", refuse)
+    monkeypatch.setattr(tower, "enumerate_good", refuse, raising=False)
     for k in (0, 1):
         for d in enumerate_diagrams(k + 2):
             for excellent in (False, True):
@@ -893,6 +894,40 @@ def test_one_symbolic_ring_and_checks_still_raise():
     for join, error in MISMATCHES:
         with pytest.raises(error):
             join()
+
+
+def _within(seconds, call):
+    """`call()`, failing with `TimeoutError` after `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_fill_of_the_wrong_colour_raises_at_once(sym, rng):
+    # each input in the other's box: the walk checks the colours where it
+    # traces, before following a strand of a box of the wrong size
+    family, _ = tower._family(sharp_tangle, sharp_range, 2, 3, 1)
+    a2, b3 = random_element(2, sym, rng), random_element(3, sym, rng)
+    with pytest.raises(ColourMismatchError,
+                       match="input colour 3 does not match box colour 2"):
+        _within(10, lambda: elements.contract_terms(family, sym, (b3, a2), []))
+
+
+def test_a_shaded_fill_does_not_share_an_unshaded_boxs_trie(sym, monkeypatch):
+    # a 0- box and include's 0+ cup are wired alike; the 0- evaluation's
+    # trace must not let include take a 0- component
+    monkeypatch.setattr(elements, "_TRACED", {})
+    minus = Element.unit(ZERO_MINUS, sym)
+    cup = evaluate(tangles.Tangle(1, ["0-"], [((0, 1), (0, 2))]), [minus])
+    assert list(cup.combo) == [Diagram(1, [(1, 2)])]
+    with pytest.raises(ColourMismatchError):
+        include(GradedElement(0, sym, {0: minus}))
 
 
 def test_graded_from_parts(sym):
