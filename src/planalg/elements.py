@@ -6,10 +6,10 @@ through `trace_strands`, and every filling of a tangle's boxes through
 box 1) and the trace the full closure, each wired once per colour; tangle
 evaluation, and with it the tower's products, dagger, inclusion and
 expectation, feeds `contract_terms` the tangle's own wiring.  A filling is
-one scalar kernel term for every tangle of a family sharing its boxes.  Box
-colours are checked where a filling is first traced (`_trace`), so a kept
-trace implies matching colours.  The direct stacking and closure-loop routes
-are the tests' independent oracle.
+one scalar kernel term for every tangle of a family sharing its boxes, traced
+once into the family's own trie.  Box colours are checked where a filling is
+first traced (`_trace`), so a kept trace implies matching colours.  The
+direct stacking and closure-loop routes are the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -184,21 +184,20 @@ class Element:
         return " + ".join(parts)
 
 
-_TRACED = {}    # (boxes, members) -> {d1: ... {dk: ((output, closed) per member)}}
-_LEAVES = {}    # leaf -> the one leaf tuple every table shares
+_LEAVES = {}    # leaf -> the one leaf tuple every trie shares
 
 
 class Family:
     """Wired tangles sharing their boxes and free loops, compiled for
-    `contract_terms`: `boxes`, their colours, and `members`, one `(colour,
-    wiring, offsets)` per tangle, key their trie in `_TRACED` (a 0+ box and a
-    0- box wired alike keep two); `root` is that trie, found once per `table`."""
+    `contract_terms`: `boxes`, their colours, `members`, one `(colour,
+    wiring, offsets)` per tangle, and `root`, the family's own trie
+    {d1: ... {dk: ((output, closed) per member)}} of traced fillings."""
 
-    __slots__ = ("members", "boxes", "loops", "table", "root")
+    __slots__ = ("members", "boxes", "loops", "root")
 
     def __init__(self, members, boxes: tuple, loops: int = 0):
         self.members, self.boxes, self.loops = tuple(members), boxes, loops
-        self.table = self.root = None
+        self.root = {}
 
 
 def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
@@ -214,7 +213,7 @@ def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
     `(output diagram, closed loops)`, in member order, on top of the
     family's free `loops`.  So a*b is formed once for all members.  A
     crossing output pairing raises `InternalError`.  Each choice is traced
-    once per process for every member (`_trace`): outputs and loops depend
+    once per family for every member (`_trace`): outputs and loops depend
     on no coefficient.  A diagram not of its box's colour is never in the
     trie, so it reaches `_trace`, which raises `ColourMismatchError`; an
     input with no terms traces nothing and is not checked.  The inputs must
@@ -226,9 +225,6 @@ def contract_terms(family: Family, ring: Ring, inputs, terms: list) -> list:
     nested loops, so a two-box family (every product block) builds no
     prefix list; with one box or none, the root is the only prefix.
     """
-    if family.table is not _TRACED:     # a detached root until `_trace` keeps one
-        family.table = _TRACED
-        family.root = _TRACED.get((family.boxes, family.members), {})
     loops, append = family.loops, terms.append
     if len(inputs) < 2:
         root = family.root
@@ -264,8 +260,8 @@ def _nonzero(combo: dict) -> dict:
 
 def _trace(family, diagrams: tuple) -> tuple:
     """Trace one diagram per box (`(None,)` for no boxes) on each member of
-    a family and keep the `(output, closed loops)` of each in its trie, kept
-    in `_TRACED`.  A diagram not of its box's colour raises
+    a family and keep the `(output, closed loops)` of each in the family's
+    trie, `family.root`.  A diagram not of its box's colour raises
     `ColourMismatchError` before any strand is followed, and a crossing
     output `InternalError`; neither is kept."""
     for d, colour in zip(diagrams, family.boxes):
@@ -277,8 +273,7 @@ def _trace(family, diagrams: tuple) -> tuple:
         inner = sum(map(placed_pairing, diagrams, offsets), (None,) * colour.points)
         pairs, closed = trace_strands(wiring, inner, colour.points)
         leaf.append((traced_diagram(colour, pairs), closed))
-    node = family.root = _TRACED.setdefault((family.boxes, family.members),
-                                             family.root)
+    node = family.root
     for d in diagrams[:-1]:
         node = node.setdefault(d, {})
     leaf = tuple(leaf)

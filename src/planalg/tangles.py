@@ -292,6 +292,7 @@ def rotation_tangle(n, direction: int = -1) -> Tangle:
     return Tangle(n, [n], pairs)
 
 
+@lru_cache(maxsize=None)
 def left_expectation_tangle(n, i) -> Tangle:
     """EL(i)^n_n: cap the first i strand pairs, re-emit i nested strands."""
     n = Colour.of(n).n

@@ -146,6 +146,8 @@ class GradedElement:
 
     @classmethod
     def from_json(cls, data, ring=None):
+        if type(data["level"]) is not int:      # not isinstance: True is an int
+            raise TypeError(f"level {data['level']!r} is not an integer")
         parts = []      # keys naming one colour twice ("2", "02") add up
         for n, el in data["components"].items():
             el = Element.from_json(el, ring)
@@ -204,17 +206,12 @@ def sharp_range(m: int, n: int, k: int) -> range:
     return range(abs(m - n) + k, m + n - k + 1)
 
 
-def _top_range(m: int, n: int, k: int) -> range:
-    """The top colour of the level-k product on P_m x P_n, `bullet`'s only one."""
-    return sharp_range(m, n, k)[-1:]
-
-
 @lru_cache(maxsize=None)
-def _family(make, ts, m: int, n: int, k: int) -> tuple:
-    """The tangles make(m, n, k, t), t in ts(m, n, k), of one (m, n) block, as
-    one family, with the tuple of their output colours in t order: the one
-    cache of the product blocks, so each tangle is built once per block."""
-    tangles = [make(m, n, k, t) for t in ts(m, n, k)]
+def _family(make, m: int, n: int, k: int, ts: range) -> tuple:
+    """The tangles make(m, n, k, t), t in the range ts, of one (m, n) block, as
+    one family, with the tuple of their output colours in t order: the one cache
+    of the product blocks, keyed by ts's value, so `bullet` reuses `sharp`'s."""
+    tangles = [make(m, n, k, t) for t in ts]
     return (Family([t.family.members[0] for t in tangles], (Colour(m), Colour(n))),
             tuple(t.ext for t in tangles))
 
@@ -232,7 +229,7 @@ def _blocks(make, ts, k: int, a, b, ring: Ring) -> GradedElement:
     mixed = a.ring is not b.ring and a.ring != b.ring
     for m, am in a.components.items():
         for n, bn in b.components.items():
-            family, outs = _family(make, ts, m, n, k)
+            family, outs = _family(make, m, n, k, ts(m, n, k))
             colours += outs
             contract_terms(family, ring, (am, bn), terms)
             if mixed:
@@ -249,7 +246,8 @@ def sharp(a: GradedElement, b: GradedElement) -> GradedElement:
 def bullet(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded (top-component) product of Gr_k(P)."""
     a._check_level(b)
-    return _blocks(sharp_tangle, _top_range, a.level, a, b, a.ring)
+    return _blocks(sharp_tangle, lambda m, n, k: sharp_range(m, n, k)[-1:],
+                   a.level, a, b, a.ring)
 
 
 # -- dagger, traces, inner product ------------------------------------------------

@@ -104,6 +104,8 @@ def one_term(coeff):
     return {"colour": 1, "terms": [{"pairs": [[1, 2]], "coeff": coeff}]}
 
 
+ONE_P2 = {"colour": 2, "terms": [{"pairs": [[1, 4], [2, 3]],
+                                 "coeff": {"mode": "symbolic", "terms": [[0, 1]]}}]}
 BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
                                      "coeff": {"mode": "symbolic",
                                                "terms": [[0, "x/y"]]}}]}
@@ -133,6 +135,11 @@ BAD_COEFF = {"colour": 1, "terms": [{"pairs": [[1, 2]],
     ("tau", {"colour": config.COLOUR_CAP + 1, "terms": []}),
     ("dagger", {"level": 0, "components": {
         str(config.COLOUR_CAP + 1): {"colour": config.COLOUR_CAP + 1, "terms": []}}}),
+    # a level that is not an int: no traceback, and true is not read as 1
+    ("phi", {"level": 1.5, "components": {"2": ONE_P2}}),
+    ("phi", {"level": True, "components": {"2": ONE_P2}}),
+    ("dagger", {"level": 1.5, "components": {"2": ONE_P2}}),
+    ("dagger", {"level": True, "components": {"2": ONE_P2}}),
 ])
 def test_malformed_json_is_a_parse_error(tmp_path, capsys, op, data):
     path = tmp_path / "x.json"

@@ -169,6 +169,18 @@ def _caches() -> list:
     return found
 
 
+def test_a_fill_reads_no_table_but_the_shared_leaves():
+    # each compiled family owns its trie (`family.root`): the fill path
+    # reads no module-level table of the package but `_LEAVES`, which
+    # shares equal leaf tuples between the tries
+    tables = {name for _module, tree in _modules() for name in _empty_dict_names(tree.body)}
+    functions = {stmt.name: stmt for stmt in dict(_modules())["elements"].body
+                 if isinstance(stmt, ast.FunctionDef)}
+    read = {name: sorted(_referenced(functions[name]) & tables)
+            for name in ("contract_terms", "_trace")}
+    assert read == {"contract_terms": [], "_trace": ["_LEAVES"]}
+
+
 def test_every_cache_is_named_in_the_performance_notes():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     notes = readme.split("## Performance notes", 1)[1].split("\n## ", 1)[0]

@@ -314,7 +314,7 @@ def test_evaluate_rejects_a_crossing_output(sym, traces):
     # contraction, so it is traced again and fails again
     assert (2, False, ((1, 3), (2, 4))) not in diagrams._INTERNED
     assert (1, False, ((1, 2),)) in diagrams._INTERNED
-    assert elements._TRACED == {}
+    assert crossing.family.root == {}
     with pytest.raises(InternalError):
         evaluate(crossing, [x])
     assert len(traces) == 2
@@ -354,10 +354,11 @@ def test_products_and_enumeration_share_the_interned_diagrams(sym):
 
 def test_interning_keeps_the_shading_of_colour_zero(sym, traces):
     # the two tangles share one (empty) wiring; the second round reads
-    # each colour's own traced output from the contraction table
+    # each colour's own traced output from its tangle's trie
+    zero_plus, zero_minus = Tangle(ZERO_PLUS, [], []), Tangle(ZERO_MINUS, [], [])
     for _ in range(2):
-        plus = evaluate_in(Tangle(ZERO_PLUS, [], []), [], sym)
-        minus = evaluate_in(Tangle(ZERO_MINUS, [], []), [], sym)
+        plus = evaluate_in(zero_plus, [], sym)
+        minus = evaluate_in(zero_minus, [], sym)
         ((d_plus, _),), ((d_minus, _),) = plus.combo.items(), minus.combo.items()
         assert d_plus.colour == ZERO_PLUS and d_minus.colour == ZERO_MINUS
     assert len(traces) == 2
@@ -377,18 +378,13 @@ def _standard_tangles():
     return tangles
 
 
-def test_a_tangle_is_wired_once(sym, rng, traces):
+def test_a_tangle_is_wired_once(sym, rng):
     for t in _standard_tangles():
         for u in (t, Tangle.from_json(t.to_json()), t.with_loops(1)):
             assert (u.offsets, u.wiring) == wiring_oracle(t), t
-    # the contraction table is keyed by the wiring's value: a rebuilt
-    # tangle reads what the first one traced
     t = multiplication_tangle(2)
     x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
-    first = evaluate(t, [x, y])
-    traces.clear()
-    assert evaluate(Tangle.from_json(t.to_json()), [x, y]) == first
-    assert traces == []
+    assert evaluate(Tangle.from_json(t.to_json()), [x, y]) == evaluate(t, [x, y])
 
 
 @pytest.mark.parametrize("ext, boxes, pairs, message, strand", [
@@ -422,6 +418,7 @@ def test_structural_defects_raise_one_validation_error(ext, boxes, pairs, messag
     (annular_double_cup, (3, 1, 1), (3, 1, 5)),
     (glue_tangle, (2, 1, 0), (2, 5, 0)),
     (_trace_closure, (3, 1), (1, 3)),
+    (left_expectation_tangle, (3, 1), (2, 5)),
 ])
 def test_builders_are_compiled_once_and_still_reject(builder, good, bad):
     # the product builders run only on `tower._family` misses and keep no
@@ -441,13 +438,13 @@ def test_annular_T_is_compiled_once_per_spec():
             annular_T(TSpec(1, {1}, {5}, 2, 3))
 
 
-# -- the traced-contraction table ------------------------------------------------
+# -- the traced-contraction tries ------------------------------------------------
 
 
 @pytest.fixture
 def traces(monkeypatch):
-    """An empty contraction table for the test; returns the list of strand
-    traces `elements.contract` makes, one entry per call."""
+    """The list of strand traces `elements.contract_terms` makes, one entry
+    per call; a tangle built in the test starts with an empty trie."""
     calls = []
     kernel = elements.trace_strands
 
@@ -455,7 +452,6 @@ def traces(monkeypatch):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(elements, "_TRACED", {})
     monkeypatch.setattr(elements, "trace_strands", counted)
     return calls
 
@@ -470,34 +466,34 @@ def _product_oracle(x: Element, y: Element) -> Element:
 
 
 def test_a_second_evaluation_traces_nothing(sym, rng, traces):
+    t = multiplication_tangle(3)
     x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
-    first = evaluate(multiplication_tangle(3), [x, y])
+    first = evaluate(t, [x, y])
     assert len(traces) == len(x.combo) * len(y.combo)
     traces.clear()
-    assert evaluate(multiplication_tangle(3), [x, y]) == first
+    assert evaluate(t, [x, y]) == first
     assert traces == []
 
 
 def test_the_contraction_table_is_ring_free(sym, rng, traces):
     delta = Fraction(5, 2)
-    rat = Ring.rational(delta)
+    rat, t = Ring.rational(delta), multiplication_tangle(3)
     x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
-    assert evaluate(multiplication_tangle(3), [x, y]) == _product_oracle(x, y)
+    assert evaluate(t, [x, y]) == _product_oracle(x, y)
     traced = len(traces)
     x_rat, y_rat = (Element(3, rat, {d: specialize(c, delta) for d, c in z.combo.items()})
                     for z in (x, y))
-    product = evaluate(multiplication_tangle(3), [x_rat, y_rat])
+    product = evaluate(t, [x_rat, y_rat])
     assert len(traces) == traced
     assert product == _product_oracle(x_rat, y_rat)
 
 
-def test_the_tangles_own_loops_stay_out_of_the_table(sym, rng, traces):
+def test_the_tangles_own_loops_stay_out_of_the_table(sym, rng):
     t = multiplication_tangle(2)
     x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
-    plain = evaluate(t, [x, y])
-    traces.clear()
-    assert evaluate(t.with_loops(2), [x, y]) == plain.scale(sym.delta_power(2))
-    assert traces == []         # t and t.with_loops(2) share one wiring
+    plain, twice = evaluate(t, [x, y]), t.with_loops(2)
+    assert evaluate(twice, [x, y]) == plain.scale(sym.delta_power(2))
+    assert twice.family.root == t.family.root     # one wiring, equal leaves
     looped = evaluate(t.with_loops(1), [y, x])
     assert evaluate(t, [y, x]).scale(sym.delta_power(1)) == looped
 
@@ -505,40 +501,22 @@ def test_the_tangles_own_loops_stay_out_of_the_table(sym, rng, traces):
 # -- compiled fills ------------------------------------------------------------
 
 
-def test_equal_tangles_built_apart_share_one_trie(sym, rng, traces):
-    # each tangle compiles its own fill, keyed by value in the one table:
-    # the second tangle finds the first one's trie and traces nothing
+def test_equal_tangles_built_apart_fill_their_own_tries(sym, rng, traces):
+    # each tangle compiles its own fill and owns its trie: the second
+    # tangle traces every choice again and reaches the same product, and
+    # the two tries hold one shared leaf per choice
     first, second = (Tangle.from_json(multiplication_tangle(3).to_json())
                      for _ in range(2))
     assert first is not second and first.family is not second.family
     x, y = (random_element(3, sym, rng, terms=4) for _ in range(2))
     product = evaluate(first, [x, y])
-    assert traces != []
-    traces.clear()
-    assert evaluate(second, [x, y]) == product
-    assert traces == []
-    assert second.family.root is first.family.root
-    key = (first.family.boxes, first.family.members)
-    assert list(elements._TRACED) == [key]
-    assert elements._TRACED[key] is first.family.root
-
-
-def test_a_swapped_table_is_filled_afresh(sym, rng, traces, monkeypatch):
-    # a fill finds its trie once per table: after `_TRACED` is replaced by
-    # an empty one, the next fill traces again and keeps its trie there
-    t = multiplication_tangle(2)
-    x, y = (random_element(2, sym, rng, terms=3) for _ in range(2))
-    product = evaluate(t, [x, y])
-    choices, old = len(traces), elements._TRACED
+    choices = len(traces)
     assert choices == len(x.combo) * len(y.combo)
-    fresh, key = {}, (t.family.boxes, t.family.members)
-    monkeypatch.setattr(elements, "_TRACED", fresh)
-    assert evaluate(t, [x, y]) == product
+    assert evaluate(second, [x, y]) == product
     assert len(traces) == 2 * choices
-    assert fresh[key] is t.family.root is not old[key]
-    monkeypatch.setattr(elements, "_TRACED", old)     # back: nothing to trace
-    assert evaluate(t, [x, y]) == product
-    assert len(traces) == 2 * choices and t.family.root is old[key]
+    assert second.family.root is not first.family.root
+    assert all(second.family.root[d1][d2] is leaf
+               for d1, node in first.family.root.items() for d2, leaf in node.items())
 
 
 def test_a_fill_appends_to_the_given_term_list(sym, rng):

@@ -435,13 +435,12 @@ def test_phi_psi_columns_are_kept_per_ring(sym):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda ring: ring.mode)
-def test_columns_equal_the_evaluate_route(ring, monkeypatch):
+def test_columns_equal_the_evaluate_route(ring):
     # every good (excellent) tangle evaluated on the diagram, against the
     # capping walk's counts: equal in the exact modes, and in float mode equal
     # supports with coefficients equal up to rounding (the walk forms
     # count * d**loops where the tangles add d**loops count times); one
     # call gives the columns of every colour i = k..j, in order
-    monkeypatch.setattr(elements, "_TRACED", {})        # the oracle's table
     for k in (0, 1, 2):
         for j in range(k, k + 6):
             for d in enumerate_diagrams(j):
@@ -459,12 +458,13 @@ def test_columns_equal_the_evaluate_route(ring, monkeypatch):
 
 
 def test_a_fresh_column_keeps_no_traced_contraction(sym, monkeypatch):
-    monkeypatch.setattr(elements, "_TRACED", {})
+    def refuse(*args):
+        raise AssertionError("a column traced a filling")
+    monkeypatch.setattr(elements, "_trace", refuse)
     for d in enumerate_diagrams(3):
         for excellent in (False, True):
             assert not any(col.is_zero()
                            for col in _column.__wrapped__(1, 3, excellent, d, sym))
-    assert elements._TRACED == {}
 
 
 def test_a_column_builds_no_tangle(sym, monkeypatch):
@@ -601,8 +601,8 @@ def test_a_colour_whose_first_key_cancels_keeps_its_place(ring):
 def test_a_repeated_product_walks_each_block_once(monkeypatch):
     # a block (m, n) of sharp/dot_action feeds all its output colours from
     # one contract_terms walk, which tower calls straight (no filling_terms),
-    # and a second product traces nothing and adds no block family (a range
-    # function built per call, as a key, would add one every time)
+    # and a second product traces nothing and adds no block family (the key
+    # is the range's value, so `bullet`'s per-call range function adds none)
     ring, rng = Ring.symbolic(), random.Random(8)
     walks, traces, trace = [], [], elements._trace
     monkeypatch.setattr(tower, "contract_terms", lambda *args: walks.append(
@@ -625,6 +625,16 @@ def test_a_repeated_product_walks_each_block_once(monkeypatch):
             assert len(walks) == len(blocks)
             if ts:      # some block has more than one output colour
                 assert max(len(ts(m, n, k)) for m, n in blocks) > 1
+
+
+def test_a_one_colour_bullet_block_is_sharps(sym, rng):
+    # _family is keyed by the range of output colours: on two colour-k
+    # inputs `sharp` has the one colour k, `bullet`'s top, so both
+    # products fill one block family
+    tower._family.cache_clear()
+    a, b = (graded(2, random_element(2, sym, rng)) for _ in range(2))
+    assert sharp(a, b) == bullet(a, b)
+    assert tower._family.cache_info().currsize == 1
 
 
 # -- the graded maps: one kernel call each -------------------------------------------
@@ -912,17 +922,16 @@ def _within(seconds, call):
 def test_a_fill_of_the_wrong_colour_raises_at_once(sym, rng):
     # each input in the other's box: the walk checks the colours where it
     # traces, before following a strand of a box of the wrong size
-    family, _ = tower._family(sharp_tangle, sharp_range, 2, 3, 1)
+    family, _ = tower._family(sharp_tangle, 2, 3, 1, sharp_range(2, 3, 1))
     a2, b3 = random_element(2, sym, rng), random_element(3, sym, rng)
     with pytest.raises(ColourMismatchError,
                        match="input colour 3 does not match box colour 2"):
         _within(10, lambda: elements.contract_terms(family, sym, (b3, a2), []))
 
 
-def test_a_shaded_fill_does_not_share_an_unshaded_boxs_trie(sym, monkeypatch):
+def test_a_shaded_fill_does_not_share_an_unshaded_boxs_trie(sym):
     # a 0- box and include's 0+ cup are wired alike; the 0- evaluation's
     # trace must not let include take a 0- component
-    monkeypatch.setattr(elements, "_TRACED", {})
     minus = Element.unit(ZERO_MINUS, sym)
     cup = evaluate(tangles.Tangle(1, ["0-"], [((0, 1), (0, 2))]), [minus])
     assert list(cup.combo) == [Diagram(1, [(1, 2)])]
